@@ -69,6 +69,45 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED.get()
 
 
+# ---------------------------------------------------------------------------
+# Forward kernels on bare arrays. The ops below and the KV-cache decoder in
+# model.py both run these, so the two paths share one copy of the math.
+# ---------------------------------------------------------------------------
+
+# Additive attention mask for positions a query may not see.
+MASK_NEG = -1e30
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def np_softmax(z: np.ndarray) -> np.ndarray:
+    """Max-stabilized softmax over the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def np_log_softmax(z: np.ndarray) -> np.ndarray:
+    """Max-stabilized log-softmax over the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def np_layer_norm(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the last axis; returns (output, xhat, 1/std)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def np_gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-approximate GELU; returns (output, tanh term)."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * ((x * x) * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
 class Tensor:
     """Dense float64 tensor with an optional gradient accumulator."""
 
@@ -347,9 +386,7 @@ def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, max-stabilized."""
     if not np.all(np.isfinite(a.data)):
         raise FloatingPointError("softmax input contains non-finite values")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = np_softmax(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -363,9 +400,7 @@ def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax over the last axis, max-stabilized."""
     if not np.all(np.isfinite(a.data)):
         raise FloatingPointError("log_softmax input contains non-finite values")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    data = z - lse
+    data = np_log_softmax(a.data)
     p = np.exp(data)
 
     def backward(g):
@@ -398,11 +433,7 @@ def gather_log_prob(logp: Tensor, ids: Sequence[int]) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply elementwise gain and bias."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gain.data + bias.data
+    data, xhat, inv = np_layer_norm(x.data, gain.data, bias.data, eps)
     n = x.data.shape[-1]
 
     def backward(g):
@@ -422,26 +453,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(data, (x, gain, bias), backward)
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximate GELU."""
-    sq = x.data * x.data
-    u = _GELU_C * (x.data + 0.044715 * (sq * x.data))
-    t = np.tanh(u)
-    data = 0.5 * x.data * (1.0 + t)
+    data, t = np_gelu(x.data)
 
     def backward(g):
         if x.requires_grad:
-            du = _GELU_C * (1.0 + 3 * 0.044715 * sq)
+            du = _GELU_C * (1.0 + 3 * 0.044715 * (x.data * x.data))
             dt = (1.0 - t**2) * du
             x.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x.data * dt))
 
     return _make(data, (x,), backward)
-
-
-_NEG_INF = -1e30
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -453,7 +475,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     L = q.data.shape[-2]
     d = q.data.shape[-1]
     scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d))
-    mask = np.where(np.tril(np.ones((L, L), dtype=bool)), 0.0, _NEG_INF)
+    mask = np.where(np.tril(np.ones((L, L), dtype=bool)), 0.0, MASK_NEG)
     attn = softmax(add(scores, Tensor(mask)))
     return matmul(attn, v)
 

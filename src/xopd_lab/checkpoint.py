@@ -1,8 +1,10 @@
 """Checkpoint files: one JSON header line, then raw float64 payloads.
 
 The header records parameter names, shapes, and byte offsets (relative to
-the end of the header line) plus arbitrary metadata such as the model
-config. Payloads are little-endian float64, written in header order.
+the end of the header line), the payload's byte size and SHA-256, plus
+arbitrary metadata such as the model config. Payloads are little-endian
+float64, written in header order. Loading checks the size and the hash, so
+a truncated or corrupted file raises CheckpointError instead of loading.
 """
 
 from __future__ import annotations
@@ -14,39 +16,59 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
+from .errors import CheckpointError
 
 
 def save_checkpoint(path: str | Path, params: dict[str, Tensor], meta: dict | None = None) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     entries = []
+    chunks = []
     offset = 0
     for name in sorted(params):
         arr = params[name].data
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        chunks.append(arr.astype("<f8").tobytes(order="C"))
         offset += arr.size * 8
-    header = {"params": entries, "meta": meta or {}}
+    payload = b"".join(chunks)
+    header = {
+        "params": entries,
+        "meta": meta or {},
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
-        for entry in entries:
-            f.write(params[entry["name"]].data.astype("<f8").tobytes(order="C"))
+        f.write(payload)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
     path = Path(path)
     with open(path, "rb") as f:
         header_line = f.readline()
-        header = json.loads(header_line.decode("utf-8"))
         payload = f.read()
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+        entries, meta = header["params"], header["meta"]
+        size, digest = header["payload_bytes"], header["payload_sha256"]
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as e:
+        raise CheckpointError(f"{path}: not a checkpoint header ({type(e).__name__}: {e})") from None
+    if len(payload) != size:
+        raise CheckpointError(f"{path}: payload is {len(payload)} bytes, header says {size}")
+    if hashlib.sha256(payload).hexdigest() != digest:
+        raise CheckpointError(f"{path}: payload SHA-256 does not match the header")
     params: dict[str, Tensor] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        off = entry["offset"]
-        arr = np.frombuffer(payload[off : off + n * 8], dtype="<f8").reshape(shape).copy()
-        params[entry["name"]] = Tensor(arr, requires_grad=True)
-    return params, header["meta"]
+    try:
+        for entry in entries:
+            shape = tuple(entry["shape"])
+            n = int(np.prod(shape)) if shape else 1
+            off = entry["offset"]
+            arr = np.frombuffer(payload[off : off + n * 8], dtype="<f8").reshape(shape).copy()
+            params[entry["name"]] = Tensor(arr, requires_grad=True)
+    except (TypeError, KeyError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad parameter entry ({type(e).__name__}: {e})") from None
+    return params, meta
 
 
 def checkpoint_hash(path: str | Path) -> str:

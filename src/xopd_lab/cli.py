@@ -124,6 +124,18 @@ def _pipeline_config(cfg: dict, args) -> PipelineConfig:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.set or [])
     pc = _pipeline_config(cfg, args)
+    # Validate the run's config before any work, so a bad value writes nothing.
+    tc_kwargs = dict(cfg.get("train", {}))
+    tc_kwargs.update(
+        method=args.method, seed=args.seed,
+        lam=args.lam if args.lam is not None else tc_kwargs.get("lam", 0.5),
+        n_rollouts=args.rollouts or tc_kwargs.get("n_rollouts", 4),
+    )
+    if args.steps:
+        tc_kwargs["steps"] = args.steps
+    if args.workers:
+        tc_kwargs["workers"] = args.workers
+    tc = TrainConfig(**tc_kwargs)
     out = Path(args.out)
     data_dir = Path(args.data)
     if not data_dir.exists():
@@ -152,17 +164,6 @@ def cmd_train(args) -> int:
     else:
         raise UsageError(f"missing student checkpoint: {args.student} (pass --auto to build)")
 
-    tc_kwargs = dict(cfg.get("train", {}))
-    tc_kwargs.update(
-        method=args.method, seed=args.seed,
-        lam=args.lam if args.lam is not None else tc_kwargs.get("lam", 0.5),
-        n_rollouts=args.rollouts or tc_kwargs.get("n_rollouts", 4),
-    )
-    if args.steps:
-        tc_kwargs["steps"] = args.steps
-    if args.workers:
-        tc_kwargs["workers"] = args.workers
-    tc = TrainConfig(**tc_kwargs)
     _write_resolved(out, {"train": asdict(tc), "data": str(data_dir)})
     run_method(tc, student, teacher, dataset, out_dir=out)
     print(f"run complete: {out / 'metrics.jsonl'}")

@@ -33,6 +33,10 @@ class UsageError(XopdError):
     """API called with arguments that make no sense."""
 
 
+class CheckpointError(XopdError):
+    """A checkpoint file is truncated, corrupted or not a checkpoint."""
+
+
 class GenerationQualityError(XopdError):
     """Corpus generation rejected too many examples."""
 

@@ -22,11 +22,16 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import BOS, EOS, SEP
-from .errors import ConfigurationError, FramingError, LengthError, ModalityError
+from .errors import (
+    CheckpointError,
+    ConfigurationError,
+    FramingError,
+    LengthError,
+    ModalityError,
+)
 from .rollout import TEXT, SPEECH, Trajectory
 
 INIT_STD = 0.02
-_BIG_NEG = -1e30
 
 
 @dataclass
@@ -227,23 +232,6 @@ def init_student_from_teacher(teacher: TeacherModel, cfg: ModelConfig, seed: int
     return StudentModel(cfg, params)
 
 
-def _np_layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
-    return (x - mu) * inv * g + b
-
-
-def _np_gelu(x: np.ndarray) -> np.ndarray:
-    sq = x * x
-    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (sq * x))))
-
-
-def _np_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _decode_step(
     params: dict[str, Tensor],
     cfg: ModelConfig,
@@ -264,7 +252,7 @@ def _decode_step(
     for i in range(cfg.n_layers):
         h = f"h{i}"
         c = caches[i]
-        a = _np_layer_norm(x, params[f"{h}.ln1.g"].data, params[f"{h}.ln1.b"].data)
+        a = ad.np_layer_norm(x, params[f"{h}.ln1.g"].data, params[f"{h}.ln1.b"].data)[0]
         q = (a @ params[f"{h}.attn.wq"].data).reshape(B, T, H, hd).transpose(0, 2, 1, 3)
         k = (a @ params[f"{h}.attn.wk"].data).reshape(B, T, H, hd).transpose(0, 2, 1, 3)
         v = (a @ params[f"{h}.attn.wv"].data).reshape(B, T, H, hd).transpose(0, 2, 1, 3)
@@ -273,21 +261,17 @@ def _decode_step(
         S = c["k"].shape[2]
         scores = (q @ c["k"].transpose(0, 1, 3, 2)) * inv_sqrt  # (B, H, T, S)
         if T > 1:
-            mask = np.where(
-                np.tril(np.ones((T, T), dtype=bool)), 0.0, _BIG_NEG
-            )
+            mask = np.where(np.tril(np.ones((T, T), dtype=bool)), 0.0, ad.MASK_NEG)
             scores = scores + np.concatenate(
                 [np.zeros((T, S - T)), mask], axis=1
             )
-        ctx = _np_softmax(scores) @ c["v"]  # (B, H, T, hd)
+        ctx = ad.np_softmax(scores) @ c["v"]  # (B, H, T, hd)
         ctx = ctx.transpose(0, 2, 1, 3).reshape(B, T, d)
         x = x + ctx @ params[f"{h}.attn.wo"].data
-        m = _np_layer_norm(x, params[f"{h}.ln2.g"].data, params[f"{h}.ln2.b"].data)
-        m = _np_gelu(m @ params[f"{h}.mlp.w1"].data + params[f"{h}.mlp.b1"].data)
+        m = ad.np_layer_norm(x, params[f"{h}.ln2.g"].data, params[f"{h}.ln2.b"].data)[0]
+        m = ad.np_gelu(m @ params[f"{h}.mlp.w1"].data + params[f"{h}.mlp.b1"].data)[0]
         x = x + (m @ params[f"{h}.mlp.w2"].data + params[f"{h}.mlp.b2"].data)
-    last = _np_layer_norm(
-        x[:, -1, :], params["lnf.g"].data, params["lnf.b"].data
-    )
+    last = ad.np_layer_norm(x[:, -1, :], params["lnf.g"].data, params["lnf.b"].data)[0]
     return last @ params["head.w"].data
 
 
@@ -297,13 +281,16 @@ def _decode_batch(
     max_new: int,
     temperature: float,
     rngs: list[np.random.Generator | None],
-) -> tuple[list[list[int]], list[bool]]:
+    record: bool = False,
+) -> tuple[list[list[int]], list[bool], np.ndarray | None]:
     """Incremental decoding with per-layer key/value caches.
 
     All prompts must share one modality and length (callers group). A None
     rng means greedy argmax for that unit; otherwise ancestral sampling at
     the given temperature. Returns completions (with the terminating <eos>
-    when emitted) and finished flags.
+    when emitted), finished flags and, when ``record`` is set, a (2, B,
+    max_new) array holding each chosen token's unadjusted and tempered
+    log-prob (zero past a completion's end); otherwise None.
     """
     tok_emb = model.params["tok_emb"].data
     pos_emb = model.params["pos_emb"].data
@@ -319,7 +306,9 @@ def _decode_batch(
     logits = _decode_step(model.params, model.cfg, batch + pos_emb[:L0], caches)
     outs: list[list[int]] = [[] for _ in prompts]
     done = np.zeros(len(prompts), dtype=bool)
+    logps = np.zeros((2, len(prompts), max_new)) if record else None
     for step in range(max_new):
+        live = np.flatnonzero(~done)
         nxt = np.zeros(len(prompts), dtype=np.int64)
         for b, rng in enumerate(rngs):
             if done[b]:
@@ -327,17 +316,22 @@ def _decode_batch(
             if rng is None:
                 tok = int(np.argmax(logits[b]))
             else:
-                p = _np_softmax(logits[b] / temperature)
+                p = ad.np_softmax(logits[b] / temperature)
                 tok = int(rng.choice(len(p), p=p))
             nxt[b] = tok
             outs[b].append(tok)
             if tok == EOS:
                 done[b] = True
+        if logps is not None:
+            # Each chosen token's log-prob under the logits it was drawn
+            # from: one log-softmax over the unadjusted and tempered rows.
+            lp = ad.np_log_softmax(np.stack([logits, logits / temperature]))
+            logps[:, live, step] = lp[:, live, nxt[live]]
         if done.all() or step == max_new - 1:
             break
         rows = (tok_emb[nxt] + pos_emb[L0 + step])[:, None, :]
         logits = _decode_step(model.params, model.cfg, rows, caches)
-    return outs, [bool(f) for f in done]
+    return outs, [bool(f) for f in done], logps
 
 
 def sample_completion(
@@ -352,9 +346,9 @@ def sample_completion(
 
     Records per-token log-probabilities under the unadjusted model
     distribution (logp_old, defining pi_old) and under the temperature-
-    adjusted sampling distribution (logp_sample). Both are re-read from a
-    teacher-forced full-sequence pass at the end, so they are bit-identical
-    to any later forward_logits recomputation.
+    adjusted sampling distribution (logp_sample), both read from the decode
+    logits each token was drawn from. A teacher-forced recomputation of the
+    same tokens agrees with them to rounding (within 1e-12), not bit for bit.
     """
     return sample_completions_batch(
         model, [(prompt, None if greedy else rng)], temperature, max_new
@@ -370,10 +364,10 @@ def sample_completions_batch(
     """Batched ancestral sampling: one rng per unit (None means greedy).
 
     Decoding runs incrementally with key/value caches, grouped by prompt
-    shape; each unit consumes its rng independently of grouping. Recorded
-    log-probs come from teacher-forced passes batching only exactly equal
-    shapes (no padding): same-shape batched matmuls are bit-identical to
-    the single-sequence path, which the recomputation contract requires.
+    shape; each unit consumes its rng independently of grouping, so tokens
+    do not depend on which units share a batch. The log-probs recorded as
+    in sample_completion come from the batched decode logits, so they can
+    differ from a one-unit call's in the last bits.
     """
     if temperature <= 0:
         raise ConfigurationError(f"temperature must be > 0, got {temperature}")
@@ -383,43 +377,25 @@ def sample_completions_batch(
     groups: dict[tuple[str, int], list[int]] = {}
     for i, (prompt, _) in enumerate(units):
         groups.setdefault((prompt.modality, len(prompt.tokens)), []).append(i)
-    with ad.no_grad():
-        for idxs in groups.values():
-            outs, finished = _decode_batch(
-                model,
-                [units[i][0] for i in idxs],
-                max_new,
-                temperature,
-                [units[i][1] for i in idxs],
+    for idxs in groups.values():
+        outs, finished, logps = _decode_batch(
+            model,
+            [units[i][0] for i in idxs],
+            max_new,
+            temperature,
+            [units[i][1] for i in idxs],
+            record=True,
+        )
+        for b, i in enumerate(idxs):
+            n = len(outs[b])
+            results[i] = Trajectory(
+                example_id="",
+                conditioning_modality=units[i][0].modality,
+                tokens=outs[b],
+                logp_old=logps[0, b, :n].tolist(),
+                logp_sample=logps[1, b, :n].tolist(),
+                finished=finished[b],
             )
-            by_clen: dict[int, list[int]] = {}
-            for b in range(len(idxs)):
-                by_clen.setdefault(len(outs[b]), []).append(b)
-            for clen, bs in by_clen.items():
-                embs, seps = [], []
-                for b in bs:
-                    e, sep = model.embed_sequence(units[idxs[b]][0], outs[b])
-                    embs.append(e.data)
-                    seps.append(sep)
-                logits = backbone_logits(model.params, model.cfg, Tensor(np.stack(embs))).data
-                for row_i, b in enumerate(bs):
-                    i = idxs[b]
-                    toks = outs[b]
-                    rows = logits[row_i, seps[row_i] : seps[row_i] + clen]
-                    z = rows - rows.max(axis=-1, keepdims=True)
-                    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-                    zt = rows / temperature
-                    zt = zt - zt.max(axis=-1, keepdims=True)
-                    logp_t = zt - np.log(np.exp(zt).sum(axis=-1, keepdims=True))
-                    pos = np.arange(clen)
-                    results[i] = Trajectory(
-                        example_id="",
-                        conditioning_modality=units[i][0].modality,
-                        tokens=toks,
-                        logp_old=[float(x) for x in logp[pos, toks]],
-                        logp_sample=[float(x) for x in logp_t[pos, toks]],
-                        finished=finished[b],
-                    )
     return results  # type: ignore[return-value]
 
 
@@ -470,13 +446,12 @@ def greedy_decode_batch(
     groups: dict[tuple[str, int], list[int]] = {}
     for i, p in enumerate(prompts):
         groups.setdefault((p.modality, len(p.tokens)), []).append(i)
-    with ad.no_grad():
-        for idxs in groups.values():
-            outs, finished = _decode_batch(
-                model, [prompts[i] for i in idxs], max_new, 1.0, [None] * len(idxs)
-            )
-            for b, i in enumerate(idxs):
-                results[i] = outs[b][:-1] if finished[b] else outs[b]
+    for idxs in groups.values():
+        outs, finished, _ = _decode_batch(
+            model, [prompts[i] for i in idxs], max_new, 1.0, [None] * len(idxs)
+        )
+        for b, i in enumerate(idxs):
+            results[i] = outs[b][:-1] if finished[b] else outs[b]
     return results  # type: ignore[return-value]
 
 
@@ -489,7 +464,11 @@ def save_model(model: TeacherModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> TeacherModel:
     params, meta = load_checkpoint(path)
-    cfg = ModelConfig(**meta["config"])
-    if meta["kind"] == "student":
+    try:
+        cfg = ModelConfig(**meta["config"])
+        kind = meta["kind"]
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: not a model checkpoint ({type(e).__name__}: {e})") from None
+    if kind == "student":
         return StudentModel(cfg, params, tower_frozen=meta.get("tower_frozen", True))
     return TeacherModel(cfg, params)

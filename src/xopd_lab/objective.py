@@ -17,7 +17,7 @@ is an unbiased per-token estimate of reverse KL to the teacher).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,12 @@ class XopdLossReport:
     lam: float
     n_text_trajectories: int
     n_speech_trajectories: int
+    # Flat per-token advantages by modality, fixed at the sampling point;
+    # pass them back to xopd_loss for later mini-epochs. Not a metric.
+    advantages: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return {k: v for k, v in self.__dict__.items() if k != "advantages"}
 
 
 def _check_vocabs(teacher, student) -> None:
@@ -119,8 +122,16 @@ def xopd_loss(
     lam: float,
     examples: list[PairedExample],
     clip_epsilon: float | None = None,
+    advantages: dict[str, np.ndarray] | None = None,
 ) -> tuple[XopdLossReport, Tensor]:
-    """Blended objective over a rollout batch; the returned scalar is maximized."""
+    """Blended objective over a rollout batch; the returned scalar is maximized.
+
+    The advantage belongs to the sampling point: the first call on a rollout
+    batch runs the teacher pass and takes the advantage against the current
+    student, and the report carries it as ``report.advantages``. Later
+    mini-epochs on the same batch pass that back as ``advantages``; the
+    teacher pass is then skipped and only the ratios see the updated student.
+    """
     from .model import Prompt, batched_completion_logps
 
     if not 0.0 <= lam <= 1.0:
@@ -132,6 +143,7 @@ def xopd_loss(
     adv_vals: list[float] = []
     kl_est_vals: list[float] = []
     counts = {TEXT: 0, SPEECH: 0}
+    adv_by_modality: dict[str, np.ndarray] = {}
 
     def modality_loss(modality: str) -> Tensor | None:
         # Flatten all (example, trajectory) pairs for this modality into one
@@ -167,10 +179,14 @@ def xopd_loss(
                 counts[modality] += 1
         if not student_items:
             return None
-        with ad.no_grad():
-            t_lp, _ = batched_completion_logps(teacher, teacher_items)
         lp_new, _ = batched_completion_logps(student, student_items)
-        adv = t_lp.data - lp_new.data
+        if advantages is None:
+            with ad.no_grad():
+                t_lp, _ = batched_completion_logps(teacher, teacher_items)
+            adv = t_lp.data - lp_new.data
+        else:
+            adv = advantages[modality]
+        adv_by_modality[modality] = adv
         r = ad.exp(ad.sub(lp_new, Tensor(np.concatenate(logp_old))))
         term = _clip_term(r, adv, clip_epsilon) if clip_epsilon else ad.mul(r, Tensor(adv))
         w = np.concatenate(weights) / n_examples
@@ -201,5 +217,6 @@ def xopd_loss(
         lam=lam,
         n_text_trajectories=counts[TEXT],
         n_speech_trajectories=counts[SPEECH],
+        advantages=adv_by_modality,
     )
     return report, total

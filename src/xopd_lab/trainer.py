@@ -82,6 +82,12 @@ class TrainConfig:
             raise ConfigurationError("learning_rate must be >= 0")
         if min(self.n_rollouts, self.batch_size, self.epochs, self.mini_epochs) < 1:
             raise ConfigurationError("counts must be >= 1")
+        if self.steps < 1:
+            raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
+        if self.max_new < 1:
+            raise ConfigurationError(f"max_new must be >= 1, got {self.max_new}")
+        if self.temperature <= 0:
+            raise ConfigurationError(f"temperature must be > 0, got {self.temperature}")
 
 
 @dataclass
@@ -338,10 +344,13 @@ def run_method(
                     temperature=cfg.temperature, max_new=cfg.max_new,
                     modalities=modalities, workers=cfg.workers,
                 )
+                advantages = None  # fixed at the first mini-epoch, the sampling point
                 for _ in range(cfg.mini_epochs):
                     report, objective = xopd_loss(
-                        rollouts, teacher, student, cfg.lam, batch, clip_epsilon=cfg.clip_epsilon
+                        rollouts, teacher, student, cfg.lam, batch,
+                        clip_epsilon=cfg.clip_epsilon, advantages=advantages,
                     )
+                    advantages = report.advantages
                     loss = ad.neg(objective)
                     _apply(opt, student, loss)
                 row = {"step": step, **report.to_dict()}

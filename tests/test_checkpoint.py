@@ -1,4 +1,7 @@
-"""Unit tests for checkpoint serialization and hashing."""
+"""Unit tests for checkpoint serialization, hashing and integrity checks."""
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from xopd_lab.checkpoint import (
     params_hash,
     save_checkpoint,
 )
+from xopd_lab.errors import CheckpointError
 
 
 @pytest.fixture()
@@ -62,3 +66,51 @@ def test_loaded_params_are_independent_copies(params, tmp_path):
     back["w"].data[0, 0] += 1.0  # must not raise (writable) ...
     again, _ = load_checkpoint(path)
     np.testing.assert_array_equal(again["w"].data, params["w"].data)  # ... or persist
+
+
+def _saved(params, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, meta={"kind": "test"})
+    return path
+
+
+def test_header_records_payload_size_and_hash(params, tmp_path):
+    path = _saved(params, tmp_path)
+    raw = path.read_bytes()
+    header_line, payload = raw.split(b"\n", 1)
+    header = json.loads(header_line)
+    assert header["payload_bytes"] == len(payload) == sum(p.data.size * 8 for p in params.values())
+    assert header["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+
+
+def test_truncated_file_is_rejected(params, tmp_path):
+    path = _saved(params, tmp_path)
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(CheckpointError, match="bytes"):
+        load_checkpoint(path)
+
+
+def test_garbage_file_is_rejected(tmp_path):
+    path = tmp_path / "junk.ckpt"
+    path.write_bytes(bytes(range(256)) * 4)
+    with pytest.raises(CheckpointError, match="header"):
+        load_checkpoint(path)
+
+
+def test_flipped_payload_byte_is_rejected(params, tmp_path):
+    path = _saved(params, tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="SHA-256"):
+        load_checkpoint(path)
+
+
+def test_header_without_integrity_fields_is_rejected(params, tmp_path):
+    path = _saved(params, tmp_path)
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    del header["payload_sha256"]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match="header"):
+        load_checkpoint(path)

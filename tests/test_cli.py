@@ -172,3 +172,30 @@ def test_missing_config_file_is_usage_error(tmp_path, data_dir):
 def test_malformed_override_is_usage_error(tmp_path):
     code = main(["gen-data", "--out", str(tmp_path / "o"), "--set", "justakey"])
     assert code == 2
+
+
+@pytest.mark.parametrize("field", ["temperature", "steps", "max_new"])
+def test_train_bad_train_config_exits_2_before_writing(tmp_path, field, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    code = main([
+        "train", "--method", "xopd", "--data", str(data), "--out", str(out), "--auto",
+        "--set", f"train.{field}=0",
+    ])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    # Rejected before --auto built a dataset or wrote anything to the run dir.
+    assert not data.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["truncate", "garbage"])
+def test_eval_damaged_checkpoint_exits_1_without_traceback(tmp_path, data_dir, ckpts, damage, capsys):
+    path = tmp_path / "damaged.ckpt"
+    raw = (ckpts / "student.ckpt").read_bytes()
+    path.write_bytes(raw[: len(raw) // 2] if damage == "truncate" else b"\x00\xffnot a checkpoint" * 50)
+    code = main([
+        "eval", str(path), "--data", str(data_dir), "--out", str(tmp_path / "x"), "--n-eval", "2",
+    ])
+    # An uncaught error would raise out of main() instead of returning 1.
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "damaged.ckpt" in err

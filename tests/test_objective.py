@@ -109,6 +109,28 @@ def test_loss_at_sampling_point_estimates_reverse_kl(rollouts, tiny_teacher, tin
     assert np.isfinite(report.mean_reverse_kl_estimate)
 
 
+def test_xopd_loss_per_token_ratios_are_one_at_sampling_point(
+    rollouts, tiny_teacher, tiny_student, monkeypatch
+):
+    # logp_old comes from the decode logits, the ratio's numerator from the
+    # loss's padded batched pass: the two agree to rounding.
+    batch, r = rollouts
+    ratios = []
+    real_exp = ad.exp
+
+    def spy(a):
+        out = real_exp(a)
+        ratios.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(ad, "exp", spy)
+    xopd_loss(r, tiny_teacher, tiny_student, 0.5, batch)
+    flat = np.concatenate(ratios)
+    n_tokens = sum(len(t.tokens) for m in (TEXT, SPEECH) for t in r.all_for_modality(m))
+    assert flat.shape == (n_tokens,)
+    np.testing.assert_allclose(flat, 1.0, rtol=0, atol=1e-12)
+
+
 def test_loss_backward_touches_student_only(rollouts, tiny_teacher, tiny_student):
     batch, r = rollouts
     for model in (tiny_teacher, tiny_student):

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import xopd_lab.autodiff as ad
+import xopd_lab.model as model_mod
+import xopd_lab.trainer as trainer_mod
 from xopd_lab.autodiff import Tensor
 from xopd_lab.errors import ConfigurationError
 from xopd_lab.optim import Adam
+from xopd_lab.rollout import SPEECH, TEXT
 from xopd_lab.trainer import (
     GapConfig,
     PretrainConfig,
@@ -84,6 +87,15 @@ def test_train_config_validation():
     assert TrainConfig().method == "xopd"
     assert PretrainConfig().target_accuracy == 0.98
     assert GapConfig().acoustic_target == 0.90
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [("temperature", 0.0), ("temperature", -1.0), ("steps", 0), ("max_new", 0)],
+)
+def test_train_config_rejects_nonpositive_sampling_and_step_counts(field, bad):
+    with pytest.raises(ConfigurationError, match=field):
+        TrainConfig(**{field: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -180,3 +192,44 @@ def test_offline_kd_records_distilled_provenance(tiny_student, tiny_teacher, sma
     lines = (out / "distilled.jsonl").read_text().splitlines()
     assert json.loads(lines[0])["method"] == "offline_kd"
     assert len(lines) == 1 + len(small_dataset.alignment_set("train"))
+
+
+def test_mini_epochs_reuse_the_sampling_point_advantage(
+    trainable_student, tiny_teacher, small_dataset, monkeypatch
+):
+    teacher_passes = []
+    real_logps = model_mod.batched_completion_logps
+
+    def counting_logps(model, items):
+        if model is tiny_teacher:
+            teacher_passes.append(len(items))
+        return real_logps(model, items)
+
+    calls = []
+    real_loss = trainer_mod.xopd_loss
+
+    def recording_loss(*args, **kwargs):
+        report, total = real_loss(*args, **kwargs)
+        calls.append((kwargs.get("advantages"), report))
+        return report, total
+
+    monkeypatch.setattr(model_mod, "batched_completion_logps", counting_logps)
+    monkeypatch.setattr(trainer_mod, "xopd_loss", recording_loss)
+    steps = 2
+    run_method(
+        _cfg(method="xopd", lam=0.5, steps=steps, mini_epochs=2),
+        trainable_student, tiny_teacher, small_dataset,
+    )
+    # One teacher pass per modality per step, not per mini-epoch.
+    assert len(teacher_passes) == steps * 2
+    assert len(calls) == steps * 2
+    for step in range(steps):
+        (given_first, first), (given_second, second) = calls[2 * step : 2 * step + 2]
+        assert given_first is None
+        assert given_second is first.advantages
+        for modality in (TEXT, SPEECH):
+            np.testing.assert_array_equal(second.advantages[modality], first.advantages[modality])
+        assert second.mean_abs_advantage == first.mean_abs_advantage
+        # The update between mini-epochs moved the ratios off 1.
+        assert first.mean_ratio == pytest.approx(1.0, abs=1e-12)
+        assert abs(second.mean_ratio - 1.0) > 1e-9
