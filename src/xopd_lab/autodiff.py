@@ -45,13 +45,10 @@ __all__ = [
     "gelu",
     "causal_attention",
     "sum_all",
-    "mean_all",
-    "mean_over_mask",
-    "detach",
 ]
 
 # Grad mode is per thread (per context): no_grad() in one thread never changes
-# what another thread sees, e.g. the rollout worker threads.
+# what another thread sees.
 _GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
@@ -488,21 +485,3 @@ def sum_all(a: Tensor) -> Tensor:
             a.accumulate_grad(np.full_like(a.data, float(g)))
 
     return _make(data, (a,), backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.data.size)
-
-
-def mean_over_mask(a: Tensor, mask) -> Tensor:
-    """Mean of the entries where mask is nonzero; mask is a constant."""
-    m = np.asarray(mask, dtype=np.float64)
-    total = m.sum()
-    if total == 0:
-        raise ValueError("mean_over_mask: mask selects no entries")
-    return scale(sum_all(mul(a, Tensor(m))), 1.0 / total)
-
-
-def detach(a: Tensor) -> Tensor:
-    """Forward value of ``a`` with the graph cut (zero gradient flows back)."""
-    return Tensor(a.data.copy())

@@ -15,13 +15,19 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import EOS, PairedExample
 from .errors import ConfigurationError, DataError
-from .rollout import TEXT, SPEECH, Trajectory
+from .model import (
+    SPEECH,
+    TEXT,
+    Prompt,
+    Trajectory,
+    batched_completion_logps,
+    greedy_decode_batch,
+    padded_log_probs,
+)
 
 
 def sft_loss(student, example: PairedExample, modality: str = SPEECH) -> Tensor:
     """Mean per-token NLL of the reference answer; prompt tokens carry no loss."""
-    from .model import Prompt
-
     if not example.reference_answer:
         raise DataError(f"example {example.example_id} has no reference answer")
     tokens = list(example.reference_answer) + [EOS]
@@ -33,8 +39,6 @@ def sft_loss(student, example: PairedExample, modality: str = SPEECH) -> Tensor:
 
 def sft_batch_loss(student, examples: list[PairedExample], modality: str = SPEECH) -> Tensor:
     """Mean over examples of the per-example mean-NLL, in one batched pass."""
-    from .model import Prompt, batched_completion_logps
-
     items = []
     weights = []
     for ex in examples:
@@ -52,8 +56,6 @@ def offline_kd_build(
     teacher, examples: list[PairedExample], max_new: int = 16, teacher_checkpoint: str = ""
 ) -> tuple[list[PairedExample], dict]:
     """Distill: pair each speech prompt with the teacher's greedy text answer."""
-    from .model import Prompt, greedy_decode_batch
-
     prompts = [Prompt(TEXT, ex.text_prompt) for ex in examples]
     answers = greedy_decode_batch(teacher, prompts, max_new=max_new)
     distilled = []
@@ -80,8 +82,6 @@ def gkd_loss(teacher, student, traj: Trajectory, example: PairedExample) -> Tens
     Differentiates through the student distribution only; the trajectory
     must be student-sampled on the speech prompt.
     """
-    from .model import Prompt
-
     if teacher.cfg.text_vocab_size != student.cfg.text_vocab_size:
         raise ConfigurationError("teacher/student vocab mismatch")
     if traj.conditioning_modality != SPEECH:
@@ -105,27 +105,20 @@ def gkd_batch_loss(
     Each pair holds a student-sampled SPEECH trajectory and its example;
     only the student distribution carries gradient.
     """
-    from .model import Prompt, backbone_logits
-    from . import model as model_mod
-
     if not pairs:
         raise DataError("gkd_batch_loss given no trajectories")
     if teacher.cfg.text_vocab_size != student.cfg.text_vocab_size:
         raise ConfigurationError("teacher/student vocab mismatch")
-    t_embs, s_embs, t_seps, s_seps = [], [], [], []
-    for traj, ex in pairs:
-        if traj.conditioning_modality != SPEECH:
-            raise DataError("GKD expects SPEECH-conditioned trajectories")
-        te, t_sep = teacher.embed_sequence(Prompt(TEXT, ex.text_prompt), traj.tokens)
-        se, s_sep = student.embed_sequence(Prompt(SPEECH, ex.speech_prompt), traj.tokens)
-        t_embs.append(Tensor(te.data))
-        s_embs.append(se)
-        t_seps.append(t_sep)
-        s_seps.append(s_sep)
+    if any(traj.conditioning_modality != SPEECH for traj, _ in pairs):
+        raise DataError("GKD expects SPEECH-conditioned trajectories")
     with ad.no_grad():
-        t_logits = backbone_logits(teacher.params, teacher.cfg, ad.stack_pad(t_embs))
-        t_logp = ad.log_softmax(t_logits).data
-    s_logp = ad.log_softmax(backbone_logits(student.params, student.cfg, ad.stack_pad(s_embs)))
+        t_out, t_seps = padded_log_probs(
+            teacher, [(Prompt(TEXT, ex.text_prompt), traj.tokens) for traj, ex in pairs]
+        )
+    t_logp = t_out.data
+    s_logp, s_seps = padded_log_probs(
+        student, [(Prompt(SPEECH, ex.speech_prompt), traj.tokens) for traj, ex in pairs]
+    )
     p = np.exp(t_logp)
     # Teacher and student sequences place the completion at different
     # offsets; map the teacher rows into the student's coordinate frame.

@@ -13,10 +13,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from .corpus import SpeechCodec, build_dataset, load_dataset, save_dataset
+from .corpus import load_dataset, save_dataset
 from .errors import (
     ConfigurationError,
     TrainingFailure,
@@ -24,15 +24,12 @@ from .errors import (
     XopdError,
 )
 from .evaluation import avg_drop, comparison_table_csv, evaluate_model, write_report
-from .model import ModelConfig, StudentModel, load_model, save_model
+from .model import TEXT, ModelConfig, StudentModel, load_model, save_model
 from .pipeline import (
-    DEFAULT_SIZES,
     PipelineConfig,
     reproduce_paper_trends,
     run_ablation,
-    run_seed,
 )
-from .rollout import TEXT
 from .trainer import (
     GapConfig,
     PretrainConfig,
@@ -87,43 +84,46 @@ def _require(path: str | Path, what: str) -> Path:
     return p
 
 
+def _build(cls, values, section: str):
+    """``cls(**values)``, with unknown keys and bad values as config errors."""
+    if not isinstance(values, dict):
+        raise ConfigurationError(f"config section {section!r} must be an object, got {values!r}")
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown {section} config key(s): {', '.join(unknown)}")
+    try:
+        return cls(**values)
+    except TypeError as e:
+        raise ConfigurationError(f"bad {section} config value: {e}") from None
+
+
+def _pipeline_config(cfg: dict, own: tuple[str, ...] = ()) -> PipelineConfig:
+    """The pipeline config from a loaded config; ``own`` names the top-level
+    sections the command reads itself."""
+    values = {k: v for k, v in cfg.items() if k not in own}
+    for key, cls in (("model", ModelConfig), ("pretrain", PretrainConfig), ("gap", GapConfig)):
+        if key in values:
+            values[key] = _build(cls, values[key], key)
+    for key in ("seeds", "lambda_grid"):
+        if key in values:
+            if not isinstance(values[key], list):
+                raise ConfigurationError(f"{key} must be a list, got {values[key]!r}")
+            values[key] = tuple(values[key])
+    return _build(PipelineConfig, values, "pipeline")
+
+
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config, args.set or [])
-    noise = cfg.get("noise_rate", 0.08)
-    sizes = {k: tuple(v) for k, v in cfg.get("sizes", DEFAULT_SIZES).items()}
-    codec = SpeechCodec(noise_rate=noise)
+    pc = _pipeline_config(_load_config(args.config, args.set or []))
     out = Path(args.out)
-    _write_resolved(out, {"seed": args.seed, "noise_rate": noise, "sizes": {k: list(v) for k, v in sizes.items()}})
-    dataset = build_dataset(sizes, codec, seed=args.seed)
-    manifest = save_dataset(dataset, out)
+    _write_resolved(out, {"seed": args.seed, "noise_rate": pc.noise_rate, "sizes": pc.sizes})
+    manifest = save_dataset(pc.dataset(args.seed), out)
     print(json.dumps({k: manifest[k] for k in ("counts", "rejection_rate", "seed")}, indent=2))
     return 0
 
 
-def _pipeline_config(cfg: dict, args) -> PipelineConfig:
-    pc = PipelineConfig()
-    if "model" in cfg:
-        pc.model = ModelConfig(**cfg["model"])
-    if "pretrain" in cfg:
-        pc.pretrain = PretrainConfig(**cfg["pretrain"])
-    if "gap" in cfg:
-        pc.gap = GapConfig(**cfg["gap"])
-    for key in (
-        "sizes", "noise_rate", "xopd_steps", "gkd_steps", "learning_rate",
-        "batch_size", "n_rollouts", "max_new", "n_eval", "forgetting_threshold",
-    ):
-        if key in cfg:
-            setattr(pc, key, cfg[key])
-    if "lambda_grid" in cfg:
-        pc.lambda_grid = tuple(cfg["lambda_grid"])
-    if getattr(args, "workers", None):
-        pc.workers = args.workers
-    return pc
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.set or [])
-    pc = _pipeline_config(cfg, args)
+    pc = _pipeline_config(cfg, own=("train",))
     # Validate the run's config before any work, so a bad value writes nothing.
     tc_kwargs = dict(cfg.get("train", {}))
     tc_kwargs.update(
@@ -133,17 +133,13 @@ def cmd_train(args) -> int:
     )
     if args.steps:
         tc_kwargs["steps"] = args.steps
-    if args.workers:
-        tc_kwargs["workers"] = args.workers
-    tc = TrainConfig(**tc_kwargs)
+    tc = _build(TrainConfig, tc_kwargs, "train")
     out = Path(args.out)
     data_dir = Path(args.data)
     if not data_dir.exists():
         if not args.auto:
             raise UsageError(f"missing dataset directory: {data_dir} (pass --auto to build)")
-        codec = SpeechCodec(noise_rate=pc.noise_rate)
-        dataset = build_dataset({k: tuple(v) for k, v in pc.sizes.items()}, codec, seed=args.seed)
-        save_dataset(dataset, data_dir)
+        save_dataset(pc.dataset(args.seed), data_dir)
     dataset = load_dataset(data_dir)
 
     if args.teacher and Path(args.teacher).exists():
@@ -207,8 +203,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    cfg = _load_config(args.config, args.set or [])
-    pc = _pipeline_config(cfg, args)
+    pc = _pipeline_config(_load_config(args.config, args.set or []))
     dataset = load_dataset(_require(args.data, "dataset directory"))
     teacher = load_model(_require(args.teacher, "teacher checkpoint"))
     student = load_model(_require(args.student, "student checkpoint"))
@@ -224,8 +219,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    cfg = _load_config(args.config, args.set or [])
-    pc = _pipeline_config(cfg, args)
+    pc = _pipeline_config(_load_config(args.config, args.set or []))
     if args.seeds:
         pc.seeds = tuple(int(s) for s in args.seeds.split(","))
     out = Path(args.out)
@@ -244,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=_default_out())
 
     p = sub.add_parser("gen-data", help="generate the paired dataset")

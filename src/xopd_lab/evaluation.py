@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import Dataset, PairedExample
 from .errors import DataError, ModalityError
-from .rollout import TEXT, SPEECH
+from .model import SPEECH, TEXT, Prompt, greedy_decode_batch
 
 DROP_FAMILIES = ("REASONING", "INSTRUCTION")
 
@@ -43,8 +43,6 @@ def score_model(
     max_new: int = 12,
 ) -> float:
     """Fraction of examples whose greedy decode exactly matches the reference."""
-    from .model import Prompt, greedy_decode_batch
-
     if modality == SPEECH and model.kind == "teacher":
         raise ModalityError("teacher cannot be scored on the speech modality")
     prompts = [

@@ -8,6 +8,9 @@ backbone's embedding space; completions are always text tokens.
 
 Sequence layout for conditioning: ``<bos> PROMPT <sep> COMPLETION``, where
 PROMPT is either text-token embeddings or adapted speech-frame embeddings.
+
+This module also holds the types the other modules share: the modality
+names, ``Prompt`` and the sampled ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -28,10 +31,14 @@ from .errors import (
     FramingError,
     LengthError,
     ModalityError,
+    UsageError,
 )
-from .rollout import TEXT, SPEECH, Trajectory
 
 INIT_STD = 0.02
+
+TEXT = "TEXT"
+SPEECH = "SPEECH"
+MODALITIES = (TEXT, SPEECH)
 
 
 @dataclass
@@ -44,7 +51,6 @@ class ModelConfig:
     max_seq_len: int = 256
     frames_per_token: int = 3
     speech_embed_dim: int = 32
-    answer_vocab_is_text: bool = True
 
     def __post_init__(self) -> None:
         counts = (
@@ -69,6 +75,22 @@ class ModelConfig:
 class Prompt:
     modality: str  # TEXT or SPEECH
     tokens: list[int]  # text-token ids, or speech-frame ids for SPEECH
+
+
+@dataclass
+class Trajectory:
+    """One sampled completion with log-probs recorded at sampling time."""
+
+    example_id: str
+    conditioning_modality: str
+    tokens: list[int]
+    logp_old: list[float]  # unadjusted log pi_old(y_t | ., y_<t)
+    logp_sample: list[float]  # temperature-adjusted sampling log-probs
+    finished: bool
+
+    def __post_init__(self) -> None:
+        if len(self.tokens) != len(self.logp_old) or not self.tokens:
+            raise UsageError("trajectory needs >= 1 token with matching logp_old")
 
 
 def _normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> Tensor:
@@ -275,22 +297,29 @@ def _decode_step(
     return last @ params["head.w"].data
 
 
+def _shape_groups(prompts: list[Prompt]) -> list[list[int]]:
+    """Prompt indices grouped by (modality, length), groups in first-seen order."""
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, p in enumerate(prompts):
+        groups.setdefault((p.modality, len(p.tokens)), []).append(i)
+    return list(groups.values())
+
+
 def _decode_batch(
     model: TeacherModel,
     prompts: list[Prompt],
     max_new: int,
-    temperature: float,
-    rngs: list[np.random.Generator | None],
-    record: bool = False,
+    temperature: float = 1.0,
+    rngs: list[np.random.Generator] | None = None,
 ) -> tuple[list[list[int]], list[bool], np.ndarray | None]:
     """Incremental decoding with per-layer key/value caches.
 
-    All prompts must share one modality and length (callers group). A None
-    rng means greedy argmax for that unit; otherwise ancestral sampling at
-    the given temperature. Returns completions (with the terminating <eos>
-    when emitted), finished flags and, when ``record`` is set, a (2, B,
-    max_new) array holding each chosen token's unadjusted and tempered
-    log-prob (zero past a completion's end); otherwise None.
+    All prompts must share one modality and length (callers group). With no
+    ``rngs`` every row takes the argmax and nothing is recorded. With one rng
+    per row, rows are sampled at ``temperature`` and the third return value
+    is a (2, B, max_new) array of each chosen token's unadjusted and tempered
+    log-prob (zero past a completion's end). Completions keep the
+    terminating <eos> when emitted; the flags say which did.
     """
     tok_emb = model.params["tok_emb"].data
     pos_emb = model.params["pos_emb"].data
@@ -298,35 +327,31 @@ def _decode_batch(
     with ad.no_grad():
         embs = [model.embed_sequence(p, [])[0].data for p in prompts]
     batch = np.stack(embs)  # (B, L0, d)
-    L0 = batch.shape[1]
+    B, L0 = batch.shape[:2]
     if L0 + max_new > model.cfg.max_seq_len:
         raise LengthError(
             f"prompt length {L0} + max_new {max_new} exceeds max_seq_len {model.cfg.max_seq_len}"
         )
     logits = _decode_step(model.params, model.cfg, batch + pos_emb[:L0], caches)
     outs: list[list[int]] = [[] for _ in prompts]
-    done = np.zeros(len(prompts), dtype=bool)
-    logps = np.zeros((2, len(prompts), max_new)) if record else None
+    done = np.zeros(B, dtype=bool)
+    logps = None if rngs is None else np.zeros((2, B, max_new))
     for step in range(max_new):
         live = np.flatnonzero(~done)
-        nxt = np.zeros(len(prompts), dtype=np.int64)
-        for b, rng in enumerate(rngs):
-            if done[b]:
-                continue
-            if rng is None:
-                tok = int(np.argmax(logits[b]))
-            else:
+        nxt = np.zeros(B, dtype=np.int64)
+        if rngs is None:
+            nxt[live] = np.argmax(logits[live], axis=-1)
+        else:
+            for b in live:
                 p = ad.np_softmax(logits[b] / temperature)
-                tok = int(rng.choice(len(p), p=p))
-            nxt[b] = tok
-            outs[b].append(tok)
-            if tok == EOS:
-                done[b] = True
-        if logps is not None:
+                nxt[b] = rngs[b].choice(len(p), p=p)
             # Each chosen token's log-prob under the logits it was drawn
             # from: one log-softmax over the unadjusted and tempered rows.
             lp = ad.np_log_softmax(np.stack([logits, logits / temperature]))
             logps[:, live, step] = lp[:, live, nxt[live]]
+        for b in live:
+            outs[b].append(int(nxt[b]))
+        done[live] = nxt[live] == EOS
         if done.all() or step == max_new - 1:
             break
         rows = (tok_emb[nxt] + pos_emb[L0 + step])[:, None, :]
@@ -334,69 +359,77 @@ def _decode_batch(
     return outs, [bool(f) for f in done], logps
 
 
-def sample_completion(
-    model: TeacherModel,
-    prompt: Prompt,
-    temperature: float,
-    max_new: int,
-    rng: np.random.Generator | None,
-    greedy: bool = False,
-) -> Trajectory:
-    """Ancestral sampling until <eos> or max_new tokens.
-
-    Records per-token log-probabilities under the unadjusted model
-    distribution (logp_old, defining pi_old) and under the temperature-
-    adjusted sampling distribution (logp_sample), both read from the decode
-    logits each token was drawn from. A teacher-forced recomputation of the
-    same tokens agrees with them to rounding (within 1e-12), not bit for bit.
-    """
-    return sample_completions_batch(
-        model, [(prompt, None if greedy else rng)], temperature, max_new
-    )[0]
-
-
 def sample_completions_batch(
     model: TeacherModel,
-    units: list[tuple[Prompt, np.random.Generator | None]],
+    units: list[tuple[Prompt, np.random.Generator]],
     temperature: float,
     max_new: int,
 ) -> list[Trajectory]:
-    """Batched ancestral sampling: one rng per unit (None means greedy).
+    """Ancestral sampling until <eos> or max_new tokens, one rng per unit.
 
     Decoding runs incrementally with key/value caches, grouped by prompt
     shape; each unit consumes its rng independently of grouping, so tokens
-    do not depend on which units share a batch. The log-probs recorded as
-    in sample_completion come from the batched decode logits, so they can
-    differ from a one-unit call's in the last bits.
+    do not depend on which units share a batch. Each token's log-prob under
+    the unadjusted model (logp_old, defining pi_old) and under the
+    temperature-adjusted sampling distribution (logp_sample) is read from
+    the decode logits it was drawn from. A teacher-forced recomputation, or
+    a call with other units in the batch, agrees with them to rounding
+    (within 1e-12), not bit for bit.
     """
     if temperature <= 0:
         raise ConfigurationError(f"temperature must be > 0, got {temperature}")
     if max_new < 1:
         raise ConfigurationError("max_new must be >= 1")
+    prompts = [p for p, _ in units]
     results: list[Trajectory | None] = [None] * len(units)
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, (prompt, _) in enumerate(units):
-        groups.setdefault((prompt.modality, len(prompt.tokens)), []).append(i)
-    for idxs in groups.values():
+    for idxs in _shape_groups(prompts):
         outs, finished, logps = _decode_batch(
-            model,
-            [units[i][0] for i in idxs],
-            max_new,
-            temperature,
-            [units[i][1] for i in idxs],
-            record=True,
+            model, [prompts[i] for i in idxs], max_new, temperature, [units[i][1] for i in idxs]
         )
         for b, i in enumerate(idxs):
             n = len(outs[b])
             results[i] = Trajectory(
                 example_id="",
-                conditioning_modality=units[i][0].modality,
+                conditioning_modality=prompts[i].modality,
                 tokens=outs[b],
                 logp_old=logps[0, b, :n].tolist(),
                 logp_sample=logps[1, b, :n].tolist(),
                 finished=finished[b],
             )
     return results  # type: ignore[return-value]
+
+
+def greedy_decode_batch(
+    model: TeacherModel, prompts: list[Prompt], max_new: int
+) -> list[list[int]]:
+    """Deterministic argmax decoding, batched over prompts of equal shape.
+
+    Token choices do not depend on which prompts share a batch. Returns
+    tokens without the terminating <eos>.
+    """
+    results: list[list[int] | None] = [None] * len(prompts)
+    for idxs in _shape_groups(prompts):
+        outs, finished, _ = _decode_batch(model, [prompts[i] for i in idxs], max_new)
+        for b, i in enumerate(idxs):
+            results[i] = outs[b][:-1] if finished[b] else outs[b]
+    return results  # type: ignore[return-value]
+
+
+def padded_log_probs(
+    model: TeacherModel, items: list[tuple[Prompt, list[int]]]
+) -> tuple[Tensor, list[int]]:
+    """Teacher-forced log-softmax over many (prompt, completion) pairs.
+
+    Runs one padded, batched backbone pass. Returns log-probs of shape
+    (B, Lmax, V) and each item's <sep> index: row ``seps[i] + t`` of item
+    ``i`` is the distribution of its completion token ``t``.
+    """
+    embs, seps = [], []
+    for prompt, completion in items:
+        e, sep = model.embed_sequence(prompt, completion)
+        embs.append(e)
+        seps.append(sep)
+    return ad.log_softmax(backbone_logits(model.params, model.cfg, ad.stack_pad(embs))), seps
 
 
 def batched_completion_logps(
@@ -410,49 +443,14 @@ def batched_completion_logps(
     """
     if not items:
         raise ModalityError("batched_completion_logps given no items")
-    embs, seps = [], []
-    for prompt, completion in items:
-        e, sep = model.embed_sequence(prompt, completion)
-        embs.append(e)
-        seps.append(sep)
-    logits = backbone_logits(model.params, model.cfg, ad.stack_pad(embs))
-    logp = ad.log_softmax(logits)
-    b_idx, l_idx, v_idx, item_idx = [], [], [], []
+    logp, seps = padded_log_probs(model, items)
+    b_idx, l_idx, v_idx = [], [], []
     for i, (_, completion) in enumerate(items):
         for t, tok in enumerate(completion):
             b_idx.append(i)
             l_idx.append(seps[i] + t)
             v_idx.append(tok)
-            item_idx.append(i)
-    return ad.gather_bld(logp, b_idx, l_idx, v_idx), np.asarray(item_idx, dtype=np.int64)
-
-
-def greedy_decode(model: TeacherModel, prompt: Prompt, max_new: int) -> list[int]:
-    """Deterministic argmax decoding; returns tokens without the <eos>."""
-    traj = sample_completion(model, prompt, temperature=1.0, max_new=max_new, rng=None, greedy=True)
-    toks = traj.tokens
-    return toks[:-1] if traj.finished else toks
-
-
-def greedy_decode_batch(
-    model: TeacherModel, prompts: list[Prompt], max_new: int
-) -> list[list[int]]:
-    """Batched greedy decoding, grouping prompts of equal embedded length.
-
-    Token choices match per-example greedy_decode; used by the eval
-    harness for throughput. Returns tokens without the terminating <eos>.
-    """
-    results: list[list[int] | None] = [None] * len(prompts)
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, p in enumerate(prompts):
-        groups.setdefault((p.modality, len(p.tokens)), []).append(i)
-    for idxs in groups.values():
-        outs, finished, _ = _decode_batch(
-            model, [prompts[i] for i in idxs], max_new, 1.0, [None] * len(idxs)
-        )
-        for b, i in enumerate(idxs):
-            results[i] = outs[b][:-1] if finished[b] else outs[b]
-    return results  # type: ignore[return-value]
+    return ad.gather_bld(logp, b_idx, l_idx, v_idx), np.asarray(b_idx, dtype=np.int64)
 
 
 def save_model(model: TeacherModel, path: str | Path) -> None:

@@ -25,7 +25,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import PairedExample
 from .errors import ConfigurationError, DataError, UsageError
-from .rollout import TEXT, SPEECH, RolloutBatch, Trajectory
+from .model import SPEECH, TEXT, Prompt, Trajectory, batched_completion_logps
+from .rollout import RolloutBatch
 
 
 @dataclass
@@ -71,8 +72,6 @@ def _token_logp(model, prompt, tokens: list[int]) -> Tensor:
 
 def in_modal_advantage(teacher, student, traj: Trajectory, text_prompt: list[int]) -> AdvantageTable:
     """A(y_t) with both policies conditioned on the text prompt."""
-    from .model import Prompt
-
     if traj.conditioning_modality != TEXT:
         raise UsageError("in-modal advantage expects a TEXT-conditioned trajectory")
     _check_vocabs(teacher, student)
@@ -85,8 +84,6 @@ def in_modal_advantage(teacher, student, traj: Trajectory, text_prompt: list[int
 
 def cross_modal_advantage(teacher, student, traj: Trajectory, example: PairedExample) -> AdvantageTable:
     """A(y_t): teacher conditions on the paired text, student on speech."""
-    from .model import Prompt
-
     if traj.conditioning_modality != SPEECH:
         raise UsageError("cross-modal advantage expects a SPEECH-conditioned trajectory")
     _check_vocabs(teacher, student)
@@ -132,8 +129,6 @@ def xopd_loss(
     mini-epochs on the same batch pass that back as ``advantages``; the
     teacher pass is then skipped and only the ratios see the updated student.
     """
-    from .model import Prompt, batched_completion_logps
-
     if not 0.0 <= lam <= 1.0:
         raise ConfigurationError(f"lambda must be in [0,1], got {lam}")
     _check_vocabs(teacher, student)

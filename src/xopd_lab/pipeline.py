@@ -35,8 +35,7 @@ from .evaluation import (
     evaluate_model,
     forgetting_eval,
 )
-from .model import ModelConfig, StudentModel, TeacherModel, save_model
-from .rollout import SPEECH, TEXT
+from .model import TEXT, ModelConfig, StudentModel, TeacherModel, save_model
 from .trainer import (
     GapConfig,
     PretrainConfig,
@@ -75,7 +74,22 @@ class PipelineConfig:
     max_new: int = 12
     n_eval: int = 500
     forgetting_threshold: float = 0.05
-    workers: int = 1
+
+    def codec(self) -> SpeechCodec:
+        """The speech codec this config's data is built with: the default
+        frame code's first ``frames_per_token`` (multiplier, offset) pairs."""
+        F = self.model.frames_per_token
+        return SpeechCodec(
+            noise_rate=self.noise_rate,
+            text_vocab_size=self.model.text_vocab_size,
+            speech_vocab_size=self.model.speech_vocab_size,
+            frames_per_token=F,
+            multipliers=SpeechCodec.multipliers[:F],
+            offsets=SpeechCodec.offsets[:F],
+        )
+
+    def dataset(self, seed: int) -> Dataset:
+        return build_dataset({k: tuple(v) for k, v in self.sizes.items()}, self.codec(), seed=seed)
 
 
 def _method_variants(cfg: PipelineConfig, seed: int) -> list[tuple[str, TrainConfig]]:
@@ -87,7 +101,7 @@ def _method_variants(cfg: PipelineConfig, seed: int) -> list[tuple[str, TrainCon
                 TrainConfig(
                     method="xopd", lam=lam, n_rollouts=cfg.n_rollouts,
                     learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-                    steps=cfg.xopd_steps, max_new=cfg.max_new, seed=seed, workers=cfg.workers,
+                    steps=cfg.xopd_steps, max_new=cfg.max_new, seed=seed,
                 ),
             )
         )
@@ -98,7 +112,6 @@ def _method_variants(cfg: PipelineConfig, seed: int) -> list[tuple[str, TrainCon
                 TrainConfig(
                     method=method, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
                     steps=cfg.gkd_steps, epochs=1, max_new=cfg.max_new, seed=seed,
-                    workers=cfg.workers,
                 ),
             )
         )
@@ -119,14 +132,7 @@ def run_seed(
     when omitted, the teacher is pretrained under this seed.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    codec = SpeechCodec(
-        noise_rate=cfg.noise_rate,
-        text_vocab_size=cfg.model.text_vocab_size,
-        speech_vocab_size=cfg.model.speech_vocab_size,
-        frames_per_token=cfg.model.frames_per_token,
-    )
-    sizes = {k: tuple(v) for k, v in cfg.sizes.items()}
-    dataset = build_dataset(sizes, codec, seed=seed)
+    dataset = cfg.dataset(seed)
     save_dataset(dataset, out_dir / "data")
 
     if teacher is None:
@@ -210,18 +216,9 @@ def reproduce_paper_trends(cfg: PipelineConfig, out_root: str | Path) -> dict:
     )
     # One fixed teacher across seeds (as at paper scale, where the teacher
     # is a single pretrained model and seeds vary data and rollouts).
-    codec = SpeechCodec(
-        noise_rate=cfg.noise_rate,
-        text_vocab_size=cfg.model.text_vocab_size,
-        speech_vocab_size=cfg.model.speech_vocab_size,
-        frames_per_token=cfg.model.frames_per_token,
-    )
     teacher_seed = cfg.seeds[0]
-    teacher_data = build_dataset(
-        {k: tuple(v) for k, v in cfg.sizes.items()}, codec, seed=teacher_seed
-    )
     teacher, pretrain_report = pretrain_teacher(
-        teacher_data, cfg.model, cfg.pretrain, teacher_seed
+        cfg.dataset(teacher_seed), cfg.model, cfg.pretrain, teacher_seed
     )
     seed_results = []
     checks = []
@@ -323,7 +320,7 @@ def run_ablation(
             tc = TrainConfig(
                 method="xopd", lam=lam, n_rollouts=cfg.n_rollouts,
                 learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-                steps=cfg.xopd_steps, max_new=cfg.max_new, seed=seed, workers=cfg.workers,
+                steps=cfg.xopd_steps, max_new=cfg.max_new, seed=seed,
             )
             try:
                 student = clone_student(base_student)

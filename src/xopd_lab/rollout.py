@@ -2,14 +2,13 @@
 
 Each (example, modality, sample-index) unit draws its own rng seeded from
 the master seed and the unit key, so rollout content is independent of
-worker count and execution order; results merge deterministically by key.
+batch order; results merge deterministically by key.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -17,26 +16,9 @@ import numpy as np
 
 from .corpus import PairedExample
 from .errors import UsageError
-
-TEXT = "TEXT"
-SPEECH = "SPEECH"
-MODALITIES = (TEXT, SPEECH)
-
-
-@dataclass
-class Trajectory:
-    """One sampled completion with log-probs recorded at sampling time."""
-
-    example_id: str
-    conditioning_modality: str
-    tokens: list[int]
-    logp_old: list[float]  # unadjusted log pi_old(y_t | ., y_<t)
-    logp_sample: list[float]  # temperature-adjusted sampling log-probs
-    finished: bool
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.logp_old) or not self.tokens:
-            raise UsageError("trajectory needs >= 1 token with matching logp_old")
+# The shared types live in model; importing them here keeps them importable
+# from this module too.
+from .model import MODALITIES, SPEECH, TEXT, Prompt, Trajectory, sample_completions_batch
 
 
 @dataclass
@@ -72,12 +54,8 @@ def collect_rollouts(
     temperature: float = 1.0,
     max_new: int = 16,
     modalities: tuple[str, ...] = MODALITIES,
-    greedy: bool = False,
-    workers: int = 1,
 ) -> RolloutBatch:
     """Sample n trajectories per (example, modality) from the student snapshot."""
-    from .model import Prompt, sample_completion, sample_completions_batch
-
     if not batch:
         raise UsageError("collect_rollouts given an empty batch")
     if n < 1:
@@ -89,37 +67,12 @@ def collect_rollouts(
         for modality in modalities
         for j in range(n)
     ]
-
-    if greedy:
-        trajs = []
-        for ex, modality, _ in keys:
-            tokens = ex.text_prompt if modality == TEXT else ex.speech_prompt
-            trajs.append(
-                sample_completion(
-                    student, Prompt(modality, tokens), temperature, max_new, None, greedy=True
-                )
-            )
-    else:
-        units = []
-        for ex, modality, j in keys:
-            tokens = ex.text_prompt if modality == TEXT else ex.speech_prompt
-            rng = np.random.default_rng(_unit_seed(seed, ex.example_id, modality, j))
-            units.append((Prompt(modality, tokens), rng))
-        if workers > 1:
-            chunks = [units[i::workers] for i in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(
-                        lambda c: sample_completions_batch(student, c, temperature, max_new),
-                        chunks,
-                    )
-                )
-            trajs = [None] * len(units)
-            for w, part in enumerate(parts):
-                for k, traj in enumerate(part):
-                    trajs[w + k * workers] = traj
-        else:
-            trajs = sample_completions_batch(student, units, temperature, max_new)
+    units = []
+    for ex, modality, j in keys:
+        tokens = ex.text_prompt if modality == TEXT else ex.speech_prompt
+        rng = np.random.default_rng(_unit_seed(seed, ex.example_id, modality, j))
+        units.append((Prompt(modality, tokens), rng))
+    trajs = sample_completions_batch(student, units, temperature, max_new)
 
     out = RolloutBatch(sampling_config=SamplingConfig(n=n, temperature=temperature, max_new=max_new))
     for (ex, modality, j), traj in zip(keys, trajs):

@@ -25,6 +25,8 @@ from .corpus import Dataset, PairedExample, pretraining_batch
 from .errors import ConfigurationError, TrainingFailure, UsageError
 from .evaluation import score_model
 from .model import (
+    SPEECH,
+    TEXT,
     ModelConfig,
     StudentModel,
     TeacherModel,
@@ -33,7 +35,7 @@ from .model import (
 )
 from .objective import xopd_loss
 from .optim import Adam
-from .rollout import TEXT, SPEECH, collect_rollouts
+from .rollout import collect_rollouts
 
 METHODS = ("xopd", "sft", "offline_kd", "gkd")
 
@@ -71,6 +73,8 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     checkpoint_interval: int = 0  # 0 = final checkpoint only
+    # Rollouts run as one batched call in one thread; only 1 is accepted, so
+    # callers that still pass workers=1 keep working.
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -88,6 +92,8 @@ class TrainConfig:
             raise ConfigurationError(f"max_new must be >= 1, got {self.max_new}")
         if self.temperature <= 0:
             raise ConfigurationError(f"temperature must be > 0, got {self.temperature}")
+        if self.workers != 1:
+            raise ConfigurationError(f"workers must be 1, got {self.workers}")
 
 
 @dataclass
@@ -322,7 +328,7 @@ def run_method(
                 rollouts = collect_rollouts(
                     student, batch, n=1, seed=cfg.seed * 1_000_003 + step,
                     temperature=cfg.temperature, max_new=cfg.max_new,
-                    modalities=(SPEECH,), workers=cfg.workers,
+                    modalities=(SPEECH,),
                 )
                 pairs = [
                     (rollouts.trajectories[ex.example_id][SPEECH][0], ex) for ex in batch
@@ -342,7 +348,7 @@ def run_method(
                 rollouts = collect_rollouts(
                     student, batch, n=cfg.n_rollouts, seed=cfg.seed * 1_000_003 + step,
                     temperature=cfg.temperature, max_new=cfg.max_new,
-                    modalities=modalities, workers=cfg.workers,
+                    modalities=modalities,
                 )
                 advantages = None  # fixed at the first mini-epoch, the sampling point
                 for _ in range(cfg.mini_epochs):

@@ -15,7 +15,7 @@ from xopd_lab.baselines import (
 )
 from xopd_lab.corpus import EOS
 from xopd_lab.errors import DataError
-from xopd_lab.model import Prompt, greedy_decode
+from xopd_lab.model import Prompt, greedy_decode_batch
 from xopd_lab.rollout import SPEECH, TEXT, collect_rollouts
 
 from oracles import kl_divergence, naive_softmax
@@ -60,7 +60,7 @@ def test_offline_kd_build_uses_teacher_greedy_answers(tiny_teacher, small_datase
     for ex, d in zip(batch, distilled):
         assert d.example_id == ex.example_id
         assert d.speech_prompt == ex.speech_prompt
-        want = greedy_decode(tiny_teacher, Prompt(TEXT, ex.text_prompt), max_new=5)
+        want = greedy_decode_batch(tiny_teacher, [Prompt(TEXT, ex.text_prompt)], 5)[0]
         assert d.reference_answer == want
 
 

@@ -1,10 +1,13 @@
 """CLI tests: subcommand wiring and exit codes (0 success, 1 failure, 2 usage)."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from xopd_lab.cli import main
+from xopd_lab.cli import _pipeline_config, build_parser, main
 from xopd_lab.corpus import save_dataset
 from xopd_lab.model import save_model
 
@@ -199,3 +202,57 @@ def test_eval_damaged_checkpoint_exits_1_without_traceback(tmp_path, data_dir, c
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "damaged.ckpt" in err
+
+
+@pytest.mark.parametrize("argv,unknown", [
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.foo=1"], "foo"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "model.foo=1"], "foo"),
+    (["reproduce-paper-trends", "--set", "pipeline.seeds=[0]"], "pipeline"),
+    (["gen-data", "--set", "foo=3"], "foo"),
+], ids=["train.foo", "model.foo", "pipeline.seeds", "foo"])
+def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    code = main([a.format(data=data) for a in argv] + ["--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and unknown in err[0]
+    assert not data.exists() and not out.exists()
+
+
+def test_pipeline_config_takes_every_pipeline_field():
+    pc = _pipeline_config({"seeds": [0, 1], "lambda_grid": [0.5], "xopd_steps": 3,
+                           "model": {"embed_dim": 32}})
+    assert pc.seeds == (0, 1) and pc.lambda_grid == (0.5,) and pc.xopd_steps == 3
+    assert pc.model.embed_dim == 32
+
+
+def test_gen_data_codec_follows_model_overrides(tmp_path):
+    out = tmp_path / "data"
+    code = main([
+        "gen-data", "--out", str(out), "--set", 'sizes={"REASONING": [6, 2, 2]}',
+        "--set", "model.frames_per_token=2", "--set", "model.speech_vocab_size=128",
+        "--set", "noise_rate=0.05",
+    ])
+    assert code == 0
+    codec = json.loads((out / "manifest.json").read_text())["codec"]
+    assert codec["frames_per_token"] == 2
+    assert codec["speech_vocab_size"] == 128
+    assert codec["noise_rate"] == 0.05
+
+
+def _readme_cli_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    joined = block.replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines() if line.strip().startswith("xopd-lab ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_cli_commands()
+    assert len(commands) >= 5
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {command}")

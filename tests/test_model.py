@@ -14,11 +14,9 @@ from xopd_lab.model import (
     StudentModel,
     TeacherModel,
     batched_completion_logps,
-    greedy_decode,
     greedy_decode_batch,
     init_student_from_teacher,
     load_model,
-    sample_completion,
     sample_completions_batch,
     save_model,
 )
@@ -116,9 +114,9 @@ def test_sampled_logp_old_matches_teacher_forced_recomputation(tiny_student, mod
         if modality == SPEECH:
             n *= tiny_student.cfg.frames_per_token
         prompt = Prompt(modality, [int(x) for x in rng.integers(4, 30, size=n)])
-        traj = sample_completion(
-            tiny_student, prompt, temperature=0.8, max_new=6, rng=np.random.default_rng([3, i])
-        )
+        traj = sample_completions_batch(
+            tiny_student, [(prompt, np.random.default_rng([3, i]))], 0.8, 6
+        )[0]
         want = _reference_sample(tiny_student, prompt, 0.8, 6, np.random.default_rng([3, i]))
         assert traj.tokens == want
         assert traj.finished == (want[-1] == EOS)
@@ -138,9 +136,9 @@ def test_batched_sampling_matches_single(tiny_teacher):
     units = [(p, np.random.default_rng([7, i])) for i, p in enumerate(prompts)]
     batched = sample_completions_batch(tiny_teacher, units, temperature=0.9, max_new=5)
     for i, p in enumerate(prompts):
-        single = sample_completion(
-            tiny_teacher, p, temperature=0.9, max_new=5, rng=np.random.default_rng([7, i])
-        )
+        single = sample_completions_batch(
+            tiny_teacher, [(p, np.random.default_rng([7, i]))], 0.9, 5
+        )[0]
         assert batched[i].tokens == single.tokens
         assert batched[i].finished == single.finished
         # Batched decode logits may differ from one-row logits in the last bits.
@@ -164,18 +162,16 @@ def test_greedy_decode_batch_matches_single(tiny_student):
     prompts += [Prompt(SPEECH, [1 + i, 2, 3, 4, 5, 6]) for i in range(4)]
     batched = greedy_decode_batch(tiny_student, prompts, max_new=6)
     for p, got in zip(prompts, batched):
-        assert got == greedy_decode(tiny_student, p, max_new=6)
+        assert got == greedy_decode_batch(tiny_student, [p], 6)[0]
 
 
 def test_temperature_changes_sampling_distribution(tiny_teacher):
     prompt = Prompt(TEXT, [5, 6, 7])
-    traj = sample_completion(
-        tiny_teacher, prompt, temperature=0.5, max_new=4, rng=np.random.default_rng(3)
-    )
+    traj = sample_completions_batch(tiny_teacher, [(prompt, np.random.default_rng(3))], 0.5, 4)[0]
     # logp_old tracks the unadjusted model; logp_sample the tempered one.
     assert traj.logp_old != traj.logp_sample
     with pytest.raises(ConfigurationError):
-        sample_completion(tiny_teacher, prompt, temperature=0.0, max_new=4, rng=None)
+        sample_completions_batch(tiny_teacher, [(prompt, np.random.default_rng(3))], 0.0, 4)
 
 
 def test_batched_completion_logps_matches_per_item(tiny_student):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import xopd_lab.autodiff as ad
-import xopd_lab.model as model_mod
+import xopd_lab.objective as objective_mod
 import xopd_lab.trainer as trainer_mod
 from xopd_lab.autodiff import Tensor
 from xopd_lab.errors import ConfigurationError
@@ -84,6 +84,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ConfigurationError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ConfigurationError, match="workers"):
+        TrainConfig(workers=2)
     assert TrainConfig().method == "xopd"
     assert PretrainConfig().target_accuracy == 0.98
     assert GapConfig().acoustic_target == 0.90
@@ -198,7 +200,7 @@ def test_mini_epochs_reuse_the_sampling_point_advantage(
     trainable_student, tiny_teacher, small_dataset, monkeypatch
 ):
     teacher_passes = []
-    real_logps = model_mod.batched_completion_logps
+    real_logps = objective_mod.batched_completion_logps
 
     def counting_logps(model, items):
         if model is tiny_teacher:
@@ -213,7 +215,7 @@ def test_mini_epochs_reuse_the_sampling_point_advantage(
         calls.append((kwargs.get("advantages"), report))
         return report, total
 
-    monkeypatch.setattr(model_mod, "batched_completion_logps", counting_logps)
+    monkeypatch.setattr(objective_mod, "batched_completion_logps", counting_logps)
     monkeypatch.setattr(trainer_mod, "xopd_loss", recording_loss)
     steps = 2
     run_method(
