@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "no_grad",
-    "grad_enabled",
     "add",
     "sub",
     "mul",
@@ -34,13 +33,11 @@ __all__ = [
     "permute",
     "reshape",
     "concat_rows",
-    "slice_rows",
     "stack_pad",
     "gather_bld",
     "embedding",
     "softmax",
     "log_softmax",
-    "gather_log_prob",
     "layer_norm",
     "gelu",
     "causal_attention",
@@ -60,10 +57,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED.reset(token)
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED.get()
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +310,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _make(data, tuple(parts), backward)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Select rows [start, stop) along the first axis."""
-    data = a.data[start:stop].copy()
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[start:stop] = g
-            a.accumulate_grad(full)
-
-    return _make(data, (a,), backward)
-
-
 def stack_pad(parts: Sequence[Tensor]) -> Tensor:
     """Stack (L_i, d) tensors into (B, Lmax, d), zero-padding rows at the end."""
     Lmax = max(p.data.shape[0] for p in parts)
@@ -405,27 +385,6 @@ def log_softmax(a: Tensor) -> Tensor:
             a.accumulate_grad(g - p * g.sum(axis=-1, keepdims=True))
 
     return _make(data, (a,), backward)
-
-
-def gather_log_prob(logp: Tensor, ids: Sequence[int]) -> Tensor:
-    """Pick logp[t, ids[t]] for each row t of an (L, V) tensor."""
-    ids = np.asarray(ids, dtype=np.int64)
-    L, V = logp.data.shape
-    if ids.shape != (L,):
-        raise ValueError(f"expected {L} ids, got {ids.shape}")
-    for t, i in enumerate(ids):
-        if i < 0 or i >= V:
-            raise IndexError(f"token id {i} out of range [0, {V}) at position {t}")
-    rows = np.arange(L)
-    data = logp.data[rows, ids]
-
-    def backward(g):
-        if logp.requires_grad:
-            full = np.zeros_like(logp.data)
-            full[rows, ids] = g
-            logp.accumulate_grad(full)
-
-    return _make(data, (logp,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -26,17 +26,6 @@ from .model import (
 )
 
 
-def sft_loss(student, example: PairedExample, modality: str = SPEECH) -> Tensor:
-    """Mean per-token NLL of the reference answer; prompt tokens carry no loss."""
-    if not example.reference_answer:
-        raise DataError(f"example {example.example_id} has no reference answer")
-    tokens = list(example.reference_answer) + [EOS]
-    prompt_tokens = example.speech_prompt if modality == SPEECH else example.text_prompt
-    logits = student.forward_logits(Prompt(modality, prompt_tokens), tokens)
-    lp = ad.gather_log_prob(ad.log_softmax(logits), tokens)
-    return ad.scale(ad.sum_all(lp), -1.0 / len(tokens))
-
-
 def sft_batch_loss(student, examples: list[PairedExample], modality: str = SPEECH) -> Tensor:
     """Mean over examples of the per-example mean-NLL, in one batched pass."""
     items = []
@@ -74,27 +63,6 @@ def offline_kd_build(
         )
     provenance = {"method": "offline_kd", "decode_mode": "greedy", "teacher_checkpoint": teacher_checkpoint}
     return distilled, provenance
-
-
-def gkd_loss(teacher, student, traj: Trajectory, example: PairedExample) -> Tensor:
-    """Mean per-position forward KL(teacher(.|T, y_<t) || student(.|S, y_<t)).
-
-    Differentiates through the student distribution only; the trajectory
-    must be student-sampled on the speech prompt.
-    """
-    if teacher.cfg.text_vocab_size != student.cfg.text_vocab_size:
-        raise ConfigurationError("teacher/student vocab mismatch")
-    if traj.conditioning_modality != SPEECH:
-        raise DataError("GKD expects a SPEECH-conditioned trajectory")
-    with ad.no_grad():
-        t_logits = teacher.forward_logits(Prompt(TEXT, example.text_prompt), traj.tokens)
-        t_logp = ad.log_softmax(t_logits).data
-    p = np.exp(t_logp)
-    s_logp = ad.log_softmax(student.forward_logits(Prompt(SPEECH, example.speech_prompt), traj.tokens))
-    neg_entropy = float((p * t_logp).sum())
-    cross = ad.sum_all(ad.mul(Tensor(p), s_logp))
-    L = len(traj.tokens)
-    return ad.scale(ad.sub(Tensor(np.asarray(neg_entropy)), cross), 1.0 / L)
 
 
 def gkd_batch_loss(

@@ -71,10 +71,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
     return params, meta
 
 
-def checkpoint_hash(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def params_hash(params: dict[str, Tensor]) -> str:
     h = hashlib.sha256()
     for name in sorted(params):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -159,20 +159,6 @@ def decode_speech(codec: SpeechCodec, frames: list[int]) -> tuple[list[int], lis
         if scores[best] < F:
             flagged.append(pos)
     return tokens, flagged
-
-
-def read_label(codec: SpeechCodec, frames: list[int], tokens: list[int]) -> int | None:
-    """Majority-vote label recovery given the decoded tokens (test oracle)."""
-    F, S = codec.frames_per_token, codec.speech_vocab_size
-    votes = np.zeros(codec.n_labels, dtype=int)
-    for pos, t in enumerate(tokens):
-        observed = frames[pos * F + F - 1]
-        delta = (observed - codec.frame_pattern(t)[F - 1] - 1) % S
-        if 0 <= delta < codec.n_labels:
-            votes[delta] += 1
-    if votes.sum() == 0:
-        return None
-    return int(np.argmax(votes))
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +484,6 @@ def build_dataset(
     return Dataset(splits=splits, manifest=manifest)
 
 
-def codec_from_manifest(manifest: dict) -> SpeechCodec:
-    c = manifest["codec"]
-    return SpeechCodec(
-        frames_per_token=c["frames_per_token"],
-        speech_vocab_size=c["speech_vocab_size"],
-        text_vocab_size=c["text_vocab_size"],
-        noise_rate=c["noise_rate"],
-        n_labels=c["n_labels"],
-        multipliers=tuple(c["multipliers"]),
-        offsets=tuple(c["offsets"]),
-    )
-
-
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -525,13 +498,30 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     return manifest
 
 
+def _read(path: Path) -> bytes:
+    if not path.exists():
+        raise DataError(f"missing dataset file: {path}")
+    return path.read_bytes()
+
+
 def load_dataset(in_dir: str | Path) -> Dataset:
+    """Load what save_dataset wrote, checking each split against the
+    manifest's SHA-256; a damaged or malformed file raises DataError."""
     in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / "manifest.json").read_text())
+    path = in_dir / "manifest.json"
+    try:
+        manifest = json.loads(_read(path))
+        hashes = {split: manifest["file_hashes"][split] for split in ("train", "val", "test")}
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as e:
+        raise DataError(f"{path}: not a dataset manifest ({type(e).__name__}: {e})") from None
     splits = {}
-    for split in ("train", "val", "test"):
+    for split, digest in hashes.items():
         path = in_dir / f"{split}.jsonl"
-        if not path.exists():
-            raise DataError(f"missing dataset file: {path}")
-        splits[split] = [PairedExample.from_json(line) for line in path.read_text().splitlines()]
+        body = _read(path)
+        if hashlib.sha256(body).hexdigest() != digest:
+            raise DataError(f"{path}: SHA-256 does not match the manifest")
+        try:
+            splits[split] = [PairedExample.from_json(line) for line in body.decode().splitlines()]
+        except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as e:
+            raise DataError(f"{path}: malformed example ({type(e).__name__}: {e})") from None
     return Dataset(splits=splits, manifest=manifest)

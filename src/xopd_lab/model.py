@@ -85,7 +85,6 @@ class Trajectory:
     conditioning_modality: str
     tokens: list[int]
     logp_old: list[float]  # unadjusted log pi_old(y_t | ., y_<t)
-    logp_sample: list[float]  # temperature-adjusted sampling log-probs
     finished: bool
 
     def __post_init__(self) -> None:
@@ -187,15 +186,6 @@ class TeacherModel:
         ids = [BOS] + list(prompt.tokens) + [SEP] + list(completion)
         emb = ad.embedding(self.params["tok_emb"], np.asarray(ids))
         return emb, 1 + len(prompt.tokens)
-
-    def full_logits(self, prompt: Prompt, completion: list[int]) -> tuple[Tensor, int]:
-        emb, sep = self.embed_sequence(prompt, completion)
-        return backbone_logits(self.params, self.cfg, emb), sep
-
-    def forward_logits(self, prompt: Prompt, completion: list[int]) -> Tensor:
-        """Rows t = pre-softmax distribution of completion token t."""
-        logits, sep = self.full_logits(prompt, completion)
-        return ad.slice_rows(logits, sep, sep + len(completion))
 
 
 class StudentModel(TeacherModel):
@@ -317,9 +307,9 @@ def _decode_batch(
     All prompts must share one modality and length (callers group). With no
     ``rngs`` every row takes the argmax and nothing is recorded. With one rng
     per row, rows are sampled at ``temperature`` and the third return value
-    is a (2, B, max_new) array of each chosen token's unadjusted and tempered
-    log-prob (zero past a completion's end). Completions keep the
-    terminating <eos> when emitted; the flags say which did.
+    is a (B, max_new) array of each chosen token's unadjusted log-prob (zero
+    past a completion's end). Completions keep the terminating <eos> when
+    emitted; the flags say which did.
     """
     tok_emb = model.params["tok_emb"].data
     pos_emb = model.params["pos_emb"].data
@@ -335,7 +325,7 @@ def _decode_batch(
     logits = _decode_step(model.params, model.cfg, batch + pos_emb[:L0], caches)
     outs: list[list[int]] = [[] for _ in prompts]
     done = np.zeros(B, dtype=bool)
-    logps = None if rngs is None else np.zeros((2, B, max_new))
+    logps = None if rngs is None else np.zeros((B, max_new))
     for step in range(max_new):
         live = np.flatnonzero(~done)
         nxt = np.zeros(B, dtype=np.int64)
@@ -345,10 +335,10 @@ def _decode_batch(
             for b in live:
                 p = ad.np_softmax(logits[b] / temperature)
                 nxt[b] = rngs[b].choice(len(p), p=p)
-            # Each chosen token's log-prob under the logits it was drawn
-            # from: one log-softmax over the unadjusted and tempered rows.
-            lp = ad.np_log_softmax(np.stack([logits, logits / temperature]))
-            logps[:, live, step] = lp[:, live, nxt[live]]
+            # logp_old: the chosen token's log-prob under the unadjusted
+            # logits it was drawn from, whatever the temperature.
+            lp = ad.np_log_softmax(logits)
+            logps[live, step] = lp[live, nxt[live]]
         for b in live:
             outs[b].append(int(nxt[b]))
         done[live] = nxt[live] == EOS
@@ -370,11 +360,10 @@ def sample_completions_batch(
     Decoding runs incrementally with key/value caches, grouped by prompt
     shape; each unit consumes its rng independently of grouping, so tokens
     do not depend on which units share a batch. Each token's log-prob under
-    the unadjusted model (logp_old, defining pi_old) and under the
-    temperature-adjusted sampling distribution (logp_sample) is read from
-    the decode logits it was drawn from. A teacher-forced recomputation, or
-    a call with other units in the batch, agrees with them to rounding
-    (within 1e-12), not bit for bit.
+    the unadjusted model (logp_old, defining pi_old) is read from the decode
+    logits it was drawn from. A teacher-forced recomputation, or a call with
+    other units in the batch, agrees with it to rounding (within 1e-12), not
+    bit for bit.
     """
     if temperature <= 0:
         raise ConfigurationError(f"temperature must be > 0, got {temperature}")
@@ -392,8 +381,7 @@ def sample_completions_batch(
                 example_id="",
                 conditioning_modality=prompts[i].modality,
                 tokens=outs[b],
-                logp_old=logps[0, b, :n].tolist(),
-                logp_sample=logps[1, b, :n].tolist(),
+                logp_old=logps[b, :n].tolist(),
                 finished=finished[b],
             )
     return results  # type: ignore[return-value]
@@ -420,9 +408,10 @@ def padded_log_probs(
 ) -> tuple[Tensor, list[int]]:
     """Teacher-forced log-softmax over many (prompt, completion) pairs.
 
-    Runs one padded, batched backbone pass. Returns log-probs of shape
-    (B, Lmax, V) and each item's <sep> index: row ``seps[i] + t`` of item
-    ``i`` is the distribution of its completion token ``t``.
+    The package's one teacher-forced pass: one padded, batched backbone
+    pass. Returns log-probs of shape (B, Lmax, V) and each item's <sep>
+    index: row ``seps[i] + t`` of item ``i`` is the distribution of its
+    completion token ``t``.
     """
     embs, seps = [], []
     for prompt, completion in items:

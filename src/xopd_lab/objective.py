@@ -25,16 +25,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import PairedExample
 from .errors import ConfigurationError, DataError, UsageError
-from .model import SPEECH, TEXT, Prompt, Trajectory, batched_completion_logps
+from .model import SPEECH, TEXT, Prompt, batched_completion_logps
 from .rollout import RolloutBatch
-
-
-@dataclass
-class AdvantageTable:
-    trajectory: Trajectory
-    a_values: list[float]
-    teacher_logp: list[float]
-    student_logp: list[float]
 
 
 @dataclass
@@ -62,44 +54,6 @@ def _check_vocabs(teacher, student) -> None:
             f"teacher/student vocab mismatch: {teacher.cfg.text_vocab_size} vs "
             f"{student.cfg.text_vocab_size}"
         )
-
-
-def _token_logp(model, prompt, tokens: list[int]) -> Tensor:
-    """Per-token log-probs of ``tokens`` under the model (teacher-forced)."""
-    logits = model.forward_logits(prompt, tokens)
-    return ad.gather_log_prob(ad.log_softmax(logits), tokens)
-
-
-def in_modal_advantage(teacher, student, traj: Trajectory, text_prompt: list[int]) -> AdvantageTable:
-    """A(y_t) with both policies conditioned on the text prompt."""
-    if traj.conditioning_modality != TEXT:
-        raise UsageError("in-modal advantage expects a TEXT-conditioned trajectory")
-    _check_vocabs(teacher, student)
-    prompt = Prompt(TEXT, text_prompt)
-    with ad.no_grad():
-        t_lp = _token_logp(teacher, prompt, traj.tokens).data
-        s_lp = _token_logp(student, prompt, traj.tokens).data
-    return AdvantageTable(traj, list(t_lp - s_lp), list(t_lp), list(s_lp))
-
-
-def cross_modal_advantage(teacher, student, traj: Trajectory, example: PairedExample) -> AdvantageTable:
-    """A(y_t): teacher conditions on the paired text, student on speech."""
-    if traj.conditioning_modality != SPEECH:
-        raise UsageError("cross-modal advantage expects a SPEECH-conditioned trajectory")
-    _check_vocabs(teacher, student)
-    if not example.text_prompt:
-        raise DataError(f"example {example.example_id} has no paired text prompt")
-    with ad.no_grad():
-        t_lp = _token_logp(teacher, Prompt(TEXT, example.text_prompt), traj.tokens).data
-        s_lp = _token_logp(student, Prompt(SPEECH, example.speech_prompt), traj.tokens).data
-    return AdvantageTable(traj, list(t_lp - s_lp), list(t_lp), list(s_lp))
-
-
-def importance_ratios(traj: Trajectory, student, prompt) -> Tensor:
-    """r_t = exp(log pi_theta(y_t|.) - logp_old[t]); gradient flows through
-    the current-policy term only."""
-    lp_new = _token_logp(student, prompt, traj.tokens)
-    return ad.exp(ad.sub(lp_new, Tensor(np.asarray(traj.logp_old))))
 
 
 def _clip_term(ratios: Tensor, adv: np.ndarray, eps: float) -> Tensor:

@@ -24,8 +24,8 @@ import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .corpus import SpeechCodec, build_dataset, save_dataset, Dataset
-from .errors import XopdError
+from .corpus import FAMILIES, SpeechCodec, build_dataset, save_dataset, Dataset
+from .errors import ConfigurationError, XopdError
 from .evaluation import (
     EvalReport,
     avg_drop,
@@ -57,6 +57,14 @@ DEFAULT_SIZES = {
 BASELINE_METHODS = ("sft", "offline_kd", "gkd")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass
 class PipelineConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
@@ -74,6 +82,36 @@ class PipelineConfig:
     max_new: int = 12
     n_eval: int = 500
     forgetting_threshold: float = 0.05
+
+    def __post_init__(self) -> None:
+        """Check every value before any work, so a bad one writes nothing."""
+        if not isinstance(self.sizes, dict) or not set(self.sizes) <= set(FAMILIES):
+            raise ConfigurationError(f"sizes must map families {FAMILIES} to counts, got {self.sizes!r}")
+        for fam, counts in self.sizes.items():
+            if not (
+                isinstance(counts, (list, tuple)) and len(counts) == 3
+                and all(_is_int(c) and c >= 0 for c in counts) and sum(counts) >= 1
+            ):
+                raise ConfigurationError(
+                    f"sizes[{fam!r}] must be 3 non-negative (train, val, test) counts "
+                    f"with a positive sum, got {counts!r}"
+                )
+        if not _is_number(self.noise_rate) or not 0.0 <= self.noise_rate < 1.0:
+            raise ConfigurationError(f"noise_rate must be in [0, 1), got {self.noise_rate!r}")
+        for name in ("xopd_steps", "gkd_steps", "batch_size", "n_rollouts", "max_new", "n_eval"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_number(self.learning_rate) or self.learning_rate < 0:
+            raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
+        if not self.seeds or not all(_is_int(s) for s in self.seeds):
+            raise ConfigurationError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
+        if not self.lambda_grid or not all(_is_number(x) and 0 <= x <= 1 for x in self.lambda_grid):
+            raise ConfigurationError(f"lambda_grid must be non-empty, in [0, 1], got {self.lambda_grid!r}")
+        try:
+            self.codec()
+        except ConfigurationError as e:
+            raise ConfigurationError(f"no speech codec for these model.* values: {e}") from None
 
     def codec(self) -> SpeechCodec:
         """The speech codec this config's data is built with: the default

@@ -7,10 +7,8 @@ batch order; results merge deterministically by key.
 
 from __future__ import annotations
 
-import json
 import zlib
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,11 +79,3 @@ def collect_rollouts(
         per_mod.setdefault(modality, []).append(traj)
     return out
 
-
-def dump_trajectories(rollouts: RolloutBatch, path: str | Path) -> None:
-    """Optional JSONL dump for credit-assignment inspection."""
-    with open(path, "w") as f:
-        for per_mod in rollouts.trajectories.values():
-            for trajs in per_mod.values():
-                for t in trajs:
-                    f.write(json.dumps(asdict(t), sort_keys=True) + "\n")

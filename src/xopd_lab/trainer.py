@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .baselines import gkd_batch_loss, offline_kd_build, sft_batch_loss
 from .checkpoint import params_hash
-from .corpus import Dataset, PairedExample, pretraining_batch
+from .corpus import Dataset, pretraining_batch
 from .errors import ConfigurationError, TrainingFailure, UsageError
 from .evaluation import score_model
 from .model import (
@@ -92,6 +92,8 @@ class TrainConfig:
             raise ConfigurationError(f"max_new must be >= 1, got {self.max_new}")
         if self.temperature <= 0:
             raise ConfigurationError(f"temperature must be > 0, got {self.temperature}")
+        if self.clip_epsilon is not None and self.clip_epsilon <= 0:
+            raise ConfigurationError(f"clip_epsilon must be > 0 (None is off), got {self.clip_epsilon}")
         if self.workers != 1:
             raise ConfigurationError(f"workers must be 1, got {self.workers}")
 

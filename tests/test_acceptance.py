@@ -18,6 +18,7 @@ Criteria 4-6 share one three-seed pipeline run (session-scoped fixture).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import product
 from pathlib import Path
@@ -35,14 +36,14 @@ from xopd_lab.corpus import (
     build_dataset,
     generate_task,
 )
-from xopd_lab.checkpoint import checkpoint_hash
 from xopd_lab.model import (
     ModelConfig,
     Prompt,
     TeacherModel,
     init_student_from_teacher,
+    padded_log_probs,
 )
-from xopd_lab.objective import in_modal_advantage, importance_ratios, xopd_loss
+from xopd_lab.objective import xopd_loss
 from xopd_lab.optim import Adam
 from xopd_lab.pipeline import DEFAULT_SIZES, PipelineConfig, reproduce_paper_trends
 from xopd_lab.rollout import (
@@ -55,7 +56,7 @@ from xopd_lab.rollout import (
 from xopd_lab.trainer import TrainConfig, clone_student, run_method
 
 from gradcheck import check_op, op_cases
-from oracles import enumerate_completions
+from oracles import enumerate_completions, naive_token_logps
 
 # ---------------------------------------------------------------------------
 # Criterion 1: gradient suite
@@ -110,16 +111,8 @@ def _toy_example() -> PairedExample:
 
 
 def _seq_logp(model, prompt: Prompt, tokens: list[int]) -> np.ndarray:
-    with ad.no_grad():
-        lp = ad.gather_log_prob(
-            ad.log_softmax(model.forward_logits(prompt, list(tokens))), list(tokens)
-        )
-    return lp.data
-
-
-def _log_softmax_np(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    """Per-token log-probs from the independent one-sequence forward."""
+    return naive_token_logps(model, prompt.modality, prompt.tokens, list(tokens))
 
 
 def test_criterion_2a_in_modal_advantage_zero_for_identical_policies():
@@ -127,18 +120,30 @@ def test_criterion_2a_in_modal_advantage_zero_for_identical_policies():
     twin = init_student_from_teacher(teacher, TOY_CFG, 9)
     ex = _toy_example()
     rollouts = collect_rollouts(twin, [ex], n=4, seed=0, max_new=4, modalities=(TEXT,))
-    for traj in rollouts.all_for_modality(TEXT):
-        table = in_modal_advantage(teacher, twin, traj, ex.text_prompt)
-        assert max(abs(a) for a in table.a_values) <= 1e-12
+    report, _ = xopd_loss(rollouts, teacher, twin, 1.0, [ex])
+    adv = report.advantages[TEXT]
+    assert adv.size == sum(len(t.tokens) for t in rollouts.all_for_modality(TEXT))
+    assert np.abs(adv).max() <= 1e-12
 
 
-def test_criterion_2b_importance_ratios_one_at_sampling_point():
-    _, student = _toy_pair(4)
+def test_criterion_2b_importance_ratios_one_at_sampling_point(monkeypatch):
+    teacher, student = _toy_pair(4)
     ex = _toy_example()
     rollouts = collect_rollouts(student, [ex], n=6, seed=1, max_new=4, modalities=(TEXT,))
-    for traj in rollouts.all_for_modality(TEXT):
-        r = importance_ratios(traj, student, Prompt(TEXT, ex.text_prompt))
-        assert np.allclose(r.data, 1.0, atol=1e-9)
+    # xopd_loss forms the per-token ratios with one ad.exp per modality.
+    ratios = []
+    real_exp = ad.exp
+
+    def spy(a):
+        out = real_exp(a)
+        ratios.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(ad, "exp", spy)
+    xopd_loss(rollouts, teacher, student, 1.0, [ex])
+    r = np.concatenate(ratios)
+    assert r.size == sum(len(t.tokens) for t in rollouts.all_for_modality(TEXT))
+    assert np.allclose(r, 1.0, rtol=0, atol=1e-9)
 
 
 def test_criterion_2c_loss_affine_in_lambda_with_endpoint_equality():
@@ -177,7 +182,7 @@ def test_criterion_2d_expected_gradient_matches_exact_reverse_kl_gradient():
         lp_old = _seq_logp(student, prompt, y)
         p_y = float(np.exp(lp_old.sum()))
 
-        traj = Trajectory("toy-0", TEXT, y, list(lp_old), list(lp_old), True)
+        traj = Trajectory("toy-0", TEXT, y, list(lp_old), True)
         rollouts = RolloutBatch(SamplingConfig(n=1, max_new=L))
         rollouts.trajectories = {"toy-0": {TEXT: [traj]}}
         _, total = xopd_loss(rollouts, teacher, student, 1.0, [ex])
@@ -188,13 +193,17 @@ def test_criterion_2d_expected_gradient_matches_exact_reverse_kl_gradient():
             if p.grad is not None:
                 expected[k] += p_y * p.grad
 
-        s_logits = student.forward_logits(prompt, y)
+        # Student and teacher see the same text sequence, so their rows align;
+        # the mask keeps the L rows that predict completion tokens.
+        s_logp, (sep,) = padded_log_probs(student, [(prompt, y)])
         with ad.no_grad():
-            t_logp = _log_softmax_np(teacher.forward_logits(prompt, y).data)
+            t_logp = padded_log_probs(teacher, [(prompt, y)])[0].data
+        rows = np.zeros(s_logp.shape)
+        rows[0, sep : sep + L] = 1.0
         kl = ad.sum_all(
             ad.mul(
-                ad.softmax(s_logits),
-                ad.sub(ad.log_softmax(s_logits), Tensor(t_logp)),
+                Tensor(rows),
+                ad.mul(ad.exp(s_logp), ad.sub(s_logp, Tensor(t_logp))),
             )
         )
         kl_terms.append(ad.scale(kl, -p_y / L))
@@ -310,7 +319,7 @@ def test_criterion_7_rerun_is_bit_identical(tmp_path, tiny_teacher, tiny_student
         outputs.append(
             (
                 (out / "metrics.jsonl").read_bytes(),
-                checkpoint_hash(out / "checkpoints" / "final.ckpt"),
+                hashlib.sha256((out / "checkpoints" / "final.ckpt").read_bytes()).hexdigest(),
                 json.loads((out / "manifest.json").read_text())["final_params_hash"],
             )
         )

@@ -5,49 +5,55 @@ import dataclasses
 import numpy as np
 import pytest
 
-import xopd_lab.autodiff as ad
-from xopd_lab.baselines import (
-    gkd_batch_loss,
-    gkd_loss,
-    offline_kd_build,
-    sft_batch_loss,
-    sft_loss,
-)
+from xopd_lab.baselines import gkd_batch_loss, offline_kd_build, sft_batch_loss
 from xopd_lab.corpus import EOS
 from xopd_lab.errors import DataError
-from xopd_lab.model import Prompt, greedy_decode_batch
+from xopd_lab.model import Prompt, TeacherModel, greedy_decode_batch
 from xopd_lab.rollout import SPEECH, TEXT, collect_rollouts
 
-from oracles import kl_divergence, naive_softmax
+from oracles import kl_divergence, naive_completion_log_probs, naive_token_logps
+
+
+def _oracle_sft(model, examples, modality):
+    """Mean over examples of the reference answer's mean per-token NLL."""
+    per = []
+    for ex in examples:
+        prompt = ex.speech_prompt if modality == SPEECH else ex.text_prompt
+        per.append(-naive_token_logps(model, modality, prompt, ex.reference_answer + [EOS]).mean())
+    return float(np.mean(per))
+
+
+def _oracle_gkd(teacher, student, pairs):
+    """Mean over pairs of the mean per-position KL(teacher(.|T) || student(.|S))."""
+    per = []
+    for traj, ex in pairs:
+        t_lp = naive_completion_log_probs(teacher, TEXT, ex.text_prompt, traj.tokens)
+        s_lp = naive_completion_log_probs(student, SPEECH, ex.speech_prompt, traj.tokens)
+        per.append(kl_divergence(np.exp(t_lp), np.exp(s_lp)) / len(traj.tokens))
+    return float(np.mean(per))
 
 
 def test_sft_batch_matches_mean_of_per_example(tiny_student, small_dataset):
     batch = small_dataset.alignment_set("train")[:5]
-    per = [float(sft_loss(tiny_student, ex).data) for ex in batch]
     batched = float(sft_batch_loss(tiny_student, batch).data)
-    assert batched == pytest.approx(np.mean(per), rel=1e-12)
+    assert batched == pytest.approx(_oracle_sft(tiny_student, batch, SPEECH), rel=1e-12)
 
 
 def test_sft_text_modality(tiny_student, small_dataset):
     batch = small_dataset.alignment_set("train")[:3]
-    per = [float(sft_loss(tiny_student, ex, modality=TEXT).data) for ex in batch]
     batched = float(sft_batch_loss(tiny_student, batch, modality=TEXT).data)
-    assert batched == pytest.approx(np.mean(per), rel=1e-12)
+    assert batched == pytest.approx(_oracle_sft(tiny_student, batch, TEXT), rel=1e-12)
 
 
-def test_sft_uniform_model_gives_log_vocab(tiny_config, small_dataset, tiny_teacher):
-    from xopd_lab.model import TeacherModel
-
+def test_sft_uniform_model_gives_log_vocab(tiny_config, small_dataset):
     fresh = TeacherModel.init(tiny_config, 0)
-    ex = small_dataset.alignment_set("train")[0]
-    loss = float(sft_loss(fresh, ex, modality=TEXT).data)
+    batch = small_dataset.alignment_set("train")[:2]
+    loss = float(sft_batch_loss(fresh, batch, modality=TEXT).data)
     assert loss == pytest.approx(np.log(tiny_config.text_vocab_size), rel=1e-12)
 
 
 def test_sft_requires_reference_answer(tiny_student, small_dataset):
     ex = dataclasses.replace(small_dataset.alignment_set("train")[0], reference_answer=[])
-    with pytest.raises(DataError):
-        sft_loss(tiny_student, ex)
     with pytest.raises(DataError):
         sft_batch_loss(tiny_student, [ex])
 
@@ -68,28 +74,16 @@ def test_gkd_batch_matches_mean_of_per_pair(tiny_teacher, tiny_student, small_da
     batch = small_dataset.alignment_set("train")[:3]
     r = collect_rollouts(tiny_student, batch, n=2, seed=4, max_new=5, modalities=(SPEECH,))
     pairs = [(t, ex) for ex in batch for t in r.trajectories[ex.example_id][SPEECH]]
-    per = [float(gkd_loss(tiny_teacher, tiny_student, t, ex).data) for t, ex in pairs]
     batched = float(gkd_batch_loss(tiny_teacher, tiny_student, pairs).data)
-    assert batched == pytest.approx(np.mean(per), rel=1e-9)
+    assert batched == pytest.approx(_oracle_gkd(tiny_teacher, tiny_student, pairs), rel=1e-9)
 
 
 def test_gkd_loss_equals_forward_kl_oracle(tiny_teacher, tiny_student, small_dataset):
     ex = small_dataset.alignment_set("train")[0]
     r = collect_rollouts(tiny_student, [ex], n=1, seed=0, max_new=4, modalities=(SPEECH,))
-    traj = r.trajectories[ex.example_id][SPEECH][0]
-    with ad.no_grad():
-        t_logits = tiny_teacher.forward_logits(Prompt(TEXT, ex.text_prompt), traj.tokens).data
-        s_logits = tiny_student.forward_logits(
-            Prompt(SPEECH, ex.speech_prompt), traj.tokens
-        ).data
-    want = np.mean(
-        [
-            kl_divergence(naive_softmax(t_logits[t]), naive_softmax(s_logits[t]))
-            for t in range(len(traj.tokens))
-        ]
-    )
-    got = float(gkd_loss(tiny_teacher, tiny_student, traj, ex).data)
-    assert got == pytest.approx(want, rel=1e-9)
+    pairs = [(r.trajectories[ex.example_id][SPEECH][0], ex)]
+    got = float(gkd_batch_loss(tiny_teacher, tiny_student, pairs).data)
+    assert got == pytest.approx(_oracle_gkd(tiny_teacher, tiny_student, pairs), rel=1e-9)
 
 
 def test_gkd_gradient_hits_student_not_teacher(tiny_teacher, tiny_student, small_dataset):
@@ -110,8 +104,6 @@ def test_gkd_rejects_text_trajectories(tiny_teacher, tiny_student, small_dataset
     ex = small_dataset.alignment_set("train")[0]
     r = collect_rollouts(tiny_student, [ex], n=1, seed=0, max_new=4, modalities=(TEXT,))
     traj = r.trajectories[ex.example_id][TEXT][0]
-    with pytest.raises(DataError):
-        gkd_loss(tiny_teacher, tiny_student, traj, ex)
     with pytest.raises(DataError):
         gkd_batch_loss(tiny_teacher, tiny_student, [(traj, ex)])
     with pytest.raises(DataError):

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from xopd_lab.autodiff import Tensor
-from xopd_lab.checkpoint import (
-    checkpoint_hash,
-    load_checkpoint,
-    params_hash,
-    save_checkpoint,
-)
+from xopd_lab.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from xopd_lab.errors import CheckpointError
+
+
+def checkpoint_hash(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture()

@@ -177,7 +177,7 @@ def test_malformed_override_is_usage_error(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("field", ["temperature", "steps", "max_new"])
+@pytest.mark.parametrize("field", ["temperature", "steps", "max_new", "clip_epsilon"])
 def test_train_bad_train_config_exits_2_before_writing(tmp_path, field, capsys):
     data, out = tmp_path / "data", tmp_path / "run"
     code = main([
@@ -204,12 +204,36 @@ def test_eval_damaged_checkpoint_exits_1_without_traceback(tmp_path, data_dir, c
     assert err.startswith("error:") and "damaged.ckpt" in err
 
 
+def test_train_damaged_dataset_exits_1_without_traceback(tmp_path, data_dir, ckpts, capsys):
+    damaged = tmp_path / "data"
+    damaged.mkdir()
+    for f in data_dir.iterdir():
+        (damaged / f.name).write_bytes(f.read_bytes())
+    lines = (damaged / "train.jsonl").read_text().splitlines(keepends=True)
+    (damaged / "train.jsonl").write_text("".join(lines[1:]))
+    code = main([
+        "train", "--method", "sft", "--data", str(damaged), "--out", str(tmp_path / "out"),
+        "--teacher", str(ckpts / "teacher.ckpt"), "--student", str(ckpts / "student.ckpt"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "train.jsonl" in err[0]
+
+
 @pytest.mark.parametrize("argv,unknown", [
     (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.foo=1"], "foo"),
     (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "model.foo=1"], "foo"),
     (["reproduce-paper-trends", "--set", "pipeline.seeds=[0]"], "pipeline"),
     (["gen-data", "--set", "foo=3"], "foo"),
-], ids=["train.foo", "model.foo", "pipeline.seeds", "foo"])
+    # Known keys with bad values are rejected at the same point.
+    (["gen-data", "--set", "sizes=3"], "sizes"),
+    (["gen-data", "--set", "noise_rate=x"], "noise_rate"),
+    (["gen-data", "--set", "model.frames_per_token=4"], "speech codec"),
+    (["reproduce-paper-trends", "--set", "xopd_steps=0"], "xopd_steps"),
+    (["reproduce-paper-trends", "--set", "lambda_grid=[2.0]"], "lambda_grid"),
+    (["reproduce-paper-trends", "--set", "learning_rate=-1"], "learning_rate"),
+], ids=["train.foo", "model.foo", "pipeline.seeds", "foo", "sizes=3", "noise_rate=x",
+        "model.frames_per_token=4", "xopd_steps=0", "lambda_grid=[2.0]", "learning_rate=-1"])
 def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, capsys):
     data, out = tmp_path / "data", tmp_path / "out"
     code = main([a.format(data=data) for a in argv] + ["--out", str(out)])

@@ -1,5 +1,8 @@
 """Unit tests for the synthetic paired corpus and the speech codec."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,6 @@ from xopd_lab.corpus import (
     SpeechCodec,
     answer_for_prompt,
     build_dataset,
-    codec_from_manifest,
     decode_speech,
     decode_text,
     encode_speech,
@@ -23,7 +25,6 @@ from xopd_lab.corpus import (
     instruction_answer,
     load_dataset,
     pretraining_batch,
-    read_label,
     reasoning_answer,
     save_dataset,
 )
@@ -34,6 +35,8 @@ from xopd_lab.errors import (
     GenerationQualityError,
     VocabError,
 )
+
+from oracles import naive_read_label
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +80,14 @@ def test_label_round_trip_without_noise():
         frames = encode_speech(codec, text, label=label)
         decoded, _ = decode_speech(codec, frames)
         assert decoded == text
-        assert read_label(codec, frames, decoded) == label
+        assert naive_read_label(codec, frames, decoded) == label
 
 
 def test_label_survives_default_noise_most_of_the_time(codec):
     rng = np.random.default_rng(1)
     text = encode_text(["label", "?", "1", "2", "3", "4", "5"])
     hits = sum(
-        read_label(codec, encode_speech(codec, text, label=2, rng=rng), text) == 2
+        naive_read_label(codec, encode_speech(codec, text, label=2, rng=rng), text) == 2
         for _ in range(200)
     )
     assert hits >= 180
@@ -111,8 +114,10 @@ def test_codec_validates_noise_rate_and_multipliers():
 
 def test_codec_round_trips_through_manifest(codec):
     ds = build_dataset({"INSTRUCTION": (4, 2, 2)}, codec, seed=0)
-    again = codec_from_manifest(ds.manifest)
-    assert again == codec
+    recorded = {
+        k: tuple(v) if isinstance(v, list) else v for k, v in ds.manifest["codec"].items()
+    }
+    assert SpeechCodec(**recorded) == codec
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +260,52 @@ def test_save_load_round_trip(codec, tmp_path):
         assert [e.to_json() for e in back.splits[split]] == [
             e.to_json() for e in ds.splits[split]
         ]
+
+
+def _flip_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _drop_line(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+
+
+def _append_garbage(path):
+    path.write_text(path.read_text() + "{not json\n")
+
+
+def _forget_hashes(path):
+    manifest = json.loads(path.read_text())
+    del manifest["file_hashes"]
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("name,damage", [
+    ("train.jsonl", _flip_byte),
+    ("train.jsonl", _drop_line),
+    ("val.jsonl", _append_garbage),
+    ("manifest.json", _append_garbage),
+    ("manifest.json", _forget_hashes),
+], ids=["flipped-byte", "dropped-line", "garbage-json", "garbage-manifest", "no-file-hashes"])
+def test_load_rejects_a_damaged_dataset(codec, tmp_path, name, damage):
+    save_dataset(build_dataset(SIZES, codec, seed=7), tmp_path)
+    damage(tmp_path / name)
+    with pytest.raises(DataError, match=name):
+        load_dataset(tmp_path)
+
+
+def test_load_rejects_a_malformed_example_even_with_a_matching_hash(codec, tmp_path):
+    save_dataset(build_dataset(SIZES, codec, seed=7), tmp_path)
+    body = b'{"example_id": "x"}\n'
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["file_hashes"]["test"] = hashlib.sha256(body).hexdigest()
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "test.jsonl").write_bytes(body)
+    with pytest.raises(DataError, match="malformed example"):
+        load_dataset(tmp_path)
 
 
 def test_save_is_byte_stable(codec, tmp_path):

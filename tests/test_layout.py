@@ -1,14 +1,21 @@
-"""Layout guard: every module of the package imports at module top.
+"""Layout guards.
 
-The shared types (``Prompt``, ``Trajectory``, the modality names) live in
-``xopd_lab.model``, so no module needs an import inside a function to get
-round an import cycle.
+* Every module of the package imports at module top. The shared types
+  (``Prompt``, ``Trajectory``, the modality names) live in
+  ``xopd_lab.model``, so no module needs an import inside a function to get
+  round an import cycle.
+* ``tests/oracles.py`` imports nothing from the package, so its references
+  are independent of the code they check.
+* Every top-level function and class of the package is named by package
+  code: reference paths that only tests call belong in ``tests/oracles.py``.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "xopd_lab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "xopd_lab"
 
 
 def _imports_inside_functions(path: Path) -> set[str]:
@@ -27,3 +34,43 @@ def test_no_import_inside_a_function_or_method():
     assert modules
     hits = sorted(h for path in modules for h in _imports_inside_functions(path))
     assert hits == [], f"imports inside functions: {hits}"
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert imported, "expected oracles.py to import something"
+    assert not any(m.split(".")[0] == "xopd_lab" for m in imported), sorted(imported)
+
+
+def _entry_points() -> set[str]:
+    """``module.name`` of each ``xopd_lab.module:name`` entry point, e.g. ``cli.main``."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    return {f"{m}.{n}" for m, n in re.findall(r'"xopd_lab\.(\w+):(\w+)"', pyproject)}
+
+
+def test_every_top_level_definition_is_named_by_package_code():
+    defined: dict[str, str] = {}
+    named: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(a.name for a in node.names)
+    assert defined
+    unused = sorted(
+        key for key, name in defined.items() if name not in named and key not in _entry_points()
+    )
+    assert unused == [], f"defined in the package but named only outside it: {unused}"

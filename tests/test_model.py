@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import xopd_lab.autodiff as ad
-from xopd_lab.autodiff import Tensor
 from xopd_lab.corpus import EOS
 from xopd_lab.checkpoint import save_checkpoint
 from xopd_lab.errors import CheckpointError, ConfigurationError, LengthError, ModalityError
@@ -17,29 +16,30 @@ from xopd_lab.model import (
     greedy_decode_batch,
     init_student_from_teacher,
     load_model,
+    padded_log_probs,
     sample_completions_batch,
     save_model,
 )
 from xopd_lab.rollout import SPEECH, TEXT
 
-from oracles import naive_softmax
+from oracles import naive_full_logits, naive_log_softmax, naive_softmax, naive_token_logps
 
 
-def _recompute_logps(model, prompt, tokens):
-    """Teacher-forced recomputation: one forward pass, then a gather."""
+def _oracle_logps(model, prompt, tokens):
+    """Teacher-forced log-probs of ``tokens`` from the independent forward."""
+    return naive_token_logps(model, prompt.modality, prompt.tokens, tokens)
+
+
+def _log_probs(model, items):
     with ad.no_grad():
-        logits = model.forward_logits(prompt, tokens)
-        lp = ad.gather_log_prob(ad.log_softmax(logits), list(tokens))
-    return [float(x) for x in lp.data]
+        return padded_log_probs(model, items)[0].data
 
 
 def test_fresh_model_is_uniform(tiny_config):
     model = TeacherModel.init(tiny_config, 0)
-    prompt = Prompt(TEXT, [5, 6, 7])
-    logits = model.forward_logits(prompt, [8, 9]).data
-    np.testing.assert_array_equal(logits, 0.0)
-    p = ad.softmax(Tensor(logits)).data
-    np.testing.assert_allclose(p, 1.0 / tiny_config.text_vocab_size)
+    logp = _log_probs(model, [(Prompt(TEXT, [5, 6, 7]), [8, 9])])
+    # The zero head gives all-zero logits, hence exactly -log V everywhere.
+    np.testing.assert_array_equal(logp, -np.log(tiny_config.text_vocab_size))
 
 
 def test_config_validation():
@@ -51,15 +51,19 @@ def test_config_validation():
 
 def test_teacher_rejects_speech_prompts(tiny_teacher):
     with pytest.raises(ModalityError):
-        tiny_teacher.forward_logits(Prompt(SPEECH, [1, 2, 3]), [4])
+        tiny_teacher.embed_sequence(Prompt(SPEECH, [1, 2, 3]), [4])
+    with pytest.raises(ModalityError):
+        padded_log_probs(tiny_teacher, [(Prompt(SPEECH, [1, 2, 3]), [4])])
 
 
 def test_student_accepts_both_modalities(tiny_student):
-    t = tiny_student.forward_logits(Prompt(TEXT, [5, 6]), [7])
-    s = tiny_student.forward_logits(Prompt(SPEECH, [1, 2, 3, 4, 5, 6]), [7])
-    assert t.shape == s.shape
+    # Two text tokens and two speech tokens (F=3) give sequences of equal length.
+    items = [(Prompt(TEXT, [5, 6]), [7]), (Prompt(SPEECH, [1, 2, 3, 4, 5, 6]), [7])]
+    logp, seps = padded_log_probs(tiny_student, items)
+    assert logp.shape == (2, 5, tiny_student.cfg.text_vocab_size)
+    assert seps == [3, 3]
     with pytest.raises(ModalityError):
-        tiny_student.forward_logits(Prompt("AUDIO", [1]), [2])
+        tiny_student.embed_sequence(Prompt("AUDIO", [1]), [2])
 
 
 def test_student_backbone_copies_teacher(tiny_teacher, tiny_config):
@@ -74,36 +78,26 @@ def test_student_backbone_copies_teacher(tiny_teacher, tiny_config):
 
 def test_student_text_path_matches_teacher_backbone(tiny_teacher, tiny_config):
     student = init_student_from_teacher(tiny_teacher, tiny_config, seed=3)
-    prompt = Prompt(TEXT, [10, 11, 12])
-    a = tiny_teacher.forward_logits(prompt, [4, 5]).data
-    b = student.forward_logits(prompt, [4, 5]).data
-    np.testing.assert_array_equal(a, b)
+    items = [(Prompt(TEXT, [10, 11, 12]), [4, 5])]
+    np.testing.assert_array_equal(_log_probs(tiny_teacher, items), _log_probs(student, items))
 
 
 def test_forward_rejects_overlong_sequences(tiny_teacher):
     max_len = tiny_teacher.cfg.max_seq_len
     with pytest.raises(LengthError):
-        tiny_teacher.forward_logits(Prompt(TEXT, [5] * max_len), [1, 2])
+        padded_log_probs(tiny_teacher, [(Prompt(TEXT, [5] * max_len), [1, 2])])
 
 
 def _reference_sample(model, prompt, temperature, max_new, rng):
-    """Uncached ancestral sampling: one full teacher-forced pass per token."""
+    """Uncached ancestral sampling: one full independent forward per token."""
     tokens = []
-    with ad.no_grad():
-        for _ in range(max_new):
-            logits, _ = model.full_logits(prompt, tokens)
-            p = naive_softmax(logits.data[-1] / temperature)
-            tokens.append(int(rng.choice(len(p), p=p)))
-            if tokens[-1] == EOS:
-                break
+    for _ in range(max_new):
+        logits = naive_full_logits(model, prompt.modality, prompt.tokens, tokens)
+        p = naive_softmax(logits[-1] / temperature)
+        tokens.append(int(rng.choice(len(p), p=p)))
+        if tokens[-1] == EOS:
+            break
     return tokens
-
-
-def _recompute_tempered_logps(model, prompt, tokens, temperature):
-    with ad.no_grad():
-        logits = model.forward_logits(prompt, tokens).data
-    logp = np.log(naive_softmax(logits / temperature))
-    return logp[np.arange(len(tokens)), tokens]
 
 
 @pytest.mark.parametrize("modality", [TEXT, SPEECH])
@@ -121,13 +115,7 @@ def test_sampled_logp_old_matches_teacher_forced_recomputation(tiny_student, mod
         assert traj.tokens == want
         assert traj.finished == (want[-1] == EOS)
         np.testing.assert_allclose(
-            traj.logp_old, _recompute_logps(tiny_student, prompt, traj.tokens), rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            traj.logp_sample,
-            _recompute_tempered_logps(tiny_student, prompt, traj.tokens, 0.8),
-            rtol=0,
-            atol=1e-12,
+            traj.logp_old, _oracle_logps(tiny_student, prompt, traj.tokens), rtol=0, atol=1e-12
         )
 
 
@@ -143,7 +131,6 @@ def test_batched_sampling_matches_single(tiny_teacher):
         assert batched[i].finished == single.finished
         # Batched decode logits may differ from one-row logits in the last bits.
         np.testing.assert_allclose(batched[i].logp_old, single.logp_old, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(batched[i].logp_sample, single.logp_sample, rtol=0, atol=1e-12)
 
 
 def test_batched_sampling_order_invariant(tiny_teacher):
@@ -168,8 +155,14 @@ def test_greedy_decode_batch_matches_single(tiny_student):
 def test_temperature_changes_sampling_distribution(tiny_teacher):
     prompt = Prompt(TEXT, [5, 6, 7])
     traj = sample_completions_batch(tiny_teacher, [(prompt, np.random.default_rng(3))], 0.5, 4)[0]
-    # logp_old tracks the unadjusted model; logp_sample the tempered one.
-    assert traj.logp_old != traj.logp_sample
+    # Tokens are drawn at the temperature, but logp_old tracks the unadjusted model.
+    np.testing.assert_allclose(
+        traj.logp_old, _oracle_logps(tiny_teacher, prompt, traj.tokens), rtol=0, atol=1e-12
+    )
+    n = len(traj.tokens)
+    logits = naive_full_logits(tiny_teacher, TEXT, prompt.tokens, traj.tokens)[-n - 1 : -1]
+    tempered = naive_log_softmax(logits / 0.5)[np.arange(n), traj.tokens]
+    assert np.abs(np.asarray(traj.logp_old) - tempered).max() > 1e-6
     with pytest.raises(ConfigurationError):
         sample_completions_batch(tiny_teacher, [(prompt, np.random.default_rng(3))], 0.0, 4)
 
@@ -183,7 +176,7 @@ def test_batched_completion_logps_matches_per_item(tiny_student):
     flat, idx = batched_completion_logps(tiny_student, items)
     assert flat.data.shape == (sum(len(c) for _, c in items),)
     for i, (prompt, completion) in enumerate(items):
-        want = _recompute_logps(tiny_student, prompt, completion)
+        want = _oracle_logps(tiny_student, prompt, completion)
         got = flat.data[idx == i]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     with pytest.raises(ModalityError):
@@ -213,11 +206,8 @@ def test_save_load_round_trip(tiny_student, tmp_path):
     assert back.tower_frozen == tiny_student.tower_frozen
     for name, p in tiny_student.params.items():
         np.testing.assert_array_equal(back.params[name].data, p.data)
-    prompt = Prompt(SPEECH, [1, 2, 3])
-    np.testing.assert_array_equal(
-        back.forward_logits(prompt, [4]).data,
-        tiny_student.forward_logits(prompt, [4]).data,
-    )
+    items = [(Prompt(SPEECH, [1, 2, 3]), [4])]
+    np.testing.assert_array_equal(_log_probs(back, items), _log_probs(tiny_student, items))
 
 
 def test_load_model_rejects_a_checkpoint_without_model_metadata(tiny_student, tmp_path):

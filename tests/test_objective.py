@@ -1,18 +1,17 @@
 """Unit tests for the dual-advantage policy-gradient objective."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import xopd_lab.autodiff as ad
 from xopd_lab.errors import ConfigurationError, DataError, UsageError
-from xopd_lab.model import Prompt, init_student_from_teacher
-from xopd_lab.objective import (
-    cross_modal_advantage,
-    importance_ratios,
-    in_modal_advantage,
-    xopd_loss,
-)
-from xopd_lab.rollout import SPEECH, TEXT, collect_rollouts
+from xopd_lab.model import init_student_from_teacher
+from xopd_lab.objective import xopd_loss
+from xopd_lab.rollout import SPEECH, TEXT, RolloutBatch, collect_rollouts
+
+from oracles import naive_token_logps
 
 
 @pytest.fixture()
@@ -27,58 +26,61 @@ def test_in_modal_advantage_zero_when_student_is_teacher(
     clone = init_student_from_teacher(tiny_teacher, tiny_config, seed=0)
     batch = small_dataset.alignment_set("train")[:2]
     r = collect_rollouts(clone, batch, n=2, seed=1, max_new=5, modalities=(TEXT,))
-    for ex in batch:
-        for traj in r.trajectories[ex.example_id][TEXT]:
-            table = in_modal_advantage(tiny_teacher, clone, traj, ex.text_prompt)
-            np.testing.assert_allclose(table.a_values, 0.0, atol=1e-12)
+    report, _ = xopd_loss(r, tiny_teacher, clone, 1.0, batch)
+    assert report.advantages[TEXT].shape == (sum(len(t.tokens) for t in r.all_for_modality(TEXT)),)
+    np.testing.assert_allclose(report.advantages[TEXT], 0.0, rtol=0, atol=1e-12)
 
 
 def test_importance_ratios_are_one_at_sampling_point(rollouts, tiny_student):
+    # The rollout layer's logp_old against the independent forward, per token.
     batch, r = rollouts
     for ex in batch:
         for modality, tokens in ((TEXT, ex.text_prompt), (SPEECH, ex.speech_prompt)):
             for traj in r.trajectories[ex.example_id][modality]:
-                ratios = importance_ratios(traj, tiny_student, Prompt(modality, tokens))
-                np.testing.assert_allclose(ratios.data, 1.0, atol=1e-9)
+                lp = naive_token_logps(tiny_student, modality, tokens, traj.tokens)
+                np.testing.assert_allclose(np.exp(lp - traj.logp_old), 1.0, rtol=0, atol=1e-9)
+
+
+def _refiled(r, ex_id, modality, trajs):
+    """A copy of rollouts ``r`` with ``ex_id``'s ``modality`` slot replaced."""
+    out = RolloutBatch(r.sampling_config, {k: dict(v) for k, v in r.trajectories.items()})
+    out.trajectories[ex_id][modality] = trajs
+    return out
 
 
 def test_advantage_helpers_validate_modality(rollouts, tiny_teacher, tiny_student):
     batch, r = rollouts
     ex = batch[0]
-    text_traj = r.trajectories[ex.example_id][TEXT][0]
-    speech_traj = r.trajectories[ex.example_id][SPEECH][0]
-    with pytest.raises(UsageError):
-        in_modal_advantage(tiny_teacher, tiny_student, speech_traj, ex.text_prompt)
-    with pytest.raises(UsageError):
-        cross_modal_advantage(tiny_teacher, tiny_student, text_traj, ex)
+    text_trajs = r.trajectories[ex.example_id][TEXT]
+    speech_trajs = r.trajectories[ex.example_id][SPEECH]
+    # A trajectory filed under the other modality's slot.
+    for modality, trajs in ((TEXT, speech_trajs), (SPEECH, text_trajs)):
+        misfiled = _refiled(r, ex.example_id, modality, trajs)
+        with pytest.raises(UsageError):
+            xopd_loss(misfiled, tiny_teacher, tiny_student, 0.5, batch)
 
 
 def test_cross_modal_requires_paired_text(rollouts, tiny_teacher, tiny_student):
     batch, r = rollouts
-    ex = batch[0]
-    traj = r.trajectories[ex.example_id][SPEECH][0]
-    import copy
-
-    orphan = copy.replace(ex, text_prompt=[]) if hasattr(copy, "replace") else None
-    if orphan is None:
-        import dataclasses
-
-        orphan = dataclasses.replace(ex, text_prompt=[])
+    orphan = dataclasses.replace(batch[0], text_prompt=[])
+    speech_only = collect_rollouts(
+        tiny_student, [batch[0]], n=1, seed=0, max_new=4, modalities=(SPEECH,)
+    )
     with pytest.raises(DataError):
-        cross_modal_advantage(tiny_teacher, tiny_student, traj, orphan)
+        xopd_loss(speech_only, tiny_teacher, tiny_student, 0.0, [orphan])
 
 
 def test_advantage_equals_teacher_minus_student(rollouts, tiny_teacher, tiny_student):
+    # Cross-modal: the teacher reads the paired text, the student the speech.
     batch, r = rollouts
-    ex = batch[0]
-    traj = r.trajectories[ex.example_id][SPEECH][0]
-    table = cross_modal_advantage(tiny_teacher, tiny_student, traj, ex)
-    np.testing.assert_allclose(
-        table.a_values,
-        np.asarray(table.teacher_logp) - np.asarray(table.student_logp),
-        atol=1e-12,
-    )
-    assert len(table.a_values) == len(traj.tokens)
+    report, _ = xopd_loss(r, tiny_teacher, tiny_student, 0.5, batch)
+    want = []
+    for ex in batch:
+        for traj in r.trajectories[ex.example_id][SPEECH]:
+            t_lp = naive_token_logps(tiny_teacher, TEXT, ex.text_prompt, traj.tokens)
+            s_lp = naive_token_logps(tiny_student, SPEECH, ex.speech_prompt, traj.tokens)
+            want.append(t_lp - s_lp)
+    np.testing.assert_allclose(report.advantages[SPEECH], np.concatenate(want), rtol=0, atol=1e-12)
 
 
 def test_loss_is_affine_in_lambda(rollouts, tiny_teacher, tiny_student):

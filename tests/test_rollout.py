@@ -1,7 +1,5 @@
 """Unit tests for multi-sample rollout collection."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from xopd_lab.rollout import (
     TEXT,
     Trajectory,
     collect_rollouts,
-    dump_trajectories,
 )
 
 
@@ -31,9 +28,9 @@ def _flat(rollouts):
 
 def test_trajectory_validates_shape():
     with pytest.raises(UsageError):
-        Trajectory("x", TEXT, [], [], [], True)
+        Trajectory("x", TEXT, [], [], True)
     with pytest.raises(UsageError):
-        Trajectory("x", TEXT, [1, 2], [0.0], [0.0], True)
+        Trajectory("x", TEXT, [1, 2], [0.0], True)
 
 
 def test_collect_rollouts_shape(tiny_student, small_dataset):
@@ -87,13 +84,3 @@ def test_single_modality_collection(tiny_student, small_dataset):
     assert r.all_for_modality(SPEECH) == []
     assert len(r.all_for_modality(TEXT)) == 4
 
-
-def test_dump_trajectories_jsonl(tiny_student, small_dataset, tmp_path):
-    batch = small_dataset.alignment_set("train")[:2]
-    r = collect_rollouts(tiny_student, batch, n=2, seed=0, max_new=5)
-    path = tmp_path / "trajs.jsonl"
-    dump_trajectories(r, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2 * 2 * 2  # examples x modalities x n
-    rec = json.loads(lines[0])
-    assert {"example_id", "conditioning_modality", "tokens", "logp_old"} <= set(rec)

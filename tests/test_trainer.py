@@ -93,7 +93,10 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize(
     "field,bad",
-    [("temperature", 0.0), ("temperature", -1.0), ("steps", 0), ("max_new", 0)],
+    [
+        ("temperature", 0.0), ("temperature", -1.0), ("steps", 0), ("max_new", 0),
+        ("clip_epsilon", 0.0), ("clip_epsilon", -0.2),
+    ],
 )
 def test_train_config_rejects_nonpositive_sampling_and_step_counts(field, bad):
     with pytest.raises(ConfigurationError, match=field):
