@@ -115,9 +115,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -149,22 +146,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Light operator sugar for readability in model code.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -97,6 +97,14 @@ def _build(cls, values, section: str):
         raise ConfigurationError(f"bad {section} config value: {e}") from None
 
 
+def _flag_list(text: str, convert, flag: str) -> list:
+    """A comma-separated flag value as a list, or a usage error naming the flag."""
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} expects comma-separated {convert.__name__} values, got {text!r}") from None
+
+
 def _pipeline_config(cfg: dict, own: tuple[str, ...] = ()) -> PipelineConfig:
     """The pipeline config from a loaded config; ``own`` names the top-level
     sections the command reads itself."""
@@ -125,14 +133,10 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.set or [])
     pc = _pipeline_config(cfg, own=("train",))
     # Validate the run's config before any work, so a bad value writes nothing.
-    tc_kwargs = dict(cfg.get("train", {}))
-    tc_kwargs.update(
-        method=args.method, seed=args.seed,
-        lam=args.lam if args.lam is not None else tc_kwargs.get("lam", 0.5),
-        n_rollouts=args.rollouts or tc_kwargs.get("n_rollouts", 4),
-    )
-    if args.steps:
-        tc_kwargs["steps"] = args.steps
+    tc_kwargs = dict(cfg.get("train", {}), method=args.method, seed=args.seed)
+    for key, flag in (("lam", args.lam), ("n_rollouts", args.rollouts), ("steps", args.steps)):
+        if flag is not None:
+            tc_kwargs[key] = flag
     tc = _build(TrainConfig, tc_kwargs, "train")
     out = Path(args.out)
     data_dir = Path(args.data)
@@ -167,6 +171,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    lambdas = None
+    if args.ablation:
+        key, _, vals = args.ablation.partition("=")
+        if key != "lambda":
+            raise UsageError(f"--ablation expects lambda=v1,v2,..., got {args.ablation!r}")
+        lambdas = _flag_list(vals, float, "--ablation")
+        if len(lambdas) != len(args.checkpoints):
+            raise UsageError("--ablation needs one lambda per checkpoint")
     data_dir = _require(args.data, "dataset directory")
     dataset = load_dataset(data_dir)
     out = Path(args.out)
@@ -179,14 +191,6 @@ def cmd_eval(args) -> int:
         base_report = evaluate_model(base, dataset, "base", args.seed, n_eval=args.n_eval, **kwargs)
         write_report(base_report, out / "report_base.json")
     reports = []
-    lambdas = None
-    if args.ablation:
-        key, _, vals = args.ablation.partition("=")
-        if key != "lambda":
-            raise UsageError(f"--ablation expects lambda=v1,v2,..., got {args.ablation!r}")
-        lambdas = [float(v) for v in vals.split(",")]
-        if len(lambdas) != len(args.checkpoints):
-            raise UsageError("--ablation needs one lambda per checkpoint")
     for i, ckpt in enumerate(args.checkpoints):
         model = load_model(_require(ckpt, "checkpoint"))
         model_id = Path(ckpt).stem if lambdas is None else f"lambda={lambdas[i]:g}"
@@ -203,25 +207,27 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    pc = _pipeline_config(_load_config(args.config, args.set or []))
+    cfg = _load_config(args.config, args.set or [])
+    cfg["lambda_grid"] = _flag_list(args.lambdas, float, "--lambdas")
+    pc = _pipeline_config(cfg)
     dataset = load_dataset(_require(args.data, "dataset directory"))
     teacher = load_model(_require(args.teacher, "teacher checkpoint"))
     student = load_model(_require(args.student, "student checkpoint"))
     teachers = {"teacher": teacher}
     if args.teacher2:
         teachers["teacher_large"] = load_model(_require(args.teacher2, "second teacher checkpoint"))
-    lambdas = tuple(float(v) for v in args.lambdas.split(","))
     out = Path(args.out)
-    _write_resolved(out, {"lambdas": list(lambdas), "teachers": list(teachers)})
-    run_ablation(teachers, lambdas, pc, dataset, student, "teacher", args.seed, out)
+    _write_resolved(out, {"lambdas": list(pc.lambda_grid), "teachers": list(teachers)})
+    run_ablation(teachers, pc.lambda_grid, pc, dataset, student, "teacher", args.seed, out)
     print(f"ablation grid written to {out / 'ablation_grid.json'}")
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    pc = _pipeline_config(_load_config(args.config, args.set or []))
+    cfg = _load_config(args.config, args.set or [])
     if args.seeds:
-        pc.seeds = tuple(int(s) for s in args.seeds.split(","))
+        cfg["seeds"] = _flag_list(args.seeds, int, "--seeds")
+    pc = _pipeline_config(cfg)
     out = Path(args.out)
     _write_resolved(out, asdict(pc))
     report = reproduce_paper_trends(pc, out)

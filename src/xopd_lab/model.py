@@ -176,9 +176,6 @@ class TeacherModel:
     def backbone_params(self) -> dict[str, Tensor]:
         return self.params
 
-    def trainable_params(self) -> dict[str, Tensor]:
-        return self.params
-
     def embed_sequence(self, prompt: Prompt, completion: list[int]) -> tuple[Tensor, int]:
         """Embed <bos> prompt <sep> completion; returns (emb, sep index)."""
         if prompt.modality != TEXT:
@@ -196,18 +193,11 @@ class StudentModel(TeacherModel):
 
     BACKBONE_EXTRA = ("tower.emb", "adapter.w", "adapter.b")
 
-    def __init__(self, cfg: ModelConfig, params: dict[str, Tensor], tower_frozen: bool = True):
-        super().__init__(cfg, params)
-        self.tower_frozen = tower_frozen
-
     def backbone_params(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if k not in self.BACKBONE_EXTRA}
 
     def speech_params(self) -> dict[str, Tensor]:
         return {k: self.params[k] for k in self.BACKBONE_EXTRA}
-
-    def trainable_params(self) -> dict[str, Tensor]:
-        return self.backbone_params() if self.tower_frozen else self.params
 
     def embed_sequence(self, prompt: Prompt, completion: list[int]) -> tuple[Tensor, int]:
         if prompt.modality == TEXT:
@@ -444,8 +434,6 @@ def batched_completion_logps(
 
 def save_model(model: TeacherModel, path: str | Path) -> None:
     meta = {"kind": model.kind, "config": asdict(model.cfg)}
-    if isinstance(model, StudentModel):
-        meta["tower_frozen"] = model.tower_frozen
     save_checkpoint(path, model.params, meta)
 
 
@@ -457,5 +445,5 @@ def load_model(path: str | Path) -> TeacherModel:
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: not a model checkpoint ({type(e).__name__}: {e})") from None
     if kind == "student":
-        return StudentModel(cfg, params, tower_frozen=meta.get("tower_frozen", True))
+        return StudentModel(cfg, params)
     return TeacherModel(cfg, params)

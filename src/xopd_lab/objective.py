@@ -40,8 +40,7 @@ class XopdLossReport:
     lam: float
     n_text_trajectories: int
     n_speech_trajectories: int
-    # Flat per-token advantages by modality, fixed at the sampling point;
-    # pass them back to xopd_loss for later mini-epochs. Not a metric.
+    # Flat per-token advantages by modality. Not a metric.
     advantages: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
@@ -56,32 +55,17 @@ def _check_vocabs(teacher, student) -> None:
         )
 
 
-def _clip_term(ratios: Tensor, adv: np.ndarray, eps: float) -> Tensor:
-    """PPO-style pessimistic clipping: min(r*A, clip(r)*A), elementwise."""
-    r = ratios.data
-    clipped = np.clip(r, 1.0 - eps, 1.0 + eps)
-    unclipped_wins = (r * adv <= clipped * adv).astype(float)
-    live = ad.mul(ad.mul(ratios, Tensor(adv)), Tensor(unclipped_wins))
-    frozen = Tensor(clipped * adv * (1.0 - unclipped_wins))
-    return ad.add(live, frozen)
-
-
 def xopd_loss(
     rollouts: RolloutBatch,
     teacher,
     student,
     lam: float,
     examples: list[PairedExample],
-    clip_epsilon: float | None = None,
-    advantages: dict[str, np.ndarray] | None = None,
 ) -> tuple[XopdLossReport, Tensor]:
     """Blended objective over a rollout batch; the returned scalar is maximized.
 
-    The advantage belongs to the sampling point: the first call on a rollout
-    batch runs the teacher pass and takes the advantage against the current
-    student, and the report carries it as ``report.advantages``. Later
-    mini-epochs on the same batch pass that back as ``advantages``; the
-    teacher pass is then skipped and only the ratios see the updated student.
+    One teacher pass per modality gives the advantage against the current
+    student, which the report carries as ``report.advantages``.
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigurationError(f"lambda must be in [0,1], got {lam}")
@@ -129,15 +113,12 @@ def xopd_loss(
         if not student_items:
             return None
         lp_new, _ = batched_completion_logps(student, student_items)
-        if advantages is None:
-            with ad.no_grad():
-                t_lp, _ = batched_completion_logps(teacher, teacher_items)
-            adv = t_lp.data - lp_new.data
-        else:
-            adv = advantages[modality]
+        with ad.no_grad():
+            t_lp, _ = batched_completion_logps(teacher, teacher_items)
+        adv = t_lp.data - lp_new.data
         adv_by_modality[modality] = adv
         r = ad.exp(ad.sub(lp_new, Tensor(np.concatenate(logp_old))))
-        term = _clip_term(r, adv, clip_epsilon) if clip_epsilon else ad.mul(r, Tensor(adv))
+        term = ad.mul(r, Tensor(adv))
         w = np.concatenate(weights) / n_examples
         ratio_vals.extend(r.data.tolist())
         adv_vals.extend(np.abs(adv).tolist())

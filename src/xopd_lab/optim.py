@@ -8,21 +8,15 @@ from .autodiff import Tensor
 
 
 class Adam:
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         if lr < 0:
             raise ValueError(f"learning rate must be >= 0, got {lr}")
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in self.params.items()}
@@ -33,7 +27,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name in sorted(self.params):
             p = self.params[name]
             if p.grad is None:
@@ -43,4 +37,4 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             mhat = self.m[name] / (1 - b1**self.t)
             vhat = self.v[name] / (1 - b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)

@@ -20,23 +20,9 @@ from .model import MODALITIES, SPEECH, TEXT, Prompt, Trajectory, sample_completi
 
 
 @dataclass
-class SamplingConfig:
-    n: int = 4
-    temperature: float = 1.0
-    max_new: int = 16
-
-
-@dataclass
 class RolloutBatch:
-    sampling_config: SamplingConfig
     # example_id -> modality -> list of n trajectories
     trajectories: dict[str, dict[str, list[Trajectory]]] = field(default_factory=dict)
-
-    def all_for_modality(self, modality: str) -> list[Trajectory]:
-        out = []
-        for per_mod in self.trajectories.values():
-            out.extend(per_mod.get(modality, []))
-        return out
 
 
 def _unit_seed(master_seed: int, example_id: str, modality: str, sample_idx: int) -> list[int]:
@@ -72,7 +58,7 @@ def collect_rollouts(
         units.append((Prompt(modality, tokens), rng))
     trajs = sample_completions_batch(student, units, temperature, max_new)
 
-    out = RolloutBatch(sampling_config=SamplingConfig(n=n, temperature=temperature, max_new=max_new))
+    out = RolloutBatch()
     for (ex, modality, j), traj in zip(keys, trajs):
         traj.example_id = ex.example_id
         per_mod = out.trajectories.setdefault(ex.example_id, {})

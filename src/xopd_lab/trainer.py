@@ -51,6 +51,18 @@ PAPER_PROVENANCE = {
 }
 
 
+def _check_config(cfg, counts: tuple[str, ...], unit: str) -> None:
+    """Checks shared by the training, pretraining and gap configs: every
+    count >= 1, ``learning_rate`` >= 0 and the ``unit`` field in [0, 1]."""
+    for name in counts:
+        if getattr(cfg, name) < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {getattr(cfg, name)!r}")
+    if cfg.learning_rate < 0:
+        raise ConfigurationError(f"learning_rate must be >= 0, got {cfg.learning_rate!r}")
+    if not 0.0 <= getattr(cfg, unit) <= 1.0:
+        raise ConfigurationError(f"{unit} must be in [0, 1], got {getattr(cfg, unit)!r}")
+
+
 @dataclass
 class TrainConfig:
     method: str = "xopd"
@@ -65,13 +77,7 @@ class TrainConfig:
     epochs: int = 1  # data passes for SFT / offline KD
     temperature: float = 1.0
     max_new: int = 12
-    freeze_tower: bool = True
-    mini_epochs: int = 1
-    clip_epsilon: float | None = None
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     checkpoint_interval: int = 0  # 0 = final checkpoint only
     # Rollouts run as one batched call in one thread; only 1 is accepted, so
     # callers that still pass workers=1 keep working.
@@ -80,20 +86,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigurationError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigurationError(f"lambda must be in [0,1], got {self.lam}")
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
-        if min(self.n_rollouts, self.batch_size, self.epochs, self.mini_epochs) < 1:
-            raise ConfigurationError("counts must be >= 1")
-        if self.steps < 1:
-            raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
-        if self.max_new < 1:
-            raise ConfigurationError(f"max_new must be >= 1, got {self.max_new}")
+        _check_config(self, ("n_rollouts", "batch_size", "epochs", "steps", "max_new"), "lam")
         if self.temperature <= 0:
             raise ConfigurationError(f"temperature must be > 0, got {self.temperature}")
-        if self.clip_epsilon is not None and self.clip_epsilon <= 0:
-            raise ConfigurationError(f"clip_epsilon must be > 0 (None is off), got {self.clip_epsilon}")
         if self.workers != 1:
             raise ConfigurationError(f"workers must be 1, got {self.workers}")
 
@@ -109,6 +104,13 @@ class PretrainConfig:
     n_val: int = 150
     max_new: int = 12
 
+    def __post_init__(self) -> None:
+        _check_config(self, ("batch_size", "max_steps", "eval_every", "n_val", "max_new"), "target_accuracy")
+        if not 0.0 <= self.min_learning_rate <= self.learning_rate:
+            raise ConfigurationError(
+                f"min_learning_rate must be in [0, learning_rate], got {self.min_learning_rate!r}"
+            )
+
 
 @dataclass
 class GapConfig:
@@ -121,18 +123,35 @@ class GapConfig:
     n_val: int = 100
     max_new: int = 12
 
+    def __post_init__(self) -> None:
+        _check_config(self, ("max_steps", "check_every", "n_val", "max_new"), "acoustic_target")
+        # Each batch is half ACOUSTIC, half drawn without replacement from
+        # the speech subset.
+        if self.batch_size < 2:
+            raise ConfigurationError(f"batch_size must be >= 2, got {self.batch_size!r}")
+        if self.speech_subset_size < self.batch_size - self.batch_size // 2:
+            raise ConfigurationError(
+                f"speech_subset_size must hold half a batch ({self.batch_size - self.batch_size // 2}), "
+                f"got {self.speech_subset_size!r}"
+            )
 
-def _zero_all(model: TeacherModel) -> None:
-    for p in model.params.values():
+
+def _optimizer(model: TeacherModel, trained: dict[str, Tensor], lr: float) -> Adam:
+    """Adam over exactly ``trained``; every other parameter of ``model``
+    stops recording gradients, so backward skips its weight gradient."""
+    for name, p in model.params.items():
+        p.requires_grad = name in trained
         p.zero_grad()
+    return Adam(trained, lr=lr)
 
 
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
-def _grads_finite(params: dict[str, Tensor]) -> bool:
-    return all(p.grad is None or np.all(np.isfinite(p.grad)) for p in params.values())
+def _apply(opt: Adam, loss: Tensor) -> None:
+    """One update: zero, backward, finite-gradient check, Adam step."""
+    opt.zero_grad()
+    loss.backward()
+    if not all(p.grad is None or np.all(np.isfinite(p.grad)) for p in opt.params.values()):
+        raise TrainingFailure("non-finite gradient")
+    opt.step()
 
 
 def pretrain_teacher(
@@ -151,7 +170,7 @@ def pretrain_teacher(
     ][: cfg.n_val]
     if not val:
         raise UsageError("pretraining needs val REASONING data")
-    opt = Adam(teacher.params, lr=cfg.learning_rate)
+    opt = _optimizer(teacher, teacher.params, cfg.learning_rate)
     history = []
     for step in range(1, cfg.max_steps + 1):
         # Cosine decay keeps late training stable at desk scale.
@@ -161,9 +180,7 @@ def pretrain_teacher(
         )
         batch = pretraining_batch(seed, step, cfg.batch_size)
         loss = sft_batch_loss(teacher, batch, modality=TEXT)
-        _zero_all(teacher)
-        loss.backward()
-        opt.step()
+        _apply(opt, loss)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             acc = score_model(teacher, val, TEXT, max_new=cfg.max_new)
             history.append({"step": step, "loss": float(loss.data), "val_accuracy": acc})
@@ -198,9 +215,6 @@ def build_gapped_student(
     the target. The recipe is a controlled fixture: seeded, measured, and
     reported."""
     student = init_student_from_teacher(teacher, model_cfg, seed)
-    student.tower_frozen = False
-    for name in student.BACKBONE_EXTRA:
-        student.params[name].requires_grad = True
 
     acoustic = dataset.split_family("train", "ACOUSTIC")
     speech_subset = dataset.alignment_set("train")[: cfg.speech_subset_size]
@@ -209,7 +223,7 @@ def build_gapped_student(
     if not acoustic or not speech_subset or not val_acoustic:
         raise UsageError("gap construction needs ACOUSTIC and alignment data")
 
-    opt = Adam(student.speech_params(), lr=cfg.learning_rate)
+    opt = _optimizer(student, student.speech_params(), cfg.learning_rate)
     rng = np.random.default_rng([seed, 0x6A9])
     half = cfg.batch_size // 2
     steps_used = 0
@@ -221,16 +235,13 @@ def build_gapped_student(
             for i in rng.choice(len(speech_subset), size=cfg.batch_size - half, replace=False)
         ]
         loss = sft_batch_loss(student, batch, modality=SPEECH)
-        _zero_all(student)
-        loss.backward()
-        opt.step()
+        _apply(opt, loss)
         steps_used = step
         if step % cfg.check_every == 0 or step == cfg.max_steps:
             acoustic_acc = score_model(student, val_acoustic, SPEECH, max_new=4)
             if acoustic_acc >= cfg.acoustic_target:
                 break
 
-    student.tower_frozen = True
     teacher_text = score_model(teacher, val_align, TEXT, max_new=cfg.max_new)
     student_speech = score_model(student, val_align, SPEECH, max_new=cfg.max_new)
     student_text = score_model(student, val_align, TEXT, max_new=cfg.max_new)
@@ -251,7 +262,7 @@ def build_gapped_student(
 
 def clone_student(student: StudentModel) -> StudentModel:
     params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in student.params.items()}
-    return StudentModel(student.cfg, params, tower_frozen=student.tower_frozen)
+    return StudentModel(student.cfg, params)
 
 
 def run_method(
@@ -264,22 +275,15 @@ def run_method(
     """Train the student in place with the configured method.
 
     Per step: snapshot -> rollouts (policy methods) -> loss -> backward ->
-    Adam update on the trainable set. The frozen-tower contract is asserted
-    byte-for-byte after every step.
+    Adam update on the backbone. The speech pathway (tower and adapter) is
+    frozen, as in the paper, and asserted byte-for-byte after every step.
     """
     alignment = dataset.alignment_set("train")
     if not alignment:
         raise UsageError("alignment dataset is empty")
 
-    student.tower_frozen = cfg.freeze_tower
-    for name in student.BACKBONE_EXTRA:
-        # Skipping grad bookkeeping on frozen params; updates are gated by
-        # the optimizer param set either way.
-        student.params[name].requires_grad = not cfg.freeze_tower
-    trainable = student.trainable_params()
     tower_bytes = {k: student.params[k].data.tobytes() for k in student.BACKBONE_EXTRA}
-
-    opt = Adam(trainable, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+    opt = _optimizer(student, student.backbone_params(), cfg.learning_rate)
     rng = np.random.default_rng([cfg.seed, 0xD0])
 
     run_dir = Path(out_dir) if out_dir else None
@@ -323,7 +327,7 @@ def run_method(
                 idx = order[pos * cfg.batch_size : (pos + 1) * cfg.batch_size]
                 loss = sft_batch_loss(student, [train_data[i] for i in idx], modality=SPEECH)
                 row = {"step": step, "loss": float(loss.data)}
-                _apply(opt, student, loss)
+                _apply(opt, loss)
             elif cfg.method == "gkd":
                 idx = rng.choice(len(train_data), size=min(cfg.batch_size, len(train_data)), replace=False)
                 batch = [train_data[i] for i in idx]
@@ -337,7 +341,7 @@ def run_method(
                 ]
                 loss = gkd_batch_loss(teacher, student, pairs)
                 row = {"step": step, "loss": float(loss.data)}
-                _apply(opt, student, loss)
+                _apply(opt, loss)
             else:  # xopd
                 idx = rng.choice(len(train_data), size=min(cfg.batch_size, len(train_data)), replace=False)
                 batch = [train_data[i] for i in idx]
@@ -352,25 +356,18 @@ def run_method(
                     temperature=cfg.temperature, max_new=cfg.max_new,
                     modalities=modalities,
                 )
-                advantages = None  # fixed at the first mini-epoch, the sampling point
-                for _ in range(cfg.mini_epochs):
-                    report, objective = xopd_loss(
-                        rollouts, teacher, student, cfg.lam, batch,
-                        clip_epsilon=cfg.clip_epsilon, advantages=advantages,
-                    )
-                    advantages = report.advantages
-                    loss = ad.neg(objective)
-                    _apply(opt, student, loss)
+                report, objective = xopd_loss(rollouts, teacher, student, cfg.lam, batch)
+                loss = ad.neg(objective)
+                _apply(opt, loss)
                 row = {"step": step, **report.to_dict()}
 
-            if not _finite(float(loss.data)):
+            if not math.isfinite(float(loss.data)):
                 raise TrainingFailure(
                     f"non-finite loss at step {step}", last_good_checkpoint=last_good
                 )
-            if cfg.freeze_tower:
-                for k in student.BACKBONE_EXTRA:
-                    if student.params[k].data.tobytes() != tower_bytes[k]:
-                        raise TrainingFailure(f"frozen parameter {k} changed at step {step}")
+            for k in student.BACKBONE_EXTRA:
+                if student.params[k].data.tobytes() != tower_bytes[k]:
+                    raise TrainingFailure(f"frozen parameter {k} changed at step {step}")
             metrics.append(row)
             if metrics_f:
                 metrics_f.write(json.dumps(row, sort_keys=True) + "\n")
@@ -396,11 +393,3 @@ def run_method(
         }
         (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return student, metrics
-
-
-def _apply(opt: Adam, student: StudentModel, loss: Tensor) -> None:
-    _zero_all(student)
-    loss.backward()
-    if not _grads_finite(opt.params):
-        raise TrainingFailure("non-finite gradient")
-    opt.step()

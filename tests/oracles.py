@@ -195,3 +195,9 @@ def naive_read_label(codec, frames: list[int], tokens: list[int]) -> int | None:
     if sum(votes) == 0:
         return None
     return votes.index(max(votes))
+
+
+def trajectories_of(rollouts, modality: str) -> list:
+    """Every trajectory of one conditioning modality in a rollout batch,
+    in example order."""
+    return [t for per_mod in rollouts.trajectories.values() for t in per_mod.get(modality, [])]

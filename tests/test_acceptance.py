@@ -49,14 +49,13 @@ from xopd_lab.pipeline import DEFAULT_SIZES, PipelineConfig, reproduce_paper_tre
 from xopd_lab.rollout import (
     TEXT,
     RolloutBatch,
-    SamplingConfig,
     Trajectory,
     collect_rollouts,
 )
 from xopd_lab.trainer import TrainConfig, clone_student, run_method
 
 from gradcheck import check_op, op_cases
-from oracles import enumerate_completions, naive_token_logps
+from oracles import enumerate_completions, naive_token_logps, trajectories_of
 
 # ---------------------------------------------------------------------------
 # Criterion 1: gradient suite
@@ -122,7 +121,7 @@ def test_criterion_2a_in_modal_advantage_zero_for_identical_policies():
     rollouts = collect_rollouts(twin, [ex], n=4, seed=0, max_new=4, modalities=(TEXT,))
     report, _ = xopd_loss(rollouts, teacher, twin, 1.0, [ex])
     adv = report.advantages[TEXT]
-    assert adv.size == sum(len(t.tokens) for t in rollouts.all_for_modality(TEXT))
+    assert adv.size == sum(len(t.tokens) for t in trajectories_of(rollouts, TEXT))
     assert np.abs(adv).max() <= 1e-12
 
 
@@ -142,7 +141,7 @@ def test_criterion_2b_importance_ratios_one_at_sampling_point(monkeypatch):
     monkeypatch.setattr(ad, "exp", spy)
     xopd_loss(rollouts, teacher, student, 1.0, [ex])
     r = np.concatenate(ratios)
-    assert r.size == sum(len(t.tokens) for t in rollouts.all_for_modality(TEXT))
+    assert r.size == sum(len(t.tokens) for t in trajectories_of(rollouts, TEXT))
     assert np.allclose(r, 1.0, rtol=0, atol=1e-9)
 
 
@@ -183,7 +182,7 @@ def test_criterion_2d_expected_gradient_matches_exact_reverse_kl_gradient():
         p_y = float(np.exp(lp_old.sum()))
 
         traj = Trajectory("toy-0", TEXT, y, list(lp_old), True)
-        rollouts = RolloutBatch(SamplingConfig(n=1, max_new=L))
+        rollouts = RolloutBatch()
         rollouts.trajectories = {"toy-0": {TEXT: [traj]}}
         _, total = xopd_loss(rollouts, teacher, student, 1.0, [ex])
         for p in student.params.values():
@@ -249,7 +248,7 @@ def test_criterion_3_single_step_reduces_exhaustive_reverse_kl(seed):
     for p in student.params.values():
         p.zero_grad()
     loss.backward()
-    Adam(student.trainable_params(), lr=1e-4).step()
+    Adam(student.backbone_params(), lr=1e-4).step()
 
     after = _exhaustive_reverse_kl(student, teacher, prompt, 3)
     assert after < before, f"seed {seed}: KL {before:.6f} -> {after:.6f}"
@@ -274,6 +273,7 @@ def _per_seed_numbers(trend_report: dict) -> str:
     )
 
 
+@pytest.mark.trend
 def test_criterion_4_gap_narrowing(trend_report):
     crit = trend_report["criteria"]["gap_narrowing"]
     assert crit["ok"], (
@@ -282,6 +282,7 @@ def test_criterion_4_gap_narrowing(trend_report):
     )
 
 
+@pytest.mark.trend
 def test_criterion_5_forgetting(trend_report):
     crit = trend_report["criteria"]["forgetting"]
     assert crit["ok"], (
@@ -290,6 +291,7 @@ def test_criterion_5_forgetting(trend_report):
     )
 
 
+@pytest.mark.trend
 def test_criterion_6_sft_text_degradation_or_deviation_record(trend_report):
     crit = trend_report["criteria"]["sft_text_worsens"]
     n = crit["of"]

@@ -177,7 +177,7 @@ def test_malformed_override_is_usage_error(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("field", ["temperature", "steps", "max_new", "clip_epsilon"])
+@pytest.mark.parametrize("field", ["temperature", "steps", "max_new"])
 def test_train_bad_train_config_exits_2_before_writing(tmp_path, field, capsys):
     data, out = tmp_path / "data", tmp_path / "run"
     code = main([
@@ -232,8 +232,28 @@ def test_train_damaged_dataset_exits_1_without_traceback(tmp_path, data_dir, ckp
     (["reproduce-paper-trends", "--set", "xopd_steps=0"], "xopd_steps"),
     (["reproduce-paper-trends", "--set", "lambda_grid=[2.0]"], "lambda_grid"),
     (["reproduce-paper-trends", "--set", "learning_rate=-1"], "learning_rate"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "pretrain.max_steps=0"],
+     "max_steps"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "pretrain.batch_size=0"],
+     "batch_size"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set",
+      "pretrain.min_learning_rate=0.01"], "min_learning_rate"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "gap.batch_size=1"],
+     "batch_size"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "gap.acoustic_target=1.5"],
+     "acoustic_target"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "gap.learning_rate=-1"],
+     "learning_rate"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set",
+      "gap.speech_subset_size=4"], "speech_subset_size"),
+    # Flags set to 0 reach the TrainConfig checks instead of falling back to defaults.
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--steps", "0"], "steps"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--rollouts", "0"], "n_rollouts"),
 ], ids=["train.foo", "model.foo", "pipeline.seeds", "foo", "sizes=3", "noise_rate=x",
-        "model.frames_per_token=4", "xopd_steps=0", "lambda_grid=[2.0]", "learning_rate=-1"])
+        "model.frames_per_token=4", "xopd_steps=0", "lambda_grid=[2.0]", "learning_rate=-1",
+        "pretrain.max_steps=0", "pretrain.batch_size=0", "pretrain.min_learning_rate=0.01",
+        "gap.batch_size=1", "gap.acoustic_target=1.5", "gap.learning_rate=-1",
+        "gap.speech_subset_size=4", "steps=0", "rollouts=0"])
 def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, capsys):
     data, out = tmp_path / "data", tmp_path / "out"
     code = main([a.format(data=data) for a in argv] + ["--out", str(out)])
@@ -241,6 +261,24 @@ def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, caps
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and unknown in err[0]
     assert not data.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["reproduce-paper-trends", "--seeds", "0,x"], "--seeds"),
+    (["ablation", "--data", "{data}", "--teacher", "t.ckpt", "--student", "s.ckpt",
+      "--lambdas", "0.5,x"], "--lambdas"),
+    (["eval", "a.ckpt", "--data", "{data}", "--ablation", "lambda=x"], "--ablation"),
+    # A parsed value still goes through PipelineConfig's lambda_grid check.
+    (["ablation", "--data", "{data}", "--teacher", "t.ckpt", "--student", "s.ckpt",
+      "--lambdas", "0,2"], "lambda_grid"),
+], ids=["seeds", "lambdas", "ablation", "lambdas-range"])
+def test_bad_list_flag_exits_2_before_work(tmp_path, argv, named, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    code = main([a.format(data=data) for a in argv] + ["--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+    assert not out.exists()
 
 
 def test_pipeline_config_takes_every_pipeline_field():

@@ -72,8 +72,7 @@ def test_student_backbone_copies_teacher(tiny_teacher, tiny_config):
         np.testing.assert_array_equal(student.params[name].data, p.data)
         assert student.params[name] is not p  # independent storage
     assert set(student.speech_params()) == set(StudentModel.BACKBONE_EXTRA)
-    assert student.tower_frozen
-    assert set(student.trainable_params()) == set(tiny_teacher.params)
+    assert set(student.backbone_params()) == set(tiny_teacher.params)
 
 
 def test_student_text_path_matches_teacher_backbone(tiny_teacher, tiny_config):
@@ -203,7 +202,6 @@ def test_save_load_round_trip(tiny_student, tmp_path):
     back = load_model(path)
     assert isinstance(back, StudentModel)
     assert back.cfg == tiny_student.cfg
-    assert back.tower_frozen == tiny_student.tower_frozen
     for name, p in tiny_student.params.items():
         np.testing.assert_array_equal(back.params[name].data, p.data)
     items = [(Prompt(SPEECH, [1, 2, 3]), [4])]

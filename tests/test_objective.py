@@ -11,7 +11,7 @@ from xopd_lab.model import init_student_from_teacher
 from xopd_lab.objective import xopd_loss
 from xopd_lab.rollout import SPEECH, TEXT, RolloutBatch, collect_rollouts
 
-from oracles import naive_token_logps
+from oracles import naive_token_logps, trajectories_of
 
 
 @pytest.fixture()
@@ -27,7 +27,7 @@ def test_in_modal_advantage_zero_when_student_is_teacher(
     batch = small_dataset.alignment_set("train")[:2]
     r = collect_rollouts(clone, batch, n=2, seed=1, max_new=5, modalities=(TEXT,))
     report, _ = xopd_loss(r, tiny_teacher, clone, 1.0, batch)
-    assert report.advantages[TEXT].shape == (sum(len(t.tokens) for t in r.all_for_modality(TEXT)),)
+    assert report.advantages[TEXT].shape == (sum(len(t.tokens) for t in trajectories_of(r, TEXT)),)
     np.testing.assert_allclose(report.advantages[TEXT], 0.0, rtol=0, atol=1e-12)
 
 
@@ -43,7 +43,7 @@ def test_importance_ratios_are_one_at_sampling_point(rollouts, tiny_student):
 
 def _refiled(r, ex_id, modality, trajs):
     """A copy of rollouts ``r`` with ``ex_id``'s ``modality`` slot replaced."""
-    out = RolloutBatch(r.sampling_config, {k: dict(v) for k, v in r.trajectories.items()})
+    out = RolloutBatch({k: dict(v) for k, v in r.trajectories.items()})
     out.trajectories[ex_id][modality] = trajs
     return out
 
@@ -128,7 +128,7 @@ def test_xopd_loss_per_token_ratios_are_one_at_sampling_point(
     monkeypatch.setattr(ad, "exp", spy)
     xopd_loss(r, tiny_teacher, tiny_student, 0.5, batch)
     flat = np.concatenate(ratios)
-    n_tokens = sum(len(t.tokens) for m in (TEXT, SPEECH) for t in r.all_for_modality(m))
+    n_tokens = sum(len(t.tokens) for m in (TEXT, SPEECH) for t in trajectories_of(r, m))
     assert flat.shape == (n_tokens,)
     np.testing.assert_allclose(flat, 1.0, rtol=0, atol=1e-12)
 
@@ -146,13 +146,6 @@ def test_loss_backward_touches_student_only(rollouts, tiny_teacher, tiny_student
     assert all(np.all(np.isfinite(p.grad)) for p in live)
     for p in tiny_student.params.values():
         p.zero_grad()
-
-
-def test_clipping_never_increases_the_objective(rollouts, tiny_teacher, tiny_student):
-    batch, r = rollouts
-    _, plain = xopd_loss(r, tiny_teacher, tiny_student, 0.5, batch)
-    _, clipped = xopd_loss(r, tiny_teacher, tiny_student, 0.5, batch, clip_epsilon=0.2)
-    assert float(clipped.data) <= float(plain.data) + 1e-12
 
 
 def test_xopd_loss_validates_inputs(rollouts, tiny_teacher, tiny_student, small_dataset):

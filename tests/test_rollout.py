@@ -12,6 +12,8 @@ from xopd_lab.rollout import (
     collect_rollouts,
 )
 
+from oracles import trajectories_of
+
 
 def _traj_key(t):
     return (t.example_id, t.conditioning_modality, tuple(t.tokens), tuple(t.logp_old))
@@ -41,7 +43,7 @@ def test_collect_rollouts_shape(tiny_student, small_dataset):
         assert set(per_mod) == set(MODALITIES)
         for trajs in per_mod.values():
             assert len(trajs) == 2
-    for t in r.all_for_modality(SPEECH):
+    for t in trajectories_of(r, SPEECH):
         assert t.conditioning_modality == SPEECH
 
 
@@ -81,6 +83,6 @@ def test_collect_rollouts_validates_inputs(tiny_student, small_dataset):
 def test_single_modality_collection(tiny_student, small_dataset):
     batch = small_dataset.alignment_set("train")[:2]
     r = collect_rollouts(tiny_student, batch, n=2, seed=0, max_new=5, modalities=(TEXT,))
-    assert r.all_for_modality(SPEECH) == []
-    assert len(r.all_for_modality(TEXT)) == 4
+    assert trajectories_of(r, SPEECH) == []
+    assert len(trajectories_of(r, TEXT)) == 4
 
