@@ -24,7 +24,7 @@ from .errors import (
     XopdError,
 )
 from .evaluation import avg_drop, comparison_table_csv, evaluate_model, write_report
-from .model import TEXT, ModelConfig, StudentModel, load_model, save_model
+from .model import ModelConfig, StudentModel, load_model, save_model
 from .pipeline import (
     PipelineConfig,
     reproduce_paper_trends,
@@ -84,15 +84,16 @@ def _require(path: str | Path, what: str) -> Path:
     return p
 
 
-def _build(cls, values, section: str):
-    """``cls(**values)``, with unknown keys and bad values as config errors."""
+def _build(cls, values, section: str, **fixed):
+    """``cls(**values, **fixed)``, with unknown keys and bad values as config
+    errors; ``fixed`` holds values the command sets itself, which win."""
     if not isinstance(values, dict):
         raise ConfigurationError(f"config section {section!r} must be an object, got {values!r}")
     unknown = sorted(set(values) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigurationError(f"unknown {section} config key(s): {', '.join(unknown)}")
     try:
-        return cls(**values)
+        return cls(**{**values, **fixed})
     except TypeError as e:
         raise ConfigurationError(f"bad {section} config value: {e}") from None
 
@@ -133,11 +134,11 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.set or [])
     pc = _pipeline_config(cfg, own=("train",))
     # Validate the run's config before any work, so a bad value writes nothing.
-    tc_kwargs = dict(cfg.get("train", {}), method=args.method, seed=args.seed)
-    for key, flag in (("lam", args.lam), ("n_rollouts", args.rollouts), ("steps", args.steps)):
-        if flag is not None:
-            tc_kwargs[key] = flag
-    tc = _build(TrainConfig, tc_kwargs, "train")
+    flags = {"lam": args.lam, "n_rollouts": args.rollouts, "steps": args.steps}
+    tc = _build(
+        TrainConfig, cfg.get("train", {}), "train", method=args.method, seed=args.seed,
+        **{k: v for k, v in flags.items() if v is not None},
+    )
     out = Path(args.out)
     data_dir = Path(args.data)
     if not data_dir.exists():
@@ -179,6 +180,8 @@ def cmd_eval(args) -> int:
         lambdas = _flag_list(vals, float, "--ablation")
         if len(lambdas) != len(args.checkpoints):
             raise UsageError("--ablation needs one lambda per checkpoint")
+    if args.n_eval < 1:
+        raise UsageError(f"--n-eval must be >= 1, got {args.n_eval}")
     data_dir = _require(args.data, "dataset directory")
     dataset = load_dataset(data_dir)
     out = Path(args.out)
@@ -186,16 +189,13 @@ def cmd_eval(args) -> int:
     base_report = None
     if args.base:
         base = load_model(_require(args.base, "base checkpoint"))
-        modalities = (TEXT,) if base.kind == "teacher" else None
-        kwargs = {"modalities": modalities} if modalities else {}
-        base_report = evaluate_model(base, dataset, "base", args.seed, n_eval=args.n_eval, **kwargs)
+        base_report = evaluate_model(base, dataset, "base", args.seed, n_eval=args.n_eval)
         write_report(base_report, out / "report_base.json")
     reports = []
     for i, ckpt in enumerate(args.checkpoints):
         model = load_model(_require(ckpt, "checkpoint"))
         model_id = Path(ckpt).stem if lambdas is None else f"lambda={lambdas[i]:g}"
-        kwargs = {"modalities": (TEXT,)} if model.kind == "teacher" else {}
-        rep = evaluate_model(model, dataset, model_id, args.seed, n_eval=args.n_eval, **kwargs)
+        rep = evaluate_model(model, dataset, model_id, args.seed, n_eval=args.n_eval)
         if base_report is not None:
             avg_drop(rep, base_report)
         reports.append(rep)
@@ -218,7 +218,7 @@ def cmd_ablation(args) -> int:
         teachers["teacher_large"] = load_model(_require(args.teacher2, "second teacher checkpoint"))
     out = Path(args.out)
     _write_resolved(out, {"lambdas": list(pc.lambda_grid), "teachers": list(teachers)})
-    run_ablation(teachers, pc.lambda_grid, pc, dataset, student, "teacher", args.seed, out)
+    run_ablation(teachers, pc, dataset, student, args.seed, out)
     print(f"ablation grid written to {out / 'ablation_grid.json'}")
     return 0
 

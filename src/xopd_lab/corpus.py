@@ -296,12 +296,10 @@ def _label_echo_task(rng: np.random.Generator) -> tuple[list[int], list[int], in
     return encode_text(["label", "?"] + carriers), [LABEL_IDS[lab]], lab
 
 
-def pretraining_batch(
-    seed: int,
-    step: int,
-    size: int,
-    difficulty_range: tuple[int, int] = (1, 2),
-) -> list["PairedExample"]:
+PRETRAIN_DIFFICULTY = (1, 2)
+
+
+def pretraining_batch(seed: int, step: int, size: int) -> list["PairedExample"]:
     """Fresh text-only (prompt -> answer) tasks for teacher pretraining.
 
     Streams from the REASONING/INSTRUCTION generators (3:1 mix) under a
@@ -309,7 +307,7 @@ def pretraining_batch(
     order. The speech channel is left empty: the teacher is text-only.
     """
     rng = np.random.default_rng([seed, 0x517E, step])
-    lo, hi = difficulty_range
+    lo, hi = PRETRAIN_DIFFICULTY
     out = []
     for j in range(size):
         if j % 4 != 3:
@@ -366,6 +364,8 @@ class PairedExample:
 
 
 DEFAULT_DIFFICULTY = {"REASONING": (1, 2), "INSTRUCTION": (1, 2), "ACOUSTIC": (1, 3)}
+# Largest share of prompt tokens an admitted example's speech may misdecode.
+FILTER_THRESHOLD = 0.05
 
 
 @dataclass
@@ -381,13 +381,7 @@ class Dataset:
         return [e for e in self.splits[split] if e.family != "ACOUSTIC"]
 
 
-def build_dataset(
-    sizes: dict[str, tuple[int, int, int]],
-    codec: SpeechCodec,
-    seed: int,
-    filter_threshold: float = 0.05,
-    difficulty_ranges: dict[str, tuple[int, int]] | None = None,
-) -> Dataset:
+def build_dataset(sizes: dict[str, tuple[int, int, int]], codec: SpeechCodec, seed: int) -> Dataset:
     """Generate deterministic train/val/test splits with the round-trip filter.
 
     Per-example seeds derive from (seed, family index, candidate index), so
@@ -399,9 +393,6 @@ def build_dataset(
             raise ConfigurationError(f"unknown family {fam!r}")
         if any(c < 0 for c in counts) or sum(counts) < 1:
             raise ConfigurationError(f"sizes for {fam} must be >= 1 in total")
-    ranges = dict(DEFAULT_DIFFICULTY)
-    if difficulty_ranges:
-        ranges.update(difficulty_ranges)
 
     splits: dict[str, list[PairedExample]] = {"train": [], "val": [], "test": []}
     seen_prompts: set[tuple[int, ...]] = set()
@@ -415,7 +406,7 @@ def build_dataset(
         quota = dict(zip(("train", "val", "test"), sizes[fam]))
         order = [s for s in ("train", "val", "test") if quota[s] > 0]
         cand = 0
-        lo, hi = ranges[fam]
+        lo, hi = DEFAULT_DIFFICULTY[fam]
         while order:
             rng = np.random.default_rng([seed, fam_idx, cand])
             cand += 1
@@ -431,7 +422,7 @@ def build_dataset(
             decoded, _ = decode_speech(codec, frames)
             mismatches = sum(1 for a, b in zip(decoded, prompt) if a != b)
             rtr = mismatches / len(prompt)
-            if rtr > filter_threshold:
+            if rtr > FILTER_THRESHOLD:
                 rejected += 1
                 continue
             if answer_for_prompt(fam, decoded, label) != answer:
@@ -463,8 +454,8 @@ def build_dataset(
     manifest = {
         "seed": seed,
         "sizes": {k: list(v) for k, v in sizes.items()},
-        "difficulty_ranges": {k: list(v) for k, v in ranges.items()},
-        "filter_threshold": filter_threshold,
+        "difficulty_ranges": {k: list(v) for k, v in DEFAULT_DIFFICULTY.items()},
+        "filter_threshold": FILTER_THRESHOLD,
         "codec": {
             "frames_per_token": codec.frames_per_token,
             "speech_vocab_size": codec.speech_vocab_size,

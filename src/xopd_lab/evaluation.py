@@ -13,11 +13,13 @@ import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .corpus import Dataset, PairedExample
+from .corpus import FAMILIES, Dataset, PairedExample
 from .errors import DataError, ModalityError
 from .model import SPEECH, TEXT, Prompt, greedy_decode_batch
 
 DROP_FAMILIES = ("REASONING", "INSTRUCTION")
+# An ACOUSTIC accuracy drop above this is flagged in the forgetting record.
+FORGETTING_THRESHOLD = 0.05
 
 
 @dataclass
@@ -59,33 +61,24 @@ def evaluate_model(
     dataset: Dataset,
     model_id: str,
     seed: int,
-    split: str = "test",
-    families: tuple[str, ...] = ("REASONING", "INSTRUCTION", "ACOUSTIC"),
-    modalities: tuple[str, ...] = (SPEECH, TEXT),
     n_eval: int | None = None,
     max_new: int = 12,
 ) -> EvalReport:
-    """Per-(family, modality) accuracies on the held-out split."""
+    """Per-(family, modality) accuracies on the test split; a teacher is
+    scored on text only."""
+    modalities = (TEXT,) if model.kind == "teacher" else (SPEECH, TEXT)
     scores: dict[str, dict[str, float]] = {}
     n_used = 0
-    for fam in families:
-        examples = dataset.split_family(split, fam)
+    for fam in FAMILIES:
+        examples = dataset.split_family("test", fam)
         if n_eval is not None:
             examples = examples[:n_eval]
         n_used = max(n_used, len(examples))
-        scores[fam] = {}
-        for modality in modalities:
-            if modality == SPEECH and model.kind == "teacher":
-                continue
-            scores[fam][modality] = score_model(model, examples, modality, max_new=max_new)
+        scores[fam] = {m: score_model(model, examples, m, max_new=max_new) for m in modalities}
     return EvalReport(model_id=model_id, base_model_id=None, n_eval=n_used, seed=seed, scores=scores)
 
 
-def avg_drop(
-    model_report: EvalReport,
-    base_report: EvalReport,
-    families: tuple[str, ...] = DROP_FAMILIES,
-) -> tuple[float, float]:
+def avg_drop(model_report: EvalReport, base_report: EvalReport) -> tuple[float, float]:
     """Mean relative drop (%) vs the base model's text scores, per modality.
 
     Families where the base text score is zero are excluded and recorded on
@@ -93,7 +86,7 @@ def avg_drop(
     """
     drops = {SPEECH: [], TEXT: []}
     excluded = []
-    for fam in families:
+    for fam in DROP_FAMILIES:
         if fam not in model_report.scores or fam not in base_report.scores:
             raise DataError(f"family {fam} missing from one of the reports")
         base = base_report.scores[fam].get(TEXT)
@@ -114,11 +107,7 @@ def avg_drop(
     return ds, dt
 
 
-def forgetting_eval(
-    after_report: EvalReport,
-    before_report: EvalReport,
-    threshold: float = 0.05,
-) -> dict:
+def forgetting_eval(after_report: EvalReport, before_report: EvalReport) -> dict:
     """ACOUSTIC retention: accuracy drop of the after-checkpoint vs before."""
     try:
         before = before_report.scores["ACOUSTIC"][SPEECH]
@@ -131,8 +120,8 @@ def forgetting_eval(
         "acoustic_before": before,
         "acoustic_after": after,
         "drop": drop,
-        "exceeds_threshold": drop > threshold,
-        "threshold": threshold,
+        "exceeds_threshold": drop > FORGETTING_THRESHOLD,
+        "threshold": FORGETTING_THRESHOLD,
     }
 
 
@@ -140,27 +129,26 @@ def forgetting_eval(
 # Tables and curves
 # ---------------------------------------------------------------------------
 
-def comparison_table_csv(
-    reports: list[EvalReport], families: tuple[str, ...] = DROP_FAMILIES
-) -> str:
+def comparison_table_csv(reports: list[EvalReport]) -> str:
     """Table-shaped CSV: S/T accuracy per family plus aggregate drops."""
     cols = ["model"]
-    for fam in families:
+    for fam in DROP_FAMILIES:
         cols += [f"{fam}_S", f"{fam}_T"]
     cols += ["avg_drop_S", "avg_drop_T"]
     lines = [",".join(cols)]
     for r in reports:
         row = [r.model_id]
-        for fam in families:
-            row.append(_fmt(r.scores.get(fam, {}).get(SPEECH)))
-            row.append(_fmt(r.scores.get(fam, {}).get(TEXT)))
-        row.append(_fmt(r.avg_drop_speech))
-        row.append(_fmt(r.avg_drop_text))
+        for fam in DROP_FAMILIES:
+            row.append(csv_cell(r.scores.get(fam, {}).get(SPEECH)))
+            row.append(csv_cell(r.scores.get(fam, {}).get(TEXT)))
+        row.append(csv_cell(r.avg_drop_speech))
+        row.append(csv_cell(r.avg_drop_text))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float | None) -> str:
+def csv_cell(x: float | None) -> str:
+    """A CSV number to four decimals; a missing value is an empty cell."""
     return "" if x is None else f"{x:.4f}"
 
 
@@ -171,7 +159,7 @@ def write_report(report: EvalReport, path: str | Path) -> None:
 def curve_csv(rows: list[dict], keys: list[str]) -> str:
     lines = [",".join(keys)]
     for row in rows:
-        lines.append(",".join(_fmt(float(row.get(k, 0.0))) for k in keys))
+        lines.append(",".join(csv_cell(float(row.get(k, 0.0))) for k in keys))
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,10 @@
 """End-to-end experiment pipeline and the headline-trend reproduction.
 
-One seed of the pipeline: generate the corpus, pretrain the text teacher,
-construct the gapped base student, train every method variant from the same
-base checkpoint, then evaluate speech/text accuracy per family, aggregate
-drops versus the teacher, and acoustic-skill retention.
+The text teacher is pretrained once and shared by every seed. One seed of
+the pipeline: generate the corpus, construct the gapped base student, train
+every method variant from the same base checkpoint, then evaluate
+speech/text accuracy per family, aggregate drops versus the teacher, and
+acoustic-skill retention.
 
 The trend report checks three directional claims on each seed:
 
@@ -30,12 +31,13 @@ from .evaluation import (
     EvalReport,
     avg_drop,
     comparison_table_csv,
+    csv_cell,
     curve_csv,
     curve_svg,
     evaluate_model,
     forgetting_eval,
 )
-from .model import TEXT, ModelConfig, StudentModel, TeacherModel, save_model
+from .model import ModelConfig, StudentModel, TeacherModel, save_model
 from .trainer import (
     GapConfig,
     PretrainConfig,
@@ -81,7 +83,6 @@ class PipelineConfig:
     n_rollouts: int = 4
     max_new: int = 12
     n_eval: int = 500
-    forgetting_threshold: float = 0.05
 
     def __post_init__(self) -> None:
         """Check every value before any work, so a bad one writes nothing."""
@@ -130,55 +131,57 @@ class PipelineConfig:
         return build_dataset({k: tuple(v) for k, v in self.sizes.items()}, self.codec(), seed=seed)
 
 
+def _xopd_config(cfg: PipelineConfig, lam: float, seed: int) -> TrainConfig:
+    return TrainConfig(
+        method="xopd", lam=lam, n_rollouts=cfg.n_rollouts,
+        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
+        steps=cfg.xopd_steps, max_new=cfg.max_new, seed=seed,
+    )
+
+
 def _method_variants(cfg: PipelineConfig, seed: int) -> list[tuple[str, TrainConfig]]:
-    variants = []
-    for lam in cfg.lambda_grid:
-        variants.append(
-            (
-                f"xopd_l{lam:g}",
-                TrainConfig(
-                    method="xopd", lam=lam, n_rollouts=cfg.n_rollouts,
-                    learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-                    steps=cfg.xopd_steps, max_new=cfg.max_new, seed=seed,
-                ),
-            )
-        )
+    variants = [(f"xopd_l{lam:g}", _xopd_config(cfg, lam, seed)) for lam in cfg.lambda_grid]
     for method in BASELINE_METHODS:
-        variants.append(
-            (
-                method,
-                TrainConfig(
-                    method=method, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-                    steps=cfg.gkd_steps, epochs=1, max_new=cfg.max_new, seed=seed,
-                ),
-            )
-        )
+        variants.append((method, TrainConfig(
+            method=method, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
+            steps=cfg.gkd_steps, max_new=cfg.max_new, seed=seed,
+        )))
     return variants
+
+
+def _train_and_score(
+    cfg: PipelineConfig,
+    tc: TrainConfig,
+    name: str,
+    base_student: StudentModel,
+    teacher: TeacherModel,
+    dataset: Dataset,
+    reference: EvalReport,
+    out_dir: Path,
+) -> EvalReport:
+    """Train a clone of ``base_student`` under ``tc`` and score its drops
+    against the ``reference`` teacher report."""
+    student = clone_student(base_student)
+    run_method(tc, student, teacher, dataset, out_dir=out_dir)
+    report = evaluate_model(student, dataset, name, tc.seed, n_eval=cfg.n_eval, max_new=cfg.max_new)
+    avg_drop(report, reference)
+    return report
 
 
 def run_seed(
     cfg: PipelineConfig,
     seed: int,
     out_dir: Path,
-    teacher: TeacherModel | None = None,
-    pretrain_report: dict | None = None,
+    teacher: TeacherModel,
+    pretrain_report: dict,
 ) -> dict:
-    """Run the full pipeline for one seed; returns the seed's result record.
-
-    A pre-trained teacher may be shared across seeds (one fixed teacher, as
-    at paper scale, where seeds vary data and rollouts but not the teacher);
-    when omitted, the teacher is pretrained under this seed.
-    """
+    """Run the pipeline for one seed with the shared pretrained teacher;
+    returns the seed's result record."""
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = cfg.dataset(seed)
     save_dataset(dataset, out_dir / "data")
-
-    if teacher is None:
-        teacher, pretrain_report = pretrain_teacher(dataset, cfg.model, cfg.pretrain, seed)
     save_model(teacher, out_dir / "teacher.ckpt")
-    teacher_report = evaluate_model(
-        teacher, dataset, "teacher", seed, modalities=(TEXT,), n_eval=cfg.n_eval, max_new=cfg.max_new
-    )
+    teacher_report = evaluate_model(teacher, dataset, "teacher", seed, n_eval=cfg.n_eval, max_new=cfg.max_new)
 
     base_student, gap_report = build_gapped_student(teacher, dataset, cfg.model, cfg.gap, seed)
     save_model(base_student, out_dir / "student_base.ckpt")
@@ -190,18 +193,16 @@ def run_seed(
     reports: dict[str, EvalReport] = {"teacher": teacher_report, "base_student": base_report}
     forgetting: dict[str, dict] = {}
     for name, tc in _method_variants(cfg, seed):
-        student = clone_student(base_student)
-        run_method(tc, student, teacher, dataset, out_dir=out_dir / "runs" / name)
-        rep = evaluate_model(student, dataset, name, seed, n_eval=cfg.n_eval, max_new=cfg.max_new)
-        avg_drop(rep, teacher_report)
-        reports[name] = rep
-        forgetting[name] = forgetting_eval(rep, base_report, threshold=cfg.forgetting_threshold)
+        reports[name] = _train_and_score(
+            cfg, tc, name, base_student, teacher, dataset, teacher_report, out_dir / "runs" / name
+        )
+        forgetting[name] = forgetting_eval(reports[name], base_report)
 
     table = comparison_table_csv([r for r in reports.values() if r.model_id != "teacher"])
     (out_dir / "comparison.csv").write_text(table)
     result = {
         "seed": seed,
-        "pretrain": {k: v for k, v in (pretrain_report or {}).items() if k != "history"},
+        "pretrain": {k: v for k, v in pretrain_report.items() if k != "history"},
         "gap_construction": gap_report,
         "reports": {k: r.to_dict() for k, r in reports.items()},
         "forgetting": forgetting,
@@ -302,15 +303,6 @@ def reproduce_paper_trends(cfg: PipelineConfig, out_root: str | Path) -> dict:
 
     # Lambda-ablation curve over the first seed's reports.
     first = seed_results[0]["reports"]
-    series = {
-        "drop_speech": [
-            (lam, first[f"xopd_l{lam:g}"]["avg_drop_speech"]) for lam in cfg.lambda_grid
-        ],
-        "drop_text": [
-            (lam, first[f"xopd_l{lam:g}"]["avg_drop_text"]) for lam in cfg.lambda_grid
-        ],
-    }
-    (out_root / "lambda_ablation.svg").write_text(curve_svg(series, title="avg drop vs lambda"))
     rows = [
         {
             "lambda": lam,
@@ -319,66 +311,53 @@ def reproduce_paper_trends(cfg: PipelineConfig, out_root: str | Path) -> dict:
         }
         for lam in cfg.lambda_grid
     ]
+    series = {key: [(r["lambda"], r[key]) for r in rows] for key in ("drop_speech", "drop_text")}
+    (out_root / "lambda_ablation.svg").write_text(curve_svg(series, title="avg drop vs lambda"))
     (out_root / "lambda_ablation.csv").write_text(
         curve_csv(rows, ["lambda", "drop_speech", "drop_text"])
     )
     return report
 
 
-@dataclass
-class AblationGrid:
-    lambda_values: list[float]
-    # teacher variant id -> {lambda label -> EvalReport dict or error record}
-    cells: dict[str, dict[str, dict]] = field(default_factory=dict)
-
-
 def run_ablation(
     teachers: dict[str, TeacherModel],
-    lambda_grid: tuple[float, ...],
     cfg: PipelineConfig,
     dataset: Dataset,
     base_student: StudentModel,
-    base_teacher_id: str,
     seed: int,
     out_dir: Path,
-) -> AblationGrid:
-    """Full (teacher variant x lambda) grid with shared seeds and data.
+) -> dict:
+    """Full (teacher variant x ``cfg.lambda_grid``) grid with shared seeds and
+    data; drops are taken against the first teacher.
 
-    Individual run failures are recorded in the grid and do not stop it."""
+    Returns ``{"lambda_values": [...], "cells": {teacher id: {lambda label:
+    EvalReport dict or {"error": message}}}}``, as written to
+    ``ablation_grid.json``. A failed run is recorded in its cell and does not
+    stop the grid."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = AblationGrid(lambda_values=list(lambda_grid))
+    reference_id, reference_teacher = next(iter(teachers.items()))
     reference = evaluate_model(
-        teachers[base_teacher_id], dataset, base_teacher_id, seed,
-        modalities=(TEXT,), n_eval=cfg.n_eval, max_new=cfg.max_new,
+        reference_teacher, dataset, reference_id, seed, n_eval=cfg.n_eval, max_new=cfg.max_new
     )
-    for teacher_id, teacher in teachers.items():
-        grid.cells[teacher_id] = {}
-        for lam in lambda_grid:
-            name = f"{teacher_id}_l{lam:g}"
-            tc = TrainConfig(
-                method="xopd", lam=lam, n_rollouts=cfg.n_rollouts,
-                learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-                steps=cfg.xopd_steps, max_new=cfg.max_new, seed=seed,
-            )
-            try:
-                student = clone_student(base_student)
-                run_method(tc, student, teacher, dataset, out_dir=out_dir / name)
-                rep = evaluate_model(student, dataset, name, seed, n_eval=cfg.n_eval, max_new=cfg.max_new)
-                avg_drop(rep, reference)
-                grid.cells[teacher_id][f"l{lam:g}"] = rep.to_dict()
-            except XopdError as e:
-                grid.cells[teacher_id][f"l{lam:g}"] = {"error": str(e)}
-    (out_dir / "ablation_grid.json").write_text(json.dumps(asdict(grid), indent=2, sort_keys=True))
-    rows = []
-    for teacher_id, cells in grid.cells.items():
-        for label, rep in cells.items():
-            if "error" in rep:
-                continue
-            rows.append({"teacher": teacher_id, "lambda": label, **{
-                "drop_speech": rep["avg_drop_speech"], "drop_text": rep["avg_drop_text"]}})
-    fmt = lambda x: "" if x is None else f"{x:.4f}"
+    grid = {"lambda_values": list(cfg.lambda_grid), "cells": {}}
     lines = ["teacher,lambda,drop_speech,drop_text"]
-    for r in rows:
-        lines.append(f'{r["teacher"]},{r["lambda"]},{fmt(r["drop_speech"])},{fmt(r["drop_text"])}')
+    for teacher_id, teacher in teachers.items():
+        cells = grid["cells"][teacher_id] = {}
+        for lam in cfg.lambda_grid:
+            label = f"l{lam:g}"
+            name = f"{teacher_id}_{label}"
+            try:
+                rep = _train_and_score(
+                    cfg, _xopd_config(cfg, lam, seed), name, base_student, teacher, dataset,
+                    reference, out_dir / name,
+                )
+            except XopdError as e:
+                cells[label] = {"error": str(e)}
+                continue
+            cells[label] = rep.to_dict()
+            lines.append(",".join(
+                [teacher_id, label, csv_cell(rep.avg_drop_speech), csv_cell(rep.avg_drop_text)]
+            ))
+    (out_dir / "ablation_grid.json").write_text(json.dumps(grid, indent=2, sort_keys=True))
     (out_dir / "ablation.csv").write_text("\n".join(lines) + "\n")
     return grid

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from xopd_lab.cli import _pipeline_config, build_parser, main
+from xopd_lab.cli import _build, _load_config, _pipeline_config, build_parser, main
 from xopd_lab.corpus import save_dataset
 from xopd_lab.model import save_model
+from xopd_lab.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,20 @@ def test_eval_ablation_arity_mismatch(tmp_path, data_dir, ckpts):
     assert code == 2
 
 
+@pytest.mark.parametrize("n_eval", ["0", "-1"])
+def test_eval_n_eval_below_1_exits_2_before_work(tmp_path, data_dir, ckpts, n_eval, capsys):
+    # Neither may reach scoring: 0 divides by zero, -1 drops each family's last example.
+    out = tmp_path / "x"
+    code = main([
+        "eval", str(ckpts / "student.ckpt"), "--data", str(data_dir),
+        "--out", str(out), "--n-eval", n_eval,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--n-eval" in err[0]
+    assert not out.exists()
+
+
 def test_eval_missing_checkpoint(tmp_path, data_dir):
     code = main([
         "eval", str(tmp_path / "ghost.ckpt"), "--data", str(data_dir),
@@ -249,11 +264,13 @@ def test_train_damaged_dataset_exits_1_without_traceback(tmp_path, data_dir, ckp
     # Flags set to 0 reach the TrainConfig checks instead of falling back to defaults.
     (["train", "--method", "xopd", "--data", "{data}", "--auto", "--steps", "0"], "steps"),
     (["train", "--method", "xopd", "--data", "{data}", "--auto", "--rollouts", "0"], "n_rollouts"),
+    # A section that is not an object is rejected before it is merged.
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train=3"], "train"),
 ], ids=["train.foo", "model.foo", "pipeline.seeds", "foo", "sizes=3", "noise_rate=x",
         "model.frames_per_token=4", "xopd_steps=0", "lambda_grid=[2.0]", "learning_rate=-1",
         "pretrain.max_steps=0", "pretrain.batch_size=0", "pretrain.min_learning_rate=0.01",
         "gap.batch_size=1", "gap.acoustic_target=1.5", "gap.learning_rate=-1",
-        "gap.speech_subset_size=4", "steps=0", "rollouts=0"])
+        "gap.speech_subset_size=4", "steps=0", "rollouts=0", "train=3"])
 def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, capsys):
     data, out = tmp_path / "data", tmp_path / "out"
     code = main([a.format(data=data) for a in argv] + ["--out", str(out)])
@@ -302,15 +319,11 @@ def test_gen_data_codec_follows_model_overrides(tmp_path):
     assert codec["noise_rate"] == 0.05
 
 
-def _readme_cli_commands() -> list[str]:
+def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
     joined = block.replace("\\\n", " ")
-    return [line.strip() for line in joined.splitlines() if line.strip().startswith("xopd-lab ")]
-
-
-def test_readme_cli_examples_parse():
-    commands = _readme_cli_commands()
+    commands = [line.strip() for line in joined.splitlines() if line.strip().startswith("xopd-lab ")]
     assert len(commands) >= 5
     parser = build_parser()
     for command in commands:
@@ -318,3 +331,10 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {command}")
+    # Each documented --set key still names a config field.
+    overrides = re.findall(r"--set ([^\s`]+)", readme)
+    assert len(overrides) >= 3
+    for kv in overrides:
+        cfg = _load_config(None, [kv])
+        _pipeline_config(cfg, own=("train",))
+        _build(TrainConfig, cfg.get("train", {}), "train")

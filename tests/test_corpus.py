@@ -215,7 +215,7 @@ def test_build_dataset_seed_changes_content(codec):
 
 
 def test_admitted_examples_satisfy_round_trip_invariant(codec):
-    ds = build_dataset(SIZES, codec, seed=3, filter_threshold=0.05)
+    ds = build_dataset(SIZES, codec, seed=3)
     for split in ds.splits.values():
         for ex in split:
             decoded, _ = decode_speech(codec, ex.speech_prompt)

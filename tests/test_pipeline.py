@@ -1,17 +1,23 @@
-"""Unit tests for trend checks and the ablation grid (cheap paths only;
-the full multi-seed pipeline is exercised by the acceptance suite)."""
+"""Unit tests for trend checks, one seed of the pipeline and the ablation
+grid (cheap paths only; the full multi-seed pipeline is exercised by the
+acceptance suite)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from xopd_lab import trainer as trainer_mod
+from xopd_lab.model import TeacherModel
 from xopd_lab.pipeline import (
     BASELINE_METHODS,
     PipelineConfig,
+    _method_variants,
     _trend_checks,
     run_ablation,
+    run_seed,
 )
-from xopd_lab.trainer import clone_student
+from xopd_lab.trainer import GapConfig, clone_student
 
 
 def _result(base_ds=40.0, base_dt=1.0, x_ds=10.0, x_dt=1.5,
@@ -65,27 +71,62 @@ def test_trend_checks_sft_text():
     assert _trend_checks(_result(sft_dt=0.5), (0.0, 0.5, 1.0))["sft_text_worsens"] is False
 
 
-def test_run_ablation_grid(tiny_teacher, tiny_student, small_dataset, tmp_path):
-    cfg = PipelineConfig(
-        xopd_steps=1, batch_size=4, n_rollouts=2, max_new=5, n_eval=4,
+def test_run_seed_scores_the_base_student_and_every_variant(tiny_teacher, tiny_config, tmp_path,
+                                                          monkeypatch):
+    # Scoring inside gap construction is stubbed so one step meets its
+    # targets: the teacher scores 1 on text and the student 0 everywhere.
+    monkeypatch.setattr(
+        trainer_mod, "score_model", lambda model, *a, **k: 1.0 if model is tiny_teacher else 0.0
     )
+    cfg = PipelineConfig(
+        seeds=(0,), sizes={f: [24, 8, 8] for f in ("REASONING", "INSTRUCTION", "ACOUSTIC")},
+        model=tiny_config,
+        gap=GapConfig(batch_size=4, max_steps=1, check_every=1, acoustic_target=0.0,
+                      speech_subset_size=4, n_val=4, max_new=2),
+        xopd_steps=1, gkd_steps=1, batch_size=4, n_rollouts=2, max_new=5, n_eval=4,
+    )
+    result = run_seed(cfg, 0, tmp_path, tiny_teacher, {"steps": 7, "history": [1, 2]})
+    names = [name for name, _ in _method_variants(cfg, 0)]
+    rows = (tmp_path / "comparison.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["base_student"] + names
+    saved = json.loads((tmp_path / "seed_result.json").read_text())
+    assert saved == json.loads(json.dumps(result))
+    assert saved["pretrain"] == {"steps": 7}
+    assert set(saved["forgetting"]) == set(names)
+    for name in names:
+        assert saved["forgetting"][name]["model_id"] == name
+        assert saved["reports"][name]["base_model_id"] == "teacher"
+    assert set(saved["reports"]["teacher"]["scores"]["REASONING"]) == {"TEXT"}
+
+
+def test_run_ablation_grid(tiny_teacher, tiny_student, tiny_config, small_dataset, tmp_path):
+    cfg = PipelineConfig(
+        xopd_steps=1, batch_size=4, n_rollouts=2, max_new=5, n_eval=4, lambda_grid=(0.0, 1.0),
+    )
+    # The objective rejects a teacher whose vocabulary differs from the student's.
+    mismatched = TeacherModel.init(replace(tiny_config, text_vocab_size=80), 3)
     grid = run_ablation(
-        {"teacher": tiny_teacher},
-        (0.0, 1.0),
+        {"teacher": tiny_teacher, "mismatched": mismatched, "teacher_b": tiny_teacher},
         cfg,
         small_dataset,
         clone_student(tiny_student),
-        "teacher",
         seed=0,
         out_dir=tmp_path,
     )
-    assert grid.lambda_values == [0.0, 1.0]
-    assert set(grid.cells["teacher"]) == {"l0", "l1"}
-    for cell in grid.cells["teacher"].values():
-        assert "error" not in cell
-        assert "avg_drop_speech" in cell
+    assert grid["lambda_values"] == [0.0, 1.0]
+    assert list(grid["cells"]) == ["teacher", "mismatched", "teacher_b"]
+    for cell in grid["cells"]["mismatched"].values():
+        assert set(cell) == {"error"} and "vocab mismatch" in cell["error"]
+    for teacher_id in ("teacher", "teacher_b"):
+        assert set(grid["cells"][teacher_id]) == {"l0", "l1"}
+        for cell in grid["cells"][teacher_id].values():
+            assert "error" not in cell
+            assert "avg_drop_speech" in cell
+            assert cell["base_model_id"] == "teacher"
     data = json.loads((tmp_path / "ablation_grid.json").read_text())
-    assert data["lambda_values"] == [0.0, 1.0]
+    assert data == grid
     csv = (tmp_path / "ablation.csv").read_text().splitlines()
     assert csv[0] == "teacher,lambda,drop_speech,drop_text"
-    assert len(csv) == 3
+    assert [row.split(",")[:2] for row in csv[1:]] == [
+        ["teacher", "l0"], ["teacher", "l1"], ["teacher_b", "l0"], ["teacher_b", "l1"]
+    ]
