@@ -34,6 +34,7 @@ from .errors import (
     FramingError,
     GenerationQualityError,
     VocabError,
+    check_field_types,
 )
 
 FAMILIES = ("REASONING", "INSTRUCTION", "ACOUSTIC")
@@ -57,8 +58,6 @@ VOCAB: list[str] = (
 VOCAB += [f"<unk{i}>" for i in range(len(VOCAB), 64)]
 
 TOKEN_TO_ID = {tok: i for i, tok in enumerate(VOCAB)}
-DIGIT_IDS = [TOKEN_TO_ID[d] for d in _DIGITS]
-ITEM_IDS = [TOKEN_TO_ID[c] for c in _ITEMS]
 LABEL_IDS = [TOKEN_TO_ID[t] for t in _LABELS]
 N_LABELS = len(_LABELS)
 
@@ -78,44 +77,44 @@ def decode_text(ids: list[int]) -> list[str]:
 # Speech surrogate codec
 # ---------------------------------------------------------------------------
 
+MULTIPLIERS = (1, 5, 9)
+OFFSETS = (0, 17, 40)
+
+
 @dataclass
 class SpeechCodec:
     """Discrete frame code standing in for a TTS/ASR round trip.
 
-    Token ``t`` maps to frames ``(a_i * t + b_i) mod speech_vocab_size``.
-    With odd multipliers and speech_vocab_size >= text_vocab_size each
-    coordinate is injective, so any two tokens differ in every frame and
-    majority decode survives one corrupted frame per token.
+    Token ``t`` maps to frames ``(a_i * t + b_i) mod speech_vocab_size``,
+    where ``(a_i, b_i)`` are the first ``frames_per_token`` (at most 3)
+    pairs of ``MULTIPLIERS`` and ``OFFSETS``. With multipliers invertible
+    mod speech_vocab_size >= text_vocab_size each coordinate is injective,
+    so any two tokens differ in every frame and majority decode survives one
+    corrupted frame per token. ``multipliers``, ``offsets`` and ``n_labels``
+    are derived attributes, not fields; the dataset manifest records them.
     """
 
     frames_per_token: int = 3
     speech_vocab_size: int = 64
     text_vocab_size: int = 64
     noise_rate: float = 0.08
-    n_labels: int = N_LABELS
-    multipliers: tuple[int, ...] = (1, 5, 9)
-    offsets: tuple[int, ...] = (0, 17, 40)
 
     def __post_init__(self) -> None:
+        check_field_types(self)
+        F, S, V = self.frames_per_token, self.speech_vocab_size, self.text_vocab_size
+        if not 1 <= F <= len(MULTIPLIERS):
+            raise ConfigurationError(
+                f"frames_per_token must be in [1, {len(MULTIPLIERS)}], got {F}"
+            )
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ConfigurationError(f"noise_rate must be in [0,1], got {self.noise_rate}")
-        if len(self.multipliers) != self.frames_per_token or len(self.offsets) != self.frames_per_token:
-            raise ConfigurationError("need one (multiplier, offset) pair per frame")
-        if self.speech_vocab_size < self.text_vocab_size:
+        if S < V:
             raise ConfigurationError("speech vocab must cover the text vocab for injective frames")
+        self.multipliers, self.offsets, self.n_labels = MULTIPLIERS[:F], OFFSETS[:F], N_LABELS
         for a in self.multipliers:
-            if np.gcd(a, self.speech_vocab_size) != 1:
-                raise ConfigurationError(f"multiplier {a} not invertible mod {self.speech_vocab_size}")
-        V, F, S = self.text_vocab_size, self.frames_per_token, self.speech_vocab_size
-        t = np.arange(V)
-        self._patterns = np.stack(
-            [(a * t + b) % S for a, b in zip(self.multipliers, self.offsets)], axis=1
-        )  # (V, F)
-
-    def frame_pattern(self, token: int) -> list[int]:
-        if not 0 <= token < self.text_vocab_size:
-            raise VocabError(f"token id {token} outside vocab of size {self.text_vocab_size}")
-        return [int(x) for x in self._patterns[token]]
+            if np.gcd(a, S) != 1:
+                raise ConfigurationError(f"multiplier {a} not invertible mod {S}")
+        self._patterns = (np.outer(np.arange(V), self.multipliers) + self.offsets) % S  # (V, F)
 
 
 def encode_speech(
@@ -125,88 +124,72 @@ def encode_speech(
     rng: np.random.Generator | None = None,
 ) -> list[int]:
     """Expand tokens to frames, embed the optional label, then add noise."""
-    F, S = codec.frames_per_token, codec.speech_vocab_size
-    frames = []
-    for t in text:
-        pat = codec.frame_pattern(t)
-        if label is not None:
-            if not 0 <= label < codec.n_labels:
-                raise DataError(f"label {label} outside [0, {codec.n_labels})")
-            pat[F - 1] = (pat[F - 1] + 1 + label) % S
-        frames.extend(pat)
+    S = codec.speech_vocab_size
+    ids = np.asarray(text, dtype=np.int64)
+    if ids.size and not (0 <= ids.min() and ids.max() < codec.text_vocab_size):
+        raise VocabError(f"token ids {text} outside vocab of size {codec.text_vocab_size}")
+    frames = codec._patterns[ids]  # (T, F), a fresh copy
+    if label is not None:
+        if not 0 <= label < N_LABELS:
+            raise DataError(f"label {label} outside [0, {N_LABELS})")
+        frames[:, -1] = (frames[:, -1] + 1 + label) % S
+    frames = frames.reshape(-1)
     if codec.noise_rate > 0.0:
         if rng is None:
             raise DataError("noise_rate > 0 requires an rng")
-        frames = np.asarray(frames)
-        hit = rng.random(len(frames)) < codec.noise_rate
-        noise = rng.integers(0, S, size=len(frames))
-        frames = list(np.where(hit, noise, frames).astype(int))
-    return [int(f) for f in frames]
+        hit = rng.random(frames.size) < codec.noise_rate
+        frames = np.where(hit, rng.integers(0, S, size=frames.size), frames)
+    return frames.tolist()
 
 
-def decode_speech(codec: SpeechCodec, frames: list[int]) -> tuple[list[int], list[int]]:
-    """Majority-vote decode; returns (tokens, positions with imperfect votes)."""
+def decode_speech(codec: SpeechCodec, frames: list[int]) -> list[int]:
+    """Majority-vote decode: each frame group becomes the token whose pattern
+    it matches in the most frames, ties going to the lowest id."""
     F = codec.frames_per_token
     if len(frames) % F != 0:
         raise FramingError(f"{len(frames)} frames is not a multiple of F={F}")
-    tokens: list[int] = []
-    flagged: list[int] = []
-    arr = np.asarray(frames).reshape(-1, F)
-    for pos, group in enumerate(arr):
-        scores = (codec._patterns == group).sum(axis=1)
-        best = int(np.argmax(scores))  # argmax ties break toward lowest id
-        tokens.append(best)
-        if scores[best] < F:
-            flagged.append(pos)
-    return tokens, flagged
+    groups = np.asarray(frames, dtype=np.int64).reshape(-1, 1, F)
+    return np.argmax((groups == codec._patterns).sum(axis=2), axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
 # Task generators
 # ---------------------------------------------------------------------------
 
-# Moduli pools by difficulty; small structured moduli keep the low
-# difficulties masterable by the desk-scale models.
-_EASY_MODULI = (2, 3, 5)
-_MID_MODULI = (2, 3, 5, 7)
+# Difficulty ranges the lab draws from, per family.
+DEFAULT_DIFFICULTY = {"REASONING": (1, 2), "INSTRUCTION": (1, 2), "ACOUSTIC": (1, 3)}
 
-# Operand ceiling at difficulty 1 (range widens with difficulty).
-_EASY_OPERAND_MAX = 4
+# REASONING moduli and operand ceiling at difficulty 1 and 2; small
+# structured moduli keep the family masterable by the desk-scale models.
+_MODULI = {1: (2, 3, 5), 2: (2, 3, 5, 7)}
+_OPERAND_MAX = {1: 4, 2: 9}
+
+# Tokens an ACOUSTIC prompt carries after 'label ?'.
+_CARRIERS = _DIGITS + _ITEMS
+
+
+def _draw_carriers(rng: np.random.Generator, n: int) -> list[str]:
+    return [_CARRIERS[int(i)] for i in rng.integers(0, len(_CARRIERS), size=n)]
 
 
 def generate_task(
     family: str, difficulty: int, rng: np.random.Generator
 ) -> tuple[list[int], list[int], int | None]:
     """Return (prompt ids, answer ids, optional prosody label)."""
+    if family not in DEFAULT_DIFFICULTY:
+        raise ConfigurationError(f"unknown task family {family!r}")
+    lo, hi = DEFAULT_DIFFICULTY[family]
+    if not lo <= difficulty <= hi:
+        raise ConfigurationError(f"{family} difficulty {difficulty} outside {lo}..{hi}")
     if family == "REASONING":
-        if not 1 <= difficulty <= 4:
-            raise ConfigurationError(f"REASONING difficulty {difficulty} outside 1..4")
-        # Small structured moduli at low difficulty keep the family learnable
-        # by the desk-scale models; higher difficulties open the full range.
-        if difficulty == 1:
-            pool = _EASY_MODULI
-        elif difficulty == 2:
-            pool = _MID_MODULI
-        else:
-            pool = tuple(range(2, 10))
+        pool = _MODULI[difficulty]
         m = int(pool[rng.integers(0, len(pool))])
-        # Difficulty widens the operand range first (1 -> 2), then lengthens
-        # the chain (3+): 2 terms below difficulty 3, then difficulty terms.
-        hi = _EASY_OPERAND_MAX if difficulty == 1 else 9
-        n_terms = 2 if difficulty <= 2 else difficulty
-        operands = [int(rng.integers(0, hi + 1)) for _ in range(n_terms)]
-        ops = [rng.choice(["+", "-"]) for _ in range(n_terms - 1)]
-        tokens = ["(", str(operands[0])]
-        for op, val in zip(ops, operands[1:]):
-            tokens += [op, str(val)]
-        tokens += [")", "mod", str(m), "="]
-        prompt = encode_text(tokens)
+        a, b = (int(rng.integers(0, _OPERAND_MAX[difficulty] + 1)) for _ in range(2))
+        prompt = encode_text(["(", str(a), rng.choice(["+", "-"]), str(b), ")", "mod", str(m), "="])
         answer = reasoning_answer(prompt)
         assert answer is not None
         return prompt, answer, None
     if family == "INSTRUCTION":
-        if not 1 <= difficulty <= 4:
-            raise ConfigurationError(f"INSTRUCTION difficulty {difficulty} outside 1..4")
         form = rng.choice(["sort", "rev", "repeat"], p=[0.45, 0.45, 0.1])
         if form == "repeat":
             item = rng.choice(_ITEMS)
@@ -219,38 +202,23 @@ def generate_task(
         answer = instruction_answer(prompt)
         assert answer is not None
         return prompt, answer, None
-    if family == "ACOUSTIC":
-        if not 1 <= difficulty <= 8:
-            raise ConfigurationError(f"ACOUSTIC difficulty {difficulty} outside 1..8")
-        label = int(rng.integers(0, N_LABELS))
-        pool = _DIGITS + _ITEMS
-        carriers = [pool[int(i)] for i in rng.integers(0, len(pool), size=difficulty + 3)]
-        prompt = encode_text(["label", "?"] + carriers)
-        return prompt, [LABEL_IDS[label]], label
-    raise ConfigurationError(f"unknown task family {family!r}")
+    label = int(rng.integers(0, N_LABELS))
+    prompt = encode_text(["label", "?"] + _draw_carriers(rng, difficulty + 3))
+    return prompt, [LABEL_IDS[label]], label
 
 
 def reasoning_answer(prompt: list[int]) -> list[int] | None:
-    """Evaluate a '( a op b ... ) mod m =' prompt; None if malformed."""
+    """Evaluate a '( a op b ) mod m =' prompt; None if malformed."""
     toks = decode_text(prompt)
-    try:
-        if toks[0] != "(" or toks[-1] != "=" or toks[-3] != "mod" or toks[-4] != ")":
-            return None
-        body, m = toks[1:-4], int(toks[-2])
-        if m < 1:
-            return None
-        acc = int(body[0])
-        for i in range(1, len(body), 2):
-            op, val = body[i], int(body[i + 1])
-            if op == "+":
-                acc += val
-            elif op == "-":
-                acc -= val
-            else:
-                return None
-        return encode_text([c for c in str(acc % m)])
-    except (ValueError, IndexError):
+    if len(toks) != 8 or toks[0::4] != ["(", ")"] or toks[5::2] != ["mod", "="]:
         return None
+    try:
+        a, b, m = int(toks[1]), int(toks[3]), int(toks[6])
+    except ValueError:
+        return None
+    if m < 1 or toks[2] not in ("+", "-"):
+        return None
+    return encode_text(list(str((a + b if toks[2] == "+" else a - b) % m)))
 
 
 def instruction_answer(prompt: list[int]) -> list[int] | None:
@@ -287,8 +255,7 @@ def answer_for_prompt(family: str, prompt: list[int], label: int | None) -> list
 
 def _label_echo_task(rng: np.random.Generator) -> tuple[list[int], list[int], int]:
     """'label ? c1 .. L .. ck' -> 'L': emit the label token among carriers."""
-    pool = _DIGITS + _ITEMS
-    carriers = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(4, 7)))]
+    carriers = _draw_carriers(rng, int(rng.integers(4, 7)))
     lab = int(rng.integers(0, N_LABELS))
     n_marks = 1 + int(rng.integers(0, 3))
     for pos in rng.choice(len(carriers), size=min(n_marks, len(carriers)), replace=False):
@@ -363,7 +330,6 @@ class PairedExample:
         return cls(**json.loads(line))
 
 
-DEFAULT_DIFFICULTY = {"REASONING": (1, 2), "INSTRUCTION": (1, 2), "ACOUSTIC": (1, 3)}
 # Largest share of prompt tokens an admitted example's speech may misdecode.
 FILTER_THRESHOLD = 0.05
 
@@ -419,7 +385,7 @@ def build_dataset(sizes: dict[str, tuple[int, int, int]], codec: SpeechCodec, se
                 continue
             attempts += 1
             frames = encode_speech(codec, prompt, label=label, rng=rng)
-            decoded, _ = decode_speech(codec, frames)
+            decoded = decode_speech(codec, frames)
             mismatches = sum(1 for a, b in zip(decoded, prompt) if a != b)
             rtr = mismatches / len(prompt)
             if rtr > FILTER_THRESHOLD:

@@ -1,4 +1,7 @@
-"""Error taxonomy shared across the lab."""
+"""Error taxonomy shared across the lab, and the value-type rule every
+config dataclass checks before its own range checks."""
+
+from dataclasses import fields
 
 
 class XopdError(Exception):
@@ -50,3 +53,23 @@ class TrainingFailure(XopdError):
     def __init__(self, message: str, last_good_checkpoint: str | None = None):
         super().__init__(message)
         self.last_good_checkpoint = last_good_checkpoint
+
+
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def check_field_types(cfg) -> None:
+    """Raise ConfigurationError unless every ``int`` field of the dataclass
+    ``cfg`` holds an integer and every ``float`` field a number; a bool is
+    neither."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type in ("int", int) and not is_int(value):
+            raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in ("float", float) and not is_number(value):
+            raise ConfigurationError(f"{f.name} must be a number, got {value!r}")

@@ -64,15 +64,15 @@ def evaluate_model(
     n_eval: int | None = None,
     max_new: int = 12,
 ) -> EvalReport:
-    """Per-(family, modality) accuracies on the test split; a teacher is
-    scored on text only."""
+    """Per-(family, modality) accuracies on the test split, for each family
+    the split holds; a teacher is scored on text only."""
     modalities = (TEXT,) if model.kind == "teacher" else (SPEECH, TEXT)
     scores: dict[str, dict[str, float]] = {}
     n_used = 0
     for fam in FAMILIES:
-        examples = dataset.split_family("test", fam)
-        if n_eval is not None:
-            examples = examples[:n_eval]
+        examples = dataset.split_family("test", fam)[:n_eval]
+        if not examples:
+            continue
         n_used = max(n_used, len(examples))
         scores[fam] = {m: score_model(model, examples, m, max_new=max_new) for m in modalities}
     return EvalReport(model_id=model_id, base_model_id=None, n_eval=n_used, seed=seed, scores=scores)

@@ -32,6 +32,7 @@ from .errors import (
     LengthError,
     ModalityError,
     UsageError,
+    check_field_types,
 )
 
 INIT_STD = 0.02
@@ -53,6 +54,7 @@ class ModelConfig:
     speech_embed_dim: int = 32
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         counts = (
             self.text_vocab_size,
             self.speech_vocab_size,
@@ -84,7 +86,7 @@ class Trajectory:
     example_id: str
     conditioning_modality: str
     tokens: list[int]
-    logp_old: list[float]  # unadjusted log pi_old(y_t | ., y_<t)
+    logp_old: list[float]  # sampling log pi_old(y_t | ., y_<t)
     finished: bool
 
     def __post_init__(self) -> None:
@@ -289,17 +291,16 @@ def _decode_batch(
     model: TeacherModel,
     prompts: list[Prompt],
     max_new: int,
-    temperature: float = 1.0,
     rngs: list[np.random.Generator] | None = None,
 ) -> tuple[list[list[int]], list[bool], np.ndarray | None]:
     """Incremental decoding with per-layer key/value caches.
 
     All prompts must share one modality and length (callers group). With no
     ``rngs`` every row takes the argmax and nothing is recorded. With one rng
-    per row, rows are sampled at ``temperature`` and the third return value
-    is a (B, max_new) array of each chosen token's unadjusted log-prob (zero
-    past a completion's end). Completions keep the terminating <eos> when
-    emitted; the flags say which did.
+    per row, rows are sampled at temperature 1 and the third return value is
+    a (B, max_new) array of each chosen token's log-prob (zero past a
+    completion's end). Completions keep the terminating <eos> when emitted;
+    the flags say which did.
     """
     tok_emb = model.params["tok_emb"].data
     pos_emb = model.params["pos_emb"].data
@@ -323,10 +324,10 @@ def _decode_batch(
             nxt[live] = np.argmax(logits[live], axis=-1)
         else:
             for b in live:
-                p = ad.np_softmax(logits[b] / temperature)
+                p = ad.np_softmax(logits[b])
                 nxt[b] = rngs[b].choice(len(p), p=p)
-            # logp_old: the chosen token's log-prob under the unadjusted
-            # logits it was drawn from, whatever the temperature.
+            # logp_old: the chosen token's log-prob under the logits it was
+            # drawn from.
             lp = ad.np_log_softmax(logits)
             logps[live, step] = lp[live, nxt[live]]
         for b in live:
@@ -342,28 +343,26 @@ def _decode_batch(
 def sample_completions_batch(
     model: TeacherModel,
     units: list[tuple[Prompt, np.random.Generator]],
-    temperature: float,
     max_new: int,
 ) -> list[Trajectory]:
     """Ancestral sampling until <eos> or max_new tokens, one rng per unit.
 
     Decoding runs incrementally with key/value caches, grouped by prompt
     shape; each unit consumes its rng independently of grouping, so tokens
-    do not depend on which units share a batch. Each token's log-prob under
-    the unadjusted model (logp_old, defining pi_old) is read from the decode
-    logits it was drawn from. A teacher-forced recomputation, or a call with
-    other units in the batch, agrees with it to rounding (within 1e-12), not
-    bit for bit.
+    do not depend on which units share a batch. Tokens are drawn at
+    temperature 1, so each token's sampling log-prob (logp_old, defining
+    pi_old) is its log-prob under the model, read from the decode logits it
+    was drawn from. A teacher-forced recomputation, or a call with other
+    units in the batch, agrees with it to rounding (within 1e-12), not bit
+    for bit.
     """
-    if temperature <= 0:
-        raise ConfigurationError(f"temperature must be > 0, got {temperature}")
     if max_new < 1:
         raise ConfigurationError("max_new must be >= 1")
     prompts = [p for p, _ in units]
     results: list[Trajectory | None] = [None] * len(units)
     for idxs in _shape_groups(prompts):
         outs, finished, logps = _decode_batch(
-            model, [prompts[i] for i in idxs], max_new, temperature, [units[i][1] for i in idxs]
+            model, [prompts[i] for i in idxs], max_new, [units[i][1] for i in idxs]
         )
         for b, i in enumerate(idxs):
             n = len(outs[b])

@@ -8,9 +8,11 @@ on the text prompt:
 * cross-modal   A(y_t) = log pi_teacher(y_t | T, y_<t) - log pi_student(y_t | S, y_<t)
 
 Each trajectory contributes mean_t r_t * A_t, where r_t is the probability
-ratio of the current policy to the sampling policy. Advantages and logp_old
-are gradient constants; only r carries gradient. Losses average 1/|y| per
-trajectory, then 1/n per example, then over examples; the blended objective
+ratio of the current policy to the sampling policy. Rollouts are drawn at
+temperature 1, so logp_old is each token's log-prob under the distribution
+it was drawn from. Advantages and logp_old are gradient constants; only r
+carries gradient. Losses average 1/|y| per trajectory, then 1/n per
+example, then over examples; the blended objective
 lambda * L_im + (1 - lambda) * L_cm is MAXIMIZED (its negated mean advantage
 is an unbiased per-token estimate of reverse KL to the teacher).
 """

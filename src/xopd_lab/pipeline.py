@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .corpus import FAMILIES, SpeechCodec, build_dataset, save_dataset, Dataset
-from .errors import ConfigurationError, XopdError
+from .errors import ConfigurationError, XopdError, check_field_types, is_int, is_number
 from .evaluation import (
     EvalReport,
     avg_drop,
@@ -59,14 +59,6 @@ DEFAULT_SIZES = {
 BASELINE_METHODS = ("sft", "offline_kd", "gkd")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 @dataclass
 class PipelineConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
@@ -86,28 +78,29 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         """Check every value before any work, so a bad one writes nothing."""
+        check_field_types(self)
         if not isinstance(self.sizes, dict) or not set(self.sizes) <= set(FAMILIES):
             raise ConfigurationError(f"sizes must map families {FAMILIES} to counts, got {self.sizes!r}")
         for fam, counts in self.sizes.items():
             if not (
                 isinstance(counts, (list, tuple)) and len(counts) == 3
-                and all(_is_int(c) and c >= 0 for c in counts) and sum(counts) >= 1
+                and all(is_int(c) and c >= 0 for c in counts) and sum(counts) >= 1
             ):
                 raise ConfigurationError(
                     f"sizes[{fam!r}] must be 3 non-negative (train, val, test) counts "
                     f"with a positive sum, got {counts!r}"
                 )
-        if not _is_number(self.noise_rate) or not 0.0 <= self.noise_rate < 1.0:
+        if not 0.0 <= self.noise_rate < 1.0:
             raise ConfigurationError(f"noise_rate must be in [0, 1), got {self.noise_rate!r}")
         for name in ("xopd_steps", "gkd_steps", "batch_size", "n_rollouts", "max_new", "n_eval"):
             value = getattr(self, name)
-            if not _is_int(value) or value < 1:
+            if value < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
-        if not _is_number(self.learning_rate) or self.learning_rate < 0:
+        if self.learning_rate < 0:
             raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
-        if not self.seeds or not all(_is_int(s) for s in self.seeds):
+        if not self.seeds or not all(is_int(s) for s in self.seeds):
             raise ConfigurationError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
-        if not self.lambda_grid or not all(_is_number(x) and 0 <= x <= 1 for x in self.lambda_grid):
+        if not self.lambda_grid or not all(is_number(x) and 0 <= x <= 1 for x in self.lambda_grid):
             raise ConfigurationError(f"lambda_grid must be non-empty, in [0, 1], got {self.lambda_grid!r}")
         try:
             self.codec()
@@ -115,16 +108,12 @@ class PipelineConfig:
             raise ConfigurationError(f"no speech codec for these model.* values: {e}") from None
 
     def codec(self) -> SpeechCodec:
-        """The speech codec this config's data is built with: the default
-        frame code's first ``frames_per_token`` (multiplier, offset) pairs."""
-        F = self.model.frames_per_token
+        """The speech codec this config's data is built with."""
         return SpeechCodec(
             noise_rate=self.noise_rate,
             text_vocab_size=self.model.text_vocab_size,
             speech_vocab_size=self.model.speech_vocab_size,
-            frames_per_token=F,
-            multipliers=SpeechCodec.multipliers[:F],
-            offsets=SpeechCodec.offsets[:F],
+            frames_per_token=self.model.frames_per_token,
         )
 
     def dataset(self, seed: int) -> Dataset:

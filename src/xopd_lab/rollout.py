@@ -35,7 +35,6 @@ def collect_rollouts(
     batch: list[PairedExample],
     n: int,
     seed: int,
-    temperature: float = 1.0,
     max_new: int = 16,
     modalities: tuple[str, ...] = MODALITIES,
 ) -> RolloutBatch:
@@ -56,7 +55,7 @@ def collect_rollouts(
         tokens = ex.text_prompt if modality == TEXT else ex.speech_prompt
         rng = np.random.default_rng(_unit_seed(seed, ex.example_id, modality, j))
         units.append((Prompt(modality, tokens), rng))
-    trajs = sample_completions_batch(student, units, temperature, max_new)
+    trajs = sample_completions_batch(student, units, max_new)
 
     out = RolloutBatch()
     for (ex, modality, j), traj in zip(keys, trajs):

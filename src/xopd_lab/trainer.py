@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .baselines import gkd_batch_loss, offline_kd_build, sft_batch_loss
 from .checkpoint import params_hash
 from .corpus import Dataset, pretraining_batch
-from .errors import ConfigurationError, TrainingFailure, UsageError
+from .errors import ConfigurationError, DataError, TrainingFailure, UsageError, check_field_types
 from .evaluation import score_model
 from .model import (
     SPEECH,
@@ -52,8 +52,10 @@ PAPER_PROVENANCE = {
 
 
 def _check_config(cfg, counts: tuple[str, ...], unit: str) -> None:
-    """Checks shared by the training, pretraining and gap configs: every
-    count >= 1, ``learning_rate`` >= 0 and the ``unit`` field in [0, 1]."""
+    """Checks shared by the training, pretraining and gap configs: the
+    field types, every count >= 1, ``learning_rate`` >= 0 and the ``unit``
+    field in [0, 1]."""
+    check_field_types(cfg)
     for name in counts:
         if getattr(cfg, name) < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {getattr(cfg, name)!r}")
@@ -75,7 +77,6 @@ class TrainConfig:
     batch_size: int = 32
     steps: int = 60
     epochs: int = 1  # data passes for SFT / offline KD
-    temperature: float = 1.0
     max_new: int = 12
     seed: int = 0
     checkpoint_interval: int = 0  # 0 = final checkpoint only
@@ -87,8 +88,6 @@ class TrainConfig:
         if self.method not in METHODS:
             raise ConfigurationError(f"method must be one of {METHODS}, got {self.method!r}")
         _check_config(self, ("n_rollouts", "batch_size", "epochs", "steps", "max_new"), "lam")
-        if self.temperature <= 0:
-            raise ConfigurationError(f"temperature must be > 0, got {self.temperature}")
         if self.workers != 1:
             raise ConfigurationError(f"workers must be 1, got {self.workers}")
 
@@ -162,12 +161,9 @@ def pretrain_teacher(
 ) -> tuple[TeacherModel, dict]:
     """Cross-entropy training on a streaming text (prompt -> answer) corpus
     until the validation ceiling target is met; raises TrainingFailure
-    otherwise. Validation is the dataset's held-out REASONING split at
-    difficulty <= 2, matching the ceiling-target contract."""
+    otherwise. Validation is the dataset's held-out REASONING split."""
     teacher = TeacherModel.init(model_cfg, seed)
-    val = [
-        ex for ex in dataset.split_family("val", "REASONING") if ex.difficulty <= 2
-    ][: cfg.n_val]
+    val = dataset.split_family("val", "REASONING")[: cfg.n_val]
     if not val:
         raise UsageError("pretraining needs val REASONING data")
     opt = _optimizer(teacher, teacher.params, cfg.learning_rate)
@@ -220,12 +216,22 @@ def build_gapped_student(
     speech_subset = dataset.alignment_set("train")[: cfg.speech_subset_size]
     val_acoustic = dataset.split_family("val", "ACOUSTIC")[: cfg.n_val]
     val_align = dataset.alignment_set("val")[: cfg.n_val]
-    if not acoustic or not speech_subset or not val_acoustic:
-        raise UsageError("gap construction needs ACOUSTIC and alignment data")
+    if not val_acoustic or not val_align:
+        raise UsageError("gap construction needs val ACOUSTIC and alignment data")
+    # Each batch draws without replacement from both pools.
+    half = cfg.batch_size // 2
+    for name, pool, need in (
+        ("train ACOUSTIC split", acoustic, half),
+        ("speech subset of the train alignment split", speech_subset, cfg.batch_size - half),
+    ):
+        if len(pool) < need:
+            raise DataError(
+                f"gap construction draws {need} examples per batch from the {name}, "
+                f"which holds {len(pool)}"
+            )
 
     opt = _optimizer(student, student.speech_params(), cfg.learning_rate)
     rng = np.random.default_rng([seed, 0x6A9])
-    half = cfg.batch_size // 2
     steps_used = 0
     acoustic_acc = 0.0
     for step in range(1, cfg.max_steps + 1):
@@ -333,8 +339,7 @@ def run_method(
                 batch = [train_data[i] for i in idx]
                 rollouts = collect_rollouts(
                     student, batch, n=1, seed=cfg.seed * 1_000_003 + step,
-                    temperature=cfg.temperature, max_new=cfg.max_new,
-                    modalities=(SPEECH,),
+                    max_new=cfg.max_new, modalities=(SPEECH,),
                 )
                 pairs = [
                     (rollouts.trajectories[ex.example_id][SPEECH][0], ex) for ex in batch
@@ -353,8 +358,7 @@ def run_method(
                     modalities = (TEXT, SPEECH)
                 rollouts = collect_rollouts(
                     student, batch, n=cfg.n_rollouts, seed=cfg.seed * 1_000_003 + step,
-                    temperature=cfg.temperature, max_new=cfg.max_new,
-                    modalities=modalities,
+                    max_new=cfg.max_new, modalities=modalities,
                 )
                 report, objective = xopd_loss(rollouts, teacher, student, cfg.lam, batch)
                 loss = ad.neg(objective)

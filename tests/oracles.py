@@ -197,6 +197,28 @@ def naive_read_label(codec, frames: list[int], tokens: list[int]) -> int | None:
     return votes.index(max(votes))
 
 
+def naive_decode_speech(codec, frames: list[int]) -> list[int]:
+    """Majority-vote decode, one frame group at a time.
+
+    Each group of ``F`` frames becomes the token whose pattern
+    ``(a_i * t + b_i) mod S`` it matches in the most frames, the lowest such
+    token on a tie; the patterns are rebuilt from the codec's multipliers
+    and offsets.
+    """
+    F, S = codec.frames_per_token, codec.speech_vocab_size
+    pairs = list(zip(codec.multipliers, codec.offsets))
+    tokens = []
+    for start in range(0, len(frames), F):
+        group = frames[start : start + F]
+        best, best_votes = 0, -1
+        for t in range(codec.text_vocab_size):
+            votes = sum(1 for f, (a, b) in zip(group, pairs) if f == (a * t + b) % S)
+            if votes > best_votes:
+                best, best_votes = t, votes
+        tokens.append(best)
+    return tokens
+
+
 def trajectories_of(rollouts, modality: str) -> list:
     """Every trajectory of one conditioning modality in a rollout batch,
     in example order."""

@@ -412,5 +412,5 @@ def test_criterion_8_every_admitted_example_is_semantically_invariant(default_da
     assert default_dataset.manifest["invariance_failures"] == 0
     for split in ("train", "val", "test"):
         for ex in default_dataset.splits[split]:
-            decoded, _ = decode_speech(codec, ex.speech_prompt)
+            decoded = decode_speech(codec, ex.speech_prompt)
             assert answer_for_prompt(ex.family, decoded, ex.label) == ex.reference_answer

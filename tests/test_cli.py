@@ -8,15 +8,13 @@ from pathlib import Path
 import pytest
 
 from xopd_lab.cli import _build, _load_config, _pipeline_config, build_parser, main
-from xopd_lab.corpus import save_dataset
+from xopd_lab.corpus import SpeechCodec, build_dataset, save_dataset
 from xopd_lab.model import save_model
 from xopd_lab.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
-    from xopd_lab.corpus import SpeechCodec, build_dataset
-
     d = tmp_path_factory.mktemp("data")
     ds = build_dataset({f: (24, 8, 8) for f in ("REASONING", "INSTRUCTION", "ACOUSTIC")},
                        SpeechCodec(), seed=0)
@@ -158,6 +156,59 @@ def test_eval_n_eval_below_1_exits_2_before_work(tmp_path, data_dir, ckpts, n_ev
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def text_families_dir(tmp_path_factory):
+    """A dataset with REASONING and INSTRUCTION only: no ACOUSTIC family."""
+    d = tmp_path_factory.mktemp("text-families")
+    sizes = {"REASONING": (4, 2, 2), "INSTRUCTION": (4, 2, 2)}
+    save_dataset(build_dataset(sizes, SpeechCodec(), seed=0), d)
+    return d
+
+
+@pytest.mark.parametrize("with_base", [False, True], ids=["no-base", "base"])
+def test_eval_scores_only_the_families_the_test_split_holds(
+    tmp_path, text_families_dir, ckpts, with_base, capsys
+):
+    out = tmp_path / "eval"
+    base = ["--base", str(ckpts / "teacher.ckpt")] if with_base else []
+    code = main([
+        "eval", str(ckpts / "student.ckpt"), "--data", str(text_families_dir),
+        "--out", str(out), "--n-eval", "2",
+    ] + base)
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((out / "report_0_student.json").read_text())
+    assert sorted(report["scores"]) == ["INSTRUCTION", "REASONING"]
+    assert report["base_model_id"] == ("base" if with_base else None)
+
+
+def test_eval_base_without_a_drop_family_exits_1(tmp_path, ckpts, capsys):
+    data = tmp_path / "data"
+    sizes = {"REASONING": (4, 2, 2), "ACOUSTIC": (4, 2, 2)}
+    save_dataset(build_dataset(sizes, SpeechCodec(), seed=0), data)
+    code = main([
+        "eval", str(ckpts / "student.ckpt"), "--data", str(data),
+        "--base", str(ckpts / "teacher.ckpt"), "--out", str(tmp_path / "eval"), "--n-eval", "2",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "INSTRUCTION" in err[0]
+
+
+def test_train_auto_on_a_small_acoustic_split_exits_1(tmp_path, capsys):
+    # One pretraining step meets a zero target; the gap's first half batch
+    # (8 of GapConfig's 16) is larger than the 6-example ACOUSTIC split.
+    data, out = tmp_path / "data", tmp_path / "out"
+    code = main([
+        "train", "--method", "sft", "--data", str(data), "--out", str(out), "--auto",
+        "--set", 'sizes={"REASONING":[6,4,2],"INSTRUCTION":[6,2,2],"ACOUSTIC":[6,4,2]}',
+        "--set", "pretrain.target_accuracy=0", "--set", "pretrain.max_steps=1",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "train ACOUSTIC split" in err[0] and "holds 6" in err[0]
+
+
 def test_eval_missing_checkpoint(tmp_path, data_dir):
     code = main([
         "eval", str(tmp_path / "ghost.ckpt"), "--data", str(data_dir),
@@ -266,11 +317,20 @@ def test_train_damaged_dataset_exits_1_without_traceback(tmp_path, data_dir, ckp
     (["train", "--method", "xopd", "--data", "{data}", "--auto", "--rollouts", "0"], "n_rollouts"),
     # A section that is not an object is rejected before it is merged.
     (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train=3"], "train"),
+    # An integer field takes no float, and a number field takes no bool.
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "pretrain.max_steps=1.5"],
+     "max_steps"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "model.n_layers=1.5"],
+     "n_layers"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.steps=1.5"],
+     "steps"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.lam=true"], "lam"),
 ], ids=["train.foo", "model.foo", "pipeline.seeds", "foo", "sizes=3", "noise_rate=x",
         "model.frames_per_token=4", "xopd_steps=0", "lambda_grid=[2.0]", "learning_rate=-1",
         "pretrain.max_steps=0", "pretrain.batch_size=0", "pretrain.min_learning_rate=0.01",
         "gap.batch_size=1", "gap.acoustic_target=1.5", "gap.learning_rate=-1",
-        "gap.speech_subset_size=4", "steps=0", "rollouts=0", "train=3"])
+        "gap.speech_subset_size=4", "steps=0", "rollouts=0", "train=3",
+        "pretrain.max_steps=1.5", "model.n_layers=1.5", "train.steps=1.5", "train.lam=true"])
 def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, capsys):
     data, out = tmp_path / "data", tmp_path / "out"
     code = main([a.format(data=data) for a in argv] + ["--out", str(out)])

@@ -1,10 +1,13 @@
 """Unit tests for the synthetic paired corpus and the speech codec."""
 
+import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xopd_lab.corpus import (
     EOS,
@@ -36,7 +39,7 @@ from xopd_lab.errors import (
     VocabError,
 )
 
-from oracles import naive_read_label
+from oracles import naive_decode_speech, naive_read_label
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +50,7 @@ def test_noiseless_round_trip_every_token():
     codec = SpeechCodec(noise_rate=0.0)
     ids = list(range(codec.text_vocab_size))
     frames = encode_speech(codec, ids)
-    decoded, flagged = decode_speech(codec, frames)
-    assert decoded == ids
-    assert flagged == []
+    assert decode_speech(codec, frames) == ids
 
 
 def test_patterns_pairwise_distinct_in_every_frame(codec):
@@ -69,8 +70,7 @@ def test_single_corrupted_frame_always_recovers():
         frames = encode_speech(codec, [token])
         pos = int(rng.integers(0, F))
         frames[pos] = int(rng.integers(0, S))
-        decoded, _ = decode_speech(codec, frames)
-        assert decoded == [token]
+        assert decode_speech(codec, frames) == [token]
 
 
 def test_label_round_trip_without_noise():
@@ -78,7 +78,7 @@ def test_label_round_trip_without_noise():
     text = encode_text(["label", "?", "3", "a", "7"])
     for label in range(N_LABELS):
         frames = encode_speech(codec, text, label=label)
-        decoded, _ = decode_speech(codec, frames)
+        decoded = decode_speech(codec, frames)
         assert decoded == text
         assert naive_read_label(codec, frames, decoded) == label
 
@@ -106,18 +106,58 @@ def test_decode_rejects_partial_frame_groups(codec):
 def test_codec_validates_noise_rate_and_multipliers():
     with pytest.raises(ConfigurationError):
         SpeechCodec(noise_rate=1.5)
-    with pytest.raises(ConfigurationError):
-        SpeechCodec(multipliers=(2, 5, 9))  # 2 not invertible mod 64
-    with pytest.raises(ConfigurationError):
-        SpeechCodec(multipliers=(1, 5), offsets=(0, 1))  # wrong arity
+    with pytest.raises(ConfigurationError, match="multiplier 5"):
+        SpeechCodec(speech_vocab_size=65)  # 5 not invertible mod 65
+    with pytest.raises(ConfigurationError, match="frames_per_token"):
+        SpeechCodec(frames_per_token=4)  # only three (multiplier, offset) pairs
+
+
+@st.composite
+def _codec_and_frames(draw):
+    """A noiseless codec of any allowed shape, a token list, an optional
+    label and a list of (frame index, value) corruptions."""
+    F = draw(st.integers(1, 3))
+    V = draw(st.integers(2, 64))
+    # Odd and not a multiple of 3 or 5, so every multiplier is invertible.
+    S = draw(st.integers(V, 130).filter(lambda s: math.gcd(s, 30) == 1))
+    codec = SpeechCodec(frames_per_token=F, speech_vocab_size=S, text_vocab_size=V, noise_rate=0.0)
+    tokens = draw(st.lists(st.integers(0, V - 1), max_size=12))
+    label = draw(st.none() | st.integers(0, N_LABELS - 1))
+    n = len(tokens) * F
+    hits = []
+    if n:
+        hits = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, S - 1)), max_size=n))
+    return codec, tokens, label, hits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_codec_and_frames())
+def test_codec_matches_the_closed_form_and_the_naive_decoder(case):
+    codec, tokens, label, hits = case
+    F, S = codec.frames_per_token, codec.speech_vocab_size
+    frames = encode_speech(codec, tokens, label=label)
+    want = []
+    for t in tokens:
+        group = [(a * t + b) % S for a, b in zip(codec.multipliers, codec.offsets)]
+        if label is not None:
+            group[-1] = (group[-1] + 1 + label) % S
+        want += group
+    assert frames == want
+    for i, value in hits:
+        frames[i] = value
+    assert decode_speech(codec, frames) == naive_decode_speech(codec, frames)
 
 
 def test_codec_round_trips_through_manifest(codec):
     ds = build_dataset({"INSTRUCTION": (4, 2, 2)}, codec, seed=0)
-    recorded = {
-        k: tuple(v) if isinstance(v, list) else v for k, v in ds.manifest["codec"].items()
-    }
-    assert SpeechCodec(**recorded) == codec
+    recorded = ds.manifest["codec"]
+    settable = {f.name for f in dataclasses.fields(SpeechCodec)}
+    assert SpeechCodec(**{k: v for k, v in recorded.items() if k in settable}) == codec
+    # The frame code the codec derives is recorded too, for readers outside
+    # the package.
+    assert recorded["multipliers"] == list(codec.multipliers)
+    assert recorded["offsets"] == list(codec.offsets)
+    assert recorded["n_labels"] == codec.n_labels == N_LABELS
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +258,7 @@ def test_admitted_examples_satisfy_round_trip_invariant(codec):
     ds = build_dataset(SIZES, codec, seed=3)
     for split in ds.splits.values():
         for ex in split:
-            decoded, _ = decode_speech(codec, ex.speech_prompt)
+            decoded = decode_speech(codec, ex.speech_prompt)
             mism = sum(a != b for a, b in zip(decoded, ex.text_prompt))
             assert mism / len(ex.text_prompt) <= 0.05
             assert ex.round_trip_error_rate <= 0.05

@@ -8,11 +8,23 @@
   are independent of the code they check.
 * Every top-level function and class of the package is named by package
   code: reference paths that only tests call belong in ``tests/oracles.py``.
+* Every ``int`` field of a config dataclass rejects a float and a bool, and
+  every ``float`` field a bool, so a field added later cannot skip the type
+  check.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+import pytest
+
+from xopd_lab.corpus import SpeechCodec
+from xopd_lab.errors import ConfigurationError
+from xopd_lab.model import ModelConfig
+from xopd_lab.pipeline import PipelineConfig
+from xopd_lab.trainer import GapConfig, PretrainConfig, TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "xopd_lab"
@@ -74,3 +86,21 @@ def test_every_top_level_definition_is_named_by_package_code():
         key for key, name in defined.items() if name not in named and key not in _entry_points()
     )
     assert unused == [], f"defined in the package but named only outside it: {unused}"
+
+
+CONFIGS = (ModelConfig, TrainConfig, PretrainConfig, GapConfig, PipelineConfig, SpeechCodec)
+
+
+def _typed_fields(cls, kind) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls) if f.type in (kind.__name__, kind)]
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)
+def test_every_int_and_float_config_field_rejects_the_wrong_type(cls):
+    ints, floats = _typed_fields(cls, int), _typed_fields(cls, float)
+    assert ints, f"{cls.__name__} has no int field"
+    cases = [(name, bad) for name in ints for bad in (1.5, True)]
+    cases += [(name, True) for name in floats]
+    for name, bad in cases:
+        with pytest.raises(ConfigurationError, match=name):
+            cls(**{name: bad})

@@ -22,7 +22,7 @@ from xopd_lab.model import (
 )
 from xopd_lab.rollout import SPEECH, TEXT
 
-from oracles import naive_full_logits, naive_log_softmax, naive_softmax, naive_token_logps
+from oracles import naive_full_logits, naive_softmax, naive_token_logps
 
 
 def _oracle_logps(model, prompt, tokens):
@@ -87,12 +87,12 @@ def test_forward_rejects_overlong_sequences(tiny_teacher):
         padded_log_probs(tiny_teacher, [(Prompt(TEXT, [5] * max_len), [1, 2])])
 
 
-def _reference_sample(model, prompt, temperature, max_new, rng):
+def _reference_sample(model, prompt, max_new, rng):
     """Uncached ancestral sampling: one full independent forward per token."""
     tokens = []
     for _ in range(max_new):
         logits = naive_full_logits(model, prompt.modality, prompt.tokens, tokens)
-        p = naive_softmax(logits[-1] / temperature)
+        p = naive_softmax(logits[-1])
         tokens.append(int(rng.choice(len(p), p=p)))
         if tokens[-1] == EOS:
             break
@@ -108,9 +108,9 @@ def test_sampled_logp_old_matches_teacher_forced_recomputation(tiny_student, mod
             n *= tiny_student.cfg.frames_per_token
         prompt = Prompt(modality, [int(x) for x in rng.integers(4, 30, size=n)])
         traj = sample_completions_batch(
-            tiny_student, [(prompt, np.random.default_rng([3, i]))], 0.8, 6
+            tiny_student, [(prompt, np.random.default_rng([3, i]))], 6
         )[0]
-        want = _reference_sample(tiny_student, prompt, 0.8, 6, np.random.default_rng([3, i]))
+        want = _reference_sample(tiny_student, prompt, 6, np.random.default_rng([3, i]))
         assert traj.tokens == want
         assert traj.finished == (want[-1] == EOS)
         np.testing.assert_allclose(
@@ -121,10 +121,10 @@ def test_sampled_logp_old_matches_teacher_forced_recomputation(tiny_student, mod
 def test_batched_sampling_matches_single(tiny_teacher):
     prompts = [Prompt(TEXT, [4 + i, 5, 6]) for i in range(6)]
     units = [(p, np.random.default_rng([7, i])) for i, p in enumerate(prompts)]
-    batched = sample_completions_batch(tiny_teacher, units, temperature=0.9, max_new=5)
+    batched = sample_completions_batch(tiny_teacher, units, max_new=5)
     for i, p in enumerate(prompts):
         single = sample_completions_batch(
-            tiny_teacher, [(p, np.random.default_rng([7, i]))], 0.9, 5
+            tiny_teacher, [(p, np.random.default_rng([7, i]))], 5
         )[0]
         assert batched[i].tokens == single.tokens
         assert batched[i].finished == single.finished
@@ -135,9 +135,9 @@ def test_batched_sampling_matches_single(tiny_teacher):
 def test_batched_sampling_order_invariant(tiny_teacher):
     prompts = [Prompt(TEXT, [4 + i] * (2 + i % 3)) for i in range(6)]
     mk = lambda: [(p, np.random.default_rng([11, i])) for i, p in enumerate(prompts)]
-    fwd = sample_completions_batch(tiny_teacher, mk(), temperature=1.0, max_new=5)
+    fwd = sample_completions_batch(tiny_teacher, mk(), max_new=5)
     units_rev = list(reversed(mk()))
-    rev = sample_completions_batch(tiny_teacher, units_rev, temperature=1.0, max_new=5)
+    rev = sample_completions_batch(tiny_teacher, units_rev, max_new=5)
     for i in range(len(prompts)):
         assert fwd[i].tokens == rev[len(prompts) - 1 - i].tokens
         assert fwd[i].logp_old == rev[len(prompts) - 1 - i].logp_old
@@ -149,21 +149,6 @@ def test_greedy_decode_batch_matches_single(tiny_student):
     batched = greedy_decode_batch(tiny_student, prompts, max_new=6)
     for p, got in zip(prompts, batched):
         assert got == greedy_decode_batch(tiny_student, [p], 6)[0]
-
-
-def test_temperature_changes_sampling_distribution(tiny_teacher):
-    prompt = Prompt(TEXT, [5, 6, 7])
-    traj = sample_completions_batch(tiny_teacher, [(prompt, np.random.default_rng(3))], 0.5, 4)[0]
-    # Tokens are drawn at the temperature, but logp_old tracks the unadjusted model.
-    np.testing.assert_allclose(
-        traj.logp_old, _oracle_logps(tiny_teacher, prompt, traj.tokens), rtol=0, atol=1e-12
-    )
-    n = len(traj.tokens)
-    logits = naive_full_logits(tiny_teacher, TEXT, prompt.tokens, traj.tokens)[-n - 1 : -1]
-    tempered = naive_log_softmax(logits / 0.5)[np.arange(n), traj.tokens]
-    assert np.abs(np.asarray(traj.logp_old) - tempered).max() > 1e-6
-    with pytest.raises(ConfigurationError):
-        sample_completions_batch(tiny_teacher, [(prompt, np.random.default_rng(3))], 0.0, 4)
 
 
 def test_batched_completion_logps_matches_per_item(tiny_student):

@@ -9,7 +9,8 @@ import pytest
 import xopd_lab.autodiff as ad
 import xopd_lab.trainer as trainer_mod
 from xopd_lab.autodiff import Tensor
-from xopd_lab.errors import ConfigurationError
+from xopd_lab.corpus import SpeechCodec, build_dataset
+from xopd_lab.errors import ConfigurationError, DataError
 from xopd_lab.optim import Adam
 from xopd_lab.trainer import (
     GapConfig,
@@ -90,12 +91,7 @@ def test_train_config_validation():
     assert GapConfig().acoustic_target == 0.90
 
 
-@pytest.mark.parametrize(
-    "field,bad",
-    [
-        ("temperature", 0.0), ("temperature", -1.0), ("steps", 0), ("max_new", 0),
-    ],
-)
+@pytest.mark.parametrize("field,bad", [("steps", 0), ("max_new", 0)])
 def test_train_config_rejects_nonpositive_sampling_and_step_counts(field, bad):
     with pytest.raises(ConfigurationError, match=field):
         TrainConfig(**{field: bad})
@@ -208,6 +204,16 @@ def gapped_student(tiny_teacher, tiny_config, small_dataset, monkeypatch):
     student, report = build_gapped_student(tiny_teacher, small_dataset, tiny_config, TINY_GAP, 0)
     assert report["steps"] == 1
     return student
+
+
+@pytest.mark.parametrize("sizes,named", [
+    ({"REASONING": (6, 2, 2), "INSTRUCTION": (6, 2, 2), "ACOUSTIC": (1, 2, 2)}, "train ACOUSTIC split"),
+    ({"REASONING": (1, 2, 2), "ACOUSTIC": (6, 2, 2)}, "speech subset"),
+], ids=["acoustic", "speech-subset"])
+def test_gap_rejects_a_pool_smaller_than_its_half_batch(tiny_teacher, tiny_config, sizes, named):
+    dataset = build_dataset(sizes, SpeechCodec(), seed=0)
+    with pytest.raises(DataError, match=f"{named}.*holds 1"):
+        build_gapped_student(tiny_teacher, dataset, tiny_config, TINY_GAP, 0)
 
 
 def test_gap_step_trains_only_the_speech_pathway(gapped_student, tiny_teacher):
