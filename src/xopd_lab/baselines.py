@@ -9,6 +9,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import autodiff as ad
@@ -26,8 +28,10 @@ from .model import (
 )
 
 
-def sft_batch_loss(student, examples: list[PairedExample], modality: str = SPEECH) -> Tensor:
-    """Mean over examples of the per-example mean-NLL, in one batched pass."""
+def sft_batch_loss(model, examples: list[PairedExample]) -> Tensor:
+    """Mean over examples of the per-example mean-NLL, in one batched pass.
+    A teacher reads the text prompts and a student the speech prompts."""
+    modality = TEXT if model.kind == "teacher" else SPEECH
     items = []
     weights = []
     for ex in examples:
@@ -37,32 +41,14 @@ def sft_batch_loss(student, examples: list[PairedExample], modality: str = SPEEC
         prompt_tokens = ex.speech_prompt if modality == SPEECH else ex.text_prompt
         items.append((Prompt(modality, prompt_tokens), tokens))
         weights.append(np.full(len(tokens), -1.0 / (len(tokens) * len(examples))))
-    lp, _ = batched_completion_logps(student, items)
+    lp, _ = batched_completion_logps(model, items)
     return ad.sum_all(ad.mul(lp, Tensor(np.concatenate(weights))))
 
 
-def offline_kd_build(
-    teacher, examples: list[PairedExample], max_new: int = 16, teacher_checkpoint: str = ""
-) -> tuple[list[PairedExample], dict]:
+def offline_kd_build(teacher, examples: list[PairedExample], max_new: int) -> list[PairedExample]:
     """Distill: pair each speech prompt with the teacher's greedy text answer."""
-    prompts = [Prompt(TEXT, ex.text_prompt) for ex in examples]
-    answers = greedy_decode_batch(teacher, prompts, max_new=max_new)
-    distilled = []
-    for ex, ans in zip(examples, answers):
-        distilled.append(
-            PairedExample(
-                example_id=ex.example_id,
-                family=ex.family,
-                difficulty=ex.difficulty,
-                text_prompt=list(ex.text_prompt),
-                speech_prompt=list(ex.speech_prompt),
-                reference_answer=list(ans),
-                label=ex.label,
-                round_trip_error_rate=ex.round_trip_error_rate,
-            )
-        )
-    provenance = {"method": "offline_kd", "decode_mode": "greedy", "teacher_checkpoint": teacher_checkpoint}
-    return distilled, provenance
+    answers = greedy_decode_batch(teacher, [Prompt(TEXT, ex.text_prompt) for ex in examples], max_new)
+    return [dataclasses.replace(ex, reference_answer=ans) for ex, ans in zip(examples, answers)]
 
 
 def gkd_batch_loss(

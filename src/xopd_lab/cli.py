@@ -139,6 +139,13 @@ def cmd_train(args) -> int:
         TrainConfig, cfg.get("train", {}), "train", method=args.method, seed=args.seed,
         **{k: v for k, v in flags.items() if v is not None},
     )
+    # SFT and offline KD make one pass over the data; only X-OPD samples
+    # several rollouts per prompt and weighs the two advantages.
+    read_by = {"steps": ("gkd", "xopd"), "lam": ("xopd",), "n_rollouts": ("xopd",)}
+    given = set(cfg.get("train", {})) | {k for k, v in flags.items() if v is not None}
+    unread = sorted(k for k in given & set(read_by) if args.method not in read_by[k])
+    if unread:
+        raise UsageError(f"--method {args.method} does not read {', '.join(unread)}")
     out = Path(args.out)
     data_dir = Path(args.data)
     if not data_dir.exists():

@@ -2,9 +2,10 @@
 
 Scoring is greedy decode + exact token match: the synthetic tasks have
 unique canonical answers, so no judge model is needed and evaluation is
-deterministic. Aggregate drops compare against a named base model's
-text-modality scores over the REASONING and INSTRUCTION families; the
-ACOUSTIC family is reserved for the forgetting analysis.
+deterministic; the decode budget comes from the references. Aggregate
+drops compare against a named base model's text-modality scores over the
+REASONING and INSTRUCTION families; the ACOUSTIC family is reserved for
+the forgetting analysis.
 """
 
 from __future__ import annotations
@@ -38,20 +39,19 @@ class EvalReport:
         return asdict(self)
 
 
-def score_model(
-    model,
-    examples: list[PairedExample],
-    modality: str,
-    max_new: int = 12,
-) -> float:
-    """Fraction of examples whose greedy decode exactly matches the reference."""
+def score_model(model, examples: list[PairedExample], modality: str) -> float:
+    """Fraction of examples whose greedy decode exactly matches the reference.
+    Decoding runs to one token past the longest reference, which shows
+    whether a decode ends there; greedy tokens do not depend on the budget,
+    so any larger one gives the same score."""
     if modality == SPEECH and model.kind == "teacher":
         raise ModalityError("teacher cannot be scored on the speech modality")
     prompts = [
         Prompt(modality, ex.text_prompt if modality == TEXT else ex.speech_prompt)
         for ex in examples
     ]
-    outputs = greedy_decode_batch(model, prompts, max_new=max_new)
+    max_new = max(len(ex.reference_answer) for ex in examples) + 1
+    outputs = greedy_decode_batch(model, prompts, max_new)
     correct = sum(1 for out, ex in zip(outputs, examples) if out == ex.reference_answer)
     return correct / len(examples)
 
@@ -62,7 +62,6 @@ def evaluate_model(
     model_id: str,
     seed: int,
     n_eval: int | None = None,
-    max_new: int = 12,
 ) -> EvalReport:
     """Per-(family, modality) accuracies on the test split, for each family
     the split holds; a teacher is scored on text only."""
@@ -74,7 +73,7 @@ def evaluate_model(
         if not examples:
             continue
         n_used = max(n_used, len(examples))
-        scores[fam] = {m: score_model(model, examples, m, max_new=max_new) for m in modalities}
+        scores[fam] = {m: score_model(model, examples, m) for m in modalities}
     return EvalReport(model_id=model_id, base_model_id=None, n_eval=n_used, seed=seed, scores=scores)
 
 

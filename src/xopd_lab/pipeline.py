@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .corpus import FAMILIES, SpeechCodec, build_dataset, save_dataset, Dataset
+from .corpus import FAMILIES, VOCAB, SpeechCodec, build_dataset, save_dataset, Dataset
 from .errors import ConfigurationError, XopdError, check_field_types, is_int, is_number
 from .evaluation import (
     EvalReport,
@@ -70,10 +70,11 @@ class PipelineConfig:
     xopd_steps: int = 150
     gkd_steps: int = 50
     lambda_grid: tuple[float, ...] = (0.0, 0.5, 1.0)
-    learning_rate: float = 1e-4  # method rate; see TrainConfig.learning_rate
-    batch_size: int = 32
-    n_rollouts: int = 4
-    max_new: int = 12
+    # The method recipe's defaults are TrainConfig's.
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    n_rollouts: int = TrainConfig.n_rollouts
+    max_new: int = TrainConfig.max_new
     n_eval: int = 500
 
     def __post_init__(self) -> None:
@@ -90,6 +91,11 @@ class PipelineConfig:
                     f"sizes[{fam!r}] must be 3 non-negative (train, val, test) counts "
                     f"with a positive sum, got {counts!r}"
                 )
+        if self.model.text_vocab_size < len(VOCAB):
+            raise ConfigurationError(
+                f"model.text_vocab_size must cover the corpus vocabulary of {len(VOCAB)} ids, "
+                f"got {self.model.text_vocab_size!r}"
+            )
         if not 0.0 <= self.noise_rate < 1.0:
             raise ConfigurationError(f"noise_rate must be in [0, 1), got {self.noise_rate!r}")
         for name in ("xopd_steps", "gkd_steps", "batch_size", "n_rollouts", "max_new", "n_eval"):
@@ -152,7 +158,7 @@ def _train_and_score(
     against the ``reference`` teacher report."""
     student = clone_student(base_student)
     run_method(tc, student, teacher, dataset, out_dir=out_dir)
-    report = evaluate_model(student, dataset, name, tc.seed, n_eval=cfg.n_eval, max_new=cfg.max_new)
+    report = evaluate_model(student, dataset, name, tc.seed, n_eval=cfg.n_eval)
     avg_drop(report, reference)
     return report
 
@@ -170,13 +176,11 @@ def run_seed(
     dataset = cfg.dataset(seed)
     save_dataset(dataset, out_dir / "data")
     save_model(teacher, out_dir / "teacher.ckpt")
-    teacher_report = evaluate_model(teacher, dataset, "teacher", seed, n_eval=cfg.n_eval, max_new=cfg.max_new)
+    teacher_report = evaluate_model(teacher, dataset, "teacher", seed, n_eval=cfg.n_eval)
 
     base_student, gap_report = build_gapped_student(teacher, dataset, cfg.model, cfg.gap, seed)
     save_model(base_student, out_dir / "student_base.ckpt")
-    base_report = evaluate_model(
-        base_student, dataset, "base_student", seed, n_eval=cfg.n_eval, max_new=cfg.max_new
-    )
+    base_report = evaluate_model(base_student, dataset, "base_student", seed, n_eval=cfg.n_eval)
     avg_drop(base_report, teacher_report)
 
     reports: dict[str, EvalReport] = {"teacher": teacher_report, "base_student": base_report}
@@ -325,9 +329,7 @@ def run_ablation(
     stop the grid."""
     out_dir.mkdir(parents=True, exist_ok=True)
     reference_id, reference_teacher = next(iter(teachers.items()))
-    reference = evaluate_model(
-        reference_teacher, dataset, reference_id, seed, n_eval=cfg.n_eval, max_new=cfg.max_new
-    )
+    reference = evaluate_model(reference_teacher, dataset, reference_id, seed, n_eval=cfg.n_eval)
     grid = {"lambda_values": list(cfg.lambda_grid), "cells": {}}
     lines = ["teacher,lambda,drop_speech,drop_text"]
     for teacher_id, teacher in teachers.items():

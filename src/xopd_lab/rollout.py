@@ -35,7 +35,7 @@ def collect_rollouts(
     batch: list[PairedExample],
     n: int,
     seed: int,
-    max_new: int = 16,
+    max_new: int,
     modalities: tuple[str, ...] = MODALITIES,
 ) -> RolloutBatch:
     """Sample n trajectories per (example, modality) from the student snapshot."""

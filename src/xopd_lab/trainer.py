@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .baselines import gkd_batch_loss, offline_kd_build, sft_batch_loss
 from .checkpoint import params_hash
-from .corpus import Dataset, pretraining_batch
+from .corpus import Dataset, PairedExample, pretraining_batch
 from .errors import ConfigurationError, DataError, TrainingFailure, UsageError, check_field_types
 from .evaluation import score_model
 from .model import (
@@ -75,8 +75,7 @@ class TrainConfig:
     # rate of 1e-3 wipes out the ACOUSTIC skill and much of the text skill.
     learning_rate: float = 1e-4
     batch_size: int = 32
-    steps: int = 60
-    epochs: int = 1  # data passes for SFT / offline KD
+    steps: int = 60  # GKD and X-OPD only; SFT and offline KD make one pass
     max_new: int = 12
     seed: int = 0
     checkpoint_interval: int = 0  # 0 = final checkpoint only
@@ -87,7 +86,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigurationError(f"method must be one of {METHODS}, got {self.method!r}")
-        _check_config(self, ("n_rollouts", "batch_size", "epochs", "steps", "max_new"), "lam")
+        _check_config(self, ("n_rollouts", "batch_size", "steps", "max_new"), "lam")
         if self.workers != 1:
             raise ConfigurationError(f"workers must be 1, got {self.workers}")
 
@@ -101,10 +100,9 @@ class PretrainConfig:
     eval_every: int = 250
     target_accuracy: float = 0.98
     n_val: int = 150
-    max_new: int = 12
 
     def __post_init__(self) -> None:
-        _check_config(self, ("batch_size", "max_steps", "eval_every", "n_val", "max_new"), "target_accuracy")
+        _check_config(self, ("batch_size", "max_steps", "eval_every", "n_val"), "target_accuracy")
         if not 0.0 <= self.min_learning_rate <= self.learning_rate:
             raise ConfigurationError(
                 f"min_learning_rate must be in [0, learning_rate], got {self.min_learning_rate!r}"
@@ -120,10 +118,9 @@ class GapConfig:
     acoustic_target: float = 0.90
     speech_subset_size: int = 96
     n_val: int = 100
-    max_new: int = 12
 
     def __post_init__(self) -> None:
-        _check_config(self, ("max_steps", "check_every", "n_val", "max_new"), "acoustic_target")
+        _check_config(self, ("max_steps", "check_every", "n_val"), "acoustic_target")
         # Each batch is half ACOUSTIC, half drawn without replacement from
         # the speech subset.
         if self.batch_size < 2:
@@ -144,12 +141,16 @@ def _optimizer(model: TeacherModel, trained: dict[str, Tensor], lr: float) -> Ad
     return Adam(trained, lr=lr)
 
 
-def _apply(opt: Adam, loss: Tensor) -> None:
-    """One update: zero, backward, finite-gradient check, Adam step."""
+def _apply(opt: Adam, loss: Tensor, step: int, last_good: str | None = None) -> None:
+    """One update: finite-loss check, zero, backward, finite-gradient check,
+    Adam step. A failure names the step and carries ``last_good``, the
+    last checkpoint written before it."""
+    if not math.isfinite(float(loss.data)):
+        raise TrainingFailure(f"non-finite loss at step {step}", last_good_checkpoint=last_good)
     opt.zero_grad()
     loss.backward()
     if not all(p.grad is None or np.all(np.isfinite(p.grad)) for p in opt.params.values()):
-        raise TrainingFailure("non-finite gradient")
+        raise TrainingFailure(f"non-finite gradient at step {step}", last_good_checkpoint=last_good)
     opt.step()
 
 
@@ -175,10 +176,10 @@ def pretrain_teacher(
             1.0 + math.cos(math.pi * frac)
         )
         batch = pretraining_batch(seed, step, cfg.batch_size)
-        loss = sft_batch_loss(teacher, batch, modality=TEXT)
-        _apply(opt, loss)
+        loss = sft_batch_loss(teacher, batch)
+        _apply(opt, loss, step)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
-            acc = score_model(teacher, val, TEXT, max_new=cfg.max_new)
+            acc = score_model(teacher, val, TEXT)
             history.append({"step": step, "loss": float(loss.data), "val_accuracy": acc})
             if acc >= cfg.target_accuracy:
                 return teacher, {
@@ -240,17 +241,16 @@ def build_gapped_student(
             speech_subset[i]
             for i in rng.choice(len(speech_subset), size=cfg.batch_size - half, replace=False)
         ]
-        loss = sft_batch_loss(student, batch, modality=SPEECH)
-        _apply(opt, loss)
+        _apply(opt, sft_batch_loss(student, batch), step)
         steps_used = step
         if step % cfg.check_every == 0 or step == cfg.max_steps:
-            acoustic_acc = score_model(student, val_acoustic, SPEECH, max_new=4)
+            acoustic_acc = score_model(student, val_acoustic, SPEECH)
             if acoustic_acc >= cfg.acoustic_target:
                 break
 
-    teacher_text = score_model(teacher, val_align, TEXT, max_new=cfg.max_new)
-    student_speech = score_model(student, val_align, SPEECH, max_new=cfg.max_new)
-    student_text = score_model(student, val_align, TEXT, max_new=cfg.max_new)
+    teacher_text = score_model(teacher, val_align, TEXT)
+    student_speech = score_model(student, val_align, SPEECH)
+    student_text = score_model(student, val_align, TEXT)
     report = {
         "steps": steps_used,
         "acoustic_accuracy": acoustic_acc,
@@ -271,6 +271,42 @@ def clone_student(student: StudentModel) -> StudentModel:
     return StudentModel(student.cfg, params)
 
 
+def _batches(cfg: TrainConfig, n: int):
+    """The method's batch schedule over ``n`` examples, as index arrays: one
+    shuffled pass for SFT and offline KD, ``cfg.steps`` draws without
+    replacement for GKD and X-OPD."""
+    if cfg.method in ("sft", "offline_kd"):
+        order = np.random.default_rng([cfg.seed, 0x0E, 0]).permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            yield order[start : start + cfg.batch_size]
+        return
+    rng = np.random.default_rng([cfg.seed, 0xD0])
+    for _ in range(cfg.steps):
+        yield rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+
+
+def _step_loss(
+    cfg: TrainConfig, step: int, batch: list[PairedExample], student: StudentModel, teacher: TeacherModel
+) -> tuple[Tensor, dict]:
+    """The method's loss on one batch, and the metrics row the step logs."""
+    seed = cfg.seed * 1_000_003 + step
+    if cfg.method == "xopd":
+        # Sample only the modalities the objective weighs above zero.
+        modalities = tuple(m for m, w in ((TEXT, cfg.lam), (SPEECH, 1.0 - cfg.lam)) if w > 0)
+        rollouts = collect_rollouts(
+            student, batch, n=cfg.n_rollouts, seed=seed, max_new=cfg.max_new, modalities=modalities
+        )
+        report, objective = xopd_loss(rollouts, teacher, student, cfg.lam, batch)
+        return ad.neg(objective), {"step": step, **report.to_dict()}
+    if cfg.method == "gkd":
+        rollouts = collect_rollouts(student, batch, n=1, seed=seed, max_new=cfg.max_new, modalities=(SPEECH,))
+        pairs = [(rollouts.trajectories[ex.example_id][SPEECH][0], ex) for ex in batch]
+        loss = gkd_batch_loss(teacher, student, pairs)
+    else:
+        loss = sft_batch_loss(student, batch)
+    return loss, {"step": step, "loss": float(loss.data)}
+
+
 def run_method(
     cfg: TrainConfig,
     student: StudentModel,
@@ -280,17 +316,17 @@ def run_method(
 ) -> tuple[StudentModel, list[dict]]:
     """Train the student in place with the configured method.
 
-    Per step: snapshot -> rollouts (policy methods) -> loss -> backward ->
-    Adam update on the backbone. The speech pathway (tower and adapter) is
-    frozen, as in the paper, and asserted byte-for-byte after every step.
+    Per step: batch -> rollouts (policy methods) -> loss -> finite-loss
+    check -> backward -> Adam update on the backbone. The speech pathway
+    (tower and adapter) is frozen, as in the paper, and asserted
+    byte-for-byte after every step.
     """
-    alignment = dataset.alignment_set("train")
-    if not alignment:
+    train_data = dataset.alignment_set("train")
+    if not train_data:
         raise UsageError("alignment dataset is empty")
 
     tower_bytes = {k: student.params[k].data.tobytes() for k in student.BACKBONE_EXTRA}
     opt = _optimizer(student, student.backbone_params(), cfg.learning_rate)
-    rng = np.random.default_rng([cfg.seed, 0xD0])
 
     run_dir = Path(out_dir) if out_dir else None
     metrics_f = timings_f = None
@@ -305,70 +341,19 @@ def run_method(
         timings_f = open(run_dir / "timings.jsonl", "w")
 
     if cfg.method == "offline_kd":
-        train_data, provenance = offline_kd_build(teacher, alignment, max_new=cfg.max_new)
+        train_data = offline_kd_build(teacher, train_data, cfg.max_new)
         if run_dir:
             (run_dir / "distilled.jsonl").write_text(
-                json.dumps(provenance, sort_keys=True)
-                + "\n"
+                json.dumps({"method": "offline_kd", "decode_mode": "greedy"}, sort_keys=True) + "\n"
                 + "".join(e.to_json() + "\n" for e in train_data)
             )
-    else:
-        train_data = alignment
-
-    if cfg.method in ("sft", "offline_kd"):
-        steps_per_epoch = math.ceil(len(train_data) / cfg.batch_size)
-        total_steps = steps_per_epoch * cfg.epochs
-    else:
-        total_steps = cfg.steps
 
     metrics: list[dict] = []
     try:
-        for step in range(1, total_steps + 1):
+        for step, idx in enumerate(_batches(cfg, len(train_data)), 1):
             t0 = time.perf_counter()
-            if cfg.method in ("sft", "offline_kd"):
-                epoch = (step - 1) // steps_per_epoch
-                pos = (step - 1) % steps_per_epoch
-                if pos == 0:
-                    order = np.random.default_rng([cfg.seed, 0x0E, epoch]).permutation(len(train_data))
-                idx = order[pos * cfg.batch_size : (pos + 1) * cfg.batch_size]
-                loss = sft_batch_loss(student, [train_data[i] for i in idx], modality=SPEECH)
-                row = {"step": step, "loss": float(loss.data)}
-                _apply(opt, loss)
-            elif cfg.method == "gkd":
-                idx = rng.choice(len(train_data), size=min(cfg.batch_size, len(train_data)), replace=False)
-                batch = [train_data[i] for i in idx]
-                rollouts = collect_rollouts(
-                    student, batch, n=1, seed=cfg.seed * 1_000_003 + step,
-                    max_new=cfg.max_new, modalities=(SPEECH,),
-                )
-                pairs = [
-                    (rollouts.trajectories[ex.example_id][SPEECH][0], ex) for ex in batch
-                ]
-                loss = gkd_batch_loss(teacher, student, pairs)
-                row = {"step": step, "loss": float(loss.data)}
-                _apply(opt, loss)
-            else:  # xopd
-                idx = rng.choice(len(train_data), size=min(cfg.batch_size, len(train_data)), replace=False)
-                batch = [train_data[i] for i in idx]
-                if cfg.lam == 1.0:
-                    modalities: tuple[str, ...] = (TEXT,)
-                elif cfg.lam == 0.0:
-                    modalities = (SPEECH,)
-                else:
-                    modalities = (TEXT, SPEECH)
-                rollouts = collect_rollouts(
-                    student, batch, n=cfg.n_rollouts, seed=cfg.seed * 1_000_003 + step,
-                    max_new=cfg.max_new, modalities=modalities,
-                )
-                report, objective = xopd_loss(rollouts, teacher, student, cfg.lam, batch)
-                loss = ad.neg(objective)
-                _apply(opt, loss)
-                row = {"step": step, **report.to_dict()}
-
-            if not math.isfinite(float(loss.data)):
-                raise TrainingFailure(
-                    f"non-finite loss at step {step}", last_good_checkpoint=last_good
-                )
+            loss, row = _step_loss(cfg, step, [train_data[i] for i in idx], student, teacher)
+            _apply(opt, loss, step, last_good)
             for k in student.BACKBONE_EXTRA:
                 if student.params[k].data.tobytes() != tower_bytes[k]:
                     raise TrainingFailure(f"frozen parameter {k} changed at step {step}")
@@ -390,7 +375,7 @@ def run_method(
         manifest = {
             "seed": cfg.seed,
             "method": cfg.method,
-            "steps": total_steps,
+            "steps": len(metrics),
             "dataset_manifest": dataset.manifest,
             "final_params_hash": params_hash(student.params),
             "paper_provenance": PAPER_PROVENANCE,

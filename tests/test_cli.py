@@ -256,6 +256,27 @@ def test_train_bad_train_config_exits_2_before_writing(tmp_path, field, capsys):
     assert not data.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("method,extra,unread", [
+    ("sft", ["--steps", "2"], "steps"),
+    ("offline_kd", ["--set", "train.steps=2"], "steps"),
+    ("sft", ["--lambda", "0.3", "--rollouts", "7"], "lam, n_rollouts"),
+    ("gkd", ["--lambda", "0.3"], "lam"),
+    ("gkd", ["--set", "train.n_rollouts=7"], "n_rollouts"),
+])
+def test_train_flag_the_method_does_not_read_exits_2_before_writing(
+    tmp_path, data_dir, ckpts, method, extra, unread, capsys
+):
+    out = tmp_path / "run"
+    code = main([
+        "train", "--method", method, "--data", str(data_dir), "--out", str(out),
+        "--teacher", str(ckpts / "teacher.ckpt"), "--student", str(ckpts / "student.ckpt"),
+    ] + extra)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"error: --method {method} does not read {unread}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage", ["truncate", "garbage"])
 def test_eval_damaged_checkpoint_exits_1_without_traceback(tmp_path, data_dir, ckpts, damage, capsys):
     path = tmp_path / "damaged.ckpt"
@@ -325,12 +346,20 @@ def test_train_damaged_dataset_exits_1_without_traceback(tmp_path, data_dir, ckp
     (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.steps=1.5"],
      "steps"),
     (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.lam=true"], "lam"),
+    # Deleted keys stay unknown; the decode budget of scoring comes from the references.
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "train.epochs=2"], "epochs"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "pretrain.max_new=12"],
+     "max_new"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "gap.max_new=12"], "max_new"),
+    # The model must embed every corpus token id.
+    (["gen-data", "--set", "model.text_vocab_size=32"], "text_vocab_size"),
 ], ids=["train.foo", "model.foo", "pipeline.seeds", "foo", "sizes=3", "noise_rate=x",
         "model.frames_per_token=4", "xopd_steps=0", "lambda_grid=[2.0]", "learning_rate=-1",
         "pretrain.max_steps=0", "pretrain.batch_size=0", "pretrain.min_learning_rate=0.01",
         "gap.batch_size=1", "gap.acoustic_target=1.5", "gap.learning_rate=-1",
         "gap.speech_subset_size=4", "steps=0", "rollouts=0", "train=3",
-        "pretrain.max_steps=1.5", "model.n_layers=1.5", "train.steps=1.5", "train.lam=true"])
+        "pretrain.max_steps=1.5", "model.n_layers=1.5", "train.steps=1.5", "train.lam=true",
+        "train.epochs", "pretrain.max_new", "gap.max_new", "model.text_vocab_size=32"])
 def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, capsys):
     data, out = tmp_path / "data", tmp_path / "out"
     code = main([a.format(data=data) for a in argv] + ["--out", str(out)])

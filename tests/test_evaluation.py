@@ -1,10 +1,12 @@
 """Unit tests for scoring, drop metrics, forgetting, and report emission."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from xopd_lab.corpus import FAMILIES
 from xopd_lab.errors import DataError, ModalityError
 from xopd_lab.evaluation import (
     EvalReport,
@@ -17,6 +19,7 @@ from xopd_lab.evaluation import (
     score_model,
     write_report,
 )
+from xopd_lab.model import Prompt, greedy_decode_batch
 from xopd_lab.rollout import SPEECH, TEXT
 
 
@@ -26,28 +29,50 @@ def _report(model_id, scores):
 
 def test_score_model_range_and_determinism(tiny_student, small_dataset):
     examples = small_dataset.split_family("test", "REASONING")[:10]
-    a = score_model(tiny_student, examples, SPEECH, max_new=5)
-    b = score_model(tiny_student, examples, SPEECH, max_new=5)
+    a = score_model(tiny_student, examples, SPEECH)
+    b = score_model(tiny_student, examples, SPEECH)
     assert a == b
     assert 0.0 <= a <= 1.0
+
+
+@pytest.mark.parametrize("modality", [SPEECH, TEXT])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_score_model_equals_exact_match_at_the_full_budget(tiny_student, small_dataset, family, modality):
+    """Scoring at the budget it works out gives the exact-match rate of a
+    decode that runs to the model's length limit. Each reference is a prefix
+    of that decode, of 1 to 3 tokens, so a budget of only the longest
+    reference's length would count a truncated decode as a match."""
+    examples = small_dataset.split_family("test", family)[:6]
+    prompts = [Prompt(modality, ex.text_prompt if modality == TEXT else ex.speech_prompt) for ex in examples]
+    full = [
+        greedy_decode_batch(
+            tiny_student, [p], tiny_student.cfg.max_seq_len - tiny_student.embed_sequence(p, [])[0].shape[0]
+        )[0]
+        for p in prompts
+    ]
+    refs = [out[: 1 + i % 3] for i, out in enumerate(full)]
+    examples = [dataclasses.replace(ex, reference_answer=ref) for ex, ref in zip(examples, refs)]
+    want = [out == ref for out, ref in zip(full, refs)]
+    assert not all(want)
+    assert score_model(tiny_student, examples, modality) == sum(want) / len(want)
 
 
 def test_teacher_cannot_be_scored_on_speech(tiny_teacher, small_dataset):
     examples = small_dataset.split_family("test", "REASONING")[:4]
     with pytest.raises(ModalityError):
         score_model(tiny_teacher, examples, SPEECH)
-    assert 0.0 <= score_model(tiny_teacher, examples, TEXT, max_new=5) <= 1.0
+    assert 0.0 <= score_model(tiny_teacher, examples, TEXT) <= 1.0
 
 
 def test_evaluate_model_shape(tiny_student, small_dataset):
-    report = evaluate_model(tiny_student, small_dataset, "student", seed=0, n_eval=6, max_new=5)
+    report = evaluate_model(tiny_student, small_dataset, "student", seed=0, n_eval=6)
     assert set(report.scores) == {"REASONING", "INSTRUCTION", "ACOUSTIC"}
     for fam in report.scores:
         assert set(report.scores[fam]) == {SPEECH, TEXT}
 
 
 def test_evaluate_teacher_skips_speech(tiny_teacher, small_dataset):
-    report = evaluate_model(tiny_teacher, small_dataset, "teacher", seed=0, n_eval=4, max_new=5)
+    report = evaluate_model(tiny_teacher, small_dataset, "teacher", seed=0, n_eval=4)
     for fam in report.scores:
         assert TEXT in report.scores[fam]
         assert SPEECH not in report.scores[fam]

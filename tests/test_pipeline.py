@@ -82,7 +82,7 @@ def test_run_seed_scores_the_base_student_and_every_variant(tiny_teacher, tiny_c
         seeds=(0,), sizes={f: [24, 8, 8] for f in ("REASONING", "INSTRUCTION", "ACOUSTIC")},
         model=tiny_config,
         gap=GapConfig(batch_size=4, max_steps=1, check_every=1, acoustic_target=0.0,
-                      speech_subset_size=4, n_val=4, max_new=2),
+                      speech_subset_size=4, n_val=4),
         xopd_steps=1, gkd_steps=1, batch_size=4, n_rollouts=2, max_new=5, n_eval=4,
     )
     result = run_seed(cfg, 0, tmp_path, tiny_teacher, {"steps": 7, "history": [1, 2]})

@@ -75,9 +75,9 @@ def test_samples_within_example_differ(tiny_student, small_dataset):
 def test_collect_rollouts_validates_inputs(tiny_student, small_dataset):
     batch = small_dataset.alignment_set("train")[:1]
     with pytest.raises(UsageError):
-        collect_rollouts(tiny_student, [], n=1, seed=0)
+        collect_rollouts(tiny_student, [], n=1, seed=0, max_new=5)
     with pytest.raises(UsageError):
-        collect_rollouts(tiny_student, batch, n=0, seed=0)
+        collect_rollouts(tiny_student, batch, n=0, seed=0, max_new=5)
 
 
 def test_single_modality_collection(tiny_student, small_dataset):

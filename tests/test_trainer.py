@@ -10,7 +10,8 @@ import xopd_lab.autodiff as ad
 import xopd_lab.trainer as trainer_mod
 from xopd_lab.autodiff import Tensor
 from xopd_lab.corpus import SpeechCodec, build_dataset
-from xopd_lab.errors import ConfigurationError, DataError
+from xopd_lab.baselines import sft_batch_loss
+from xopd_lab.errors import ConfigurationError, DataError, TrainingFailure
 from xopd_lab.optim import Adam
 from xopd_lab.trainer import (
     GapConfig,
@@ -107,7 +108,7 @@ def trainable_student(tiny_student):
 
 
 def _cfg(**kw):
-    base = dict(batch_size=4, steps=2, epochs=1, max_new=5, n_rollouts=2, seed=0)
+    base = dict(batch_size=4, steps=2, max_new=5, n_rollouts=2, seed=0)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -130,11 +131,55 @@ def test_run_method_smoke_and_frozen_tower(method, trainable_student, tiny_teach
         assert trainable_student.params[k].data.tobytes() == b
 
 
-def test_sft_step_count_follows_epochs(trainable_student, tiny_teacher, small_dataset):
+def test_sft_makes_one_pass(trainable_student, tiny_teacher, small_dataset, tmp_path):
     n = len(small_dataset.alignment_set("train"))
-    cfg = _cfg(method="sft", epochs=2, batch_size=16)
-    _, metrics = run_method(cfg, trainable_student, tiny_teacher, small_dataset)
-    assert len(metrics) == math.ceil(n / 16) * 2
+    _, metrics = run_method(
+        _cfg(method="sft", batch_size=16), trainable_student, tiny_teacher, small_dataset, out_dir=tmp_path
+    )
+    assert len(metrics) == math.ceil(n / 16)
+    assert json.loads((tmp_path / "manifest.json").read_text())["steps"] == len(metrics)
+
+
+@pytest.mark.parametrize("method", ["sft", "offline_kd"])
+def test_one_pass_batches_cover_every_example_once(method):
+    n, cfg = 37, _cfg(method=method, batch_size=8, steps=99)
+    batches = list(trainer_mod._batches(cfg, n))
+    assert len(batches) == math.ceil(n / 8)
+    assert sorted(np.concatenate(batches).tolist()) == list(range(n))
+
+
+@pytest.mark.parametrize("method,n", [("gkd", 37), ("xopd", 37), ("xopd", 3)])
+def test_sampled_batches_repeat_no_index(method, n):
+    cfg = _cfg(method=method, batch_size=8, steps=5)
+    batches = list(trainer_mod._batches(cfg, n))
+    assert len(batches) == 5
+    for idx in batches:
+        assert len(idx) == min(8, n) and len(set(idx.tolist())) == len(idx)
+        assert all(0 <= i < n for i in idx)
+
+
+@pytest.mark.parametrize("bad", ["loss", "gradient"])
+def test_divergence_carries_the_last_good_checkpoint(
+    bad, trainable_student, tiny_teacher, small_dataset, tmp_path, monkeypatch
+):
+    calls = []
+
+    def diverging(model, batch):
+        loss = sft_batch_loss(model, batch)
+        calls.append(1)
+        if len(calls) < 3:
+            return loss
+        if bad == "loss":
+            return ad.mul(loss, Tensor(np.asarray(np.nan)))
+        # A finite loss whose backward pass yields NaN.
+        return ad._make(loss.data, (loss,), lambda g: loss.accumulate_grad(g * np.nan))
+
+    monkeypatch.setattr(trainer_mod, "sft_batch_loss", diverging)
+    cfg = _cfg(method="sft", batch_size=16, checkpoint_interval=1)
+    with pytest.raises(TrainingFailure, match=f"non-finite {bad} at step 3") as exc:
+        run_method(cfg, trainable_student, tiny_teacher, small_dataset, out_dir=tmp_path)
+    assert exc.value.last_good_checkpoint == str(tmp_path / "checkpoints" / "step-2.ckpt")
+    assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == ["step-1.ckpt", "step-2.ckpt"]
 
 
 def test_xopd_metrics_carry_objective_report(trainable_student, tiny_teacher, small_dataset):
@@ -180,7 +225,7 @@ def test_offline_kd_records_distilled_provenance(tiny_student, tiny_teacher, sma
     out = tmp_path / "kd"
     run_method(_cfg(method="offline_kd"), student, tiny_teacher, small_dataset, out_dir=out)
     lines = (out / "distilled.jsonl").read_text().splitlines()
-    assert json.loads(lines[0])["method"] == "offline_kd"
+    assert json.loads(lines[0]) == {"method": "offline_kd", "decode_mode": "greedy"}
     assert len(lines) == 1 + len(small_dataset.alignment_set("train"))
 
 
@@ -190,7 +235,7 @@ def test_offline_kd_records_distilled_provenance(tiny_student, tiny_teacher, sma
 
 TINY_GAP = GapConfig(
     batch_size=4, max_steps=1, check_every=1, acoustic_target=0.0,
-    speech_subset_size=4, n_val=4, max_new=2,
+    speech_subset_size=4, n_val=4,
 )
 
 
