@@ -29,14 +29,11 @@ __all__ = [
     "scale",
     "exp",
     "matmul",
-    "transpose",
-    "permute",
     "reshape",
     "concat_rows",
     "stack_pad",
     "gather_bld",
     "embedding",
-    "softmax",
     "log_softmax",
     "layer_norm",
     "gelu",
@@ -96,6 +93,23 @@ def np_gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tanh-approximate GELU; returns (output, tanh term)."""
     t = np.tanh(_GELU_C * (x + 0.044715 * ((x * x) * x)))
     return 0.5 * x * (1.0 + t), t
+
+
+def np_causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> tuple:
+    """Multi-head causal attention. The Lq rows of q (B, Lq, d) are the last
+    Lq of the Lk positions in k and v (B, Lk, d). Returns the (B, Lq, d)
+    output and, for backward, the heads of q (B, H, Lq, hd), of k transposed
+    (B, H, hd, Lk) and of v (B, H, Lk, hd), and the probabilities. k
+    transposed is a contiguous copy: matmul rounds differently on a view."""
+    B, Lq, d = q.shape
+    Lk = k.shape[1]
+    hd = d // n_heads
+    qh, vh = (x.reshape(B, -1, n_heads, hd).transpose(0, 2, 1, 3).copy() for x in (q, v))
+    kt = k.reshape(B, Lk, n_heads, hd).transpose(0, 2, 3, 1).copy()
+    mask = np.where(np.tril(np.ones((Lq, Lk), dtype=bool), Lk - Lq), 0.0, MASK_NEG)
+    p = np_softmax((qh @ kt) * (1.0 / math.sqrt(hd)) + mask)
+    out = (p @ vh).transpose(0, 2, 1, 3).reshape(B, Lq, d)
+    return out, (qh, kt, vh, p)
 
 
 class Tensor:
@@ -242,29 +256,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    data = np.swapaxes(a.data, -1, -2).copy()
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.swapaxes(g, -1, -2))
-
-    return _make(data, (a,), backward)
-
-
-def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """Reorder axes; gradient applies the inverse permutation."""
-    inv = tuple(int(i) for i in np.argsort(axes))
-    data = np.transpose(a.data, axes).copy()
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.transpose(g, inv))
-
-    return _make(data, (a,), backward)
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     orig = a.shape
     data = a.data.reshape(shape).copy()
@@ -340,20 +331,6 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _make(data, (table,), backward)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, max-stabilized."""
-    if not np.all(np.isfinite(a.data)):
-        raise FloatingPointError("softmax input contains non-finite values")
-    data = np_softmax(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            dot = (g * data).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(data * (g - dot))
-
-    return _make(data, (a,), backward)
-
-
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax over the last axis, max-stabilized."""
     if not np.all(np.isfinite(a.data)):
@@ -403,18 +380,32 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention with a strict lower-triangular mask.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal attention (see ``np_causal_attention``) as one node.
 
-    q, k, v share trailing shape (..., L, d_head); position t attends to
-    positions <= t only.
+    Backward uses the closed-form softmax gradient dS = P*(dP - rowsum(dP*P)).
     """
-    L = q.data.shape[-2]
-    d = q.data.shape[-1]
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d))
-    mask = np.where(np.tril(np.ones((L, L), dtype=bool)), 0.0, MASK_NEG)
-    attn = softmax(add(scores, Tensor(mask)))
-    return matmul(attn, v)
+    if not all(np.all(np.isfinite(x.data)) for x in (q, k, v)):
+        raise FloatingPointError("causal_attention input contains non-finite values")
+    data, (qh, kt, vh, p) = np_causal_attention(q.data, k.data, v.data, n_heads)
+    B, Lq, d = data.shape
+    inv_sqrt = 1.0 / math.sqrt(d // n_heads)
+
+    def merge(x):  # (B, H, L, hd) -> (B, L, d)
+        return x.transpose(0, 2, 1, 3).reshape(B, -1, d)
+
+    def backward(g):
+        gh = g.reshape(B, Lq, n_heads, -1).transpose(0, 2, 1, 3).copy()
+        if v.requires_grad:
+            v.accumulate_grad(merge(np.swapaxes(p, -1, -2) @ gh))
+        dp = gh @ np.swapaxes(vh, -1, -2)
+        ds = (p * (dp - (dp * p).sum(axis=-1, keepdims=True))) * inv_sqrt
+        if q.requires_grad:
+            q.accumulate_grad(merge(ds @ np.swapaxes(kt, -1, -2)))
+        if k.requires_grad:
+            k.accumulate_grad(merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)))
+
+    return _make(data, (q, k, v), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -45,9 +45,12 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor], meta: dict | No
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
     path = Path(path)
-    with open(path, "rb") as f:
-        header_line = f.readline()
-        payload = f.read()
+    try:
+        with open(path, "rb") as f:
+            header_line = f.readline()
+            payload = f.read()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read ({e.strerror})") from None
     try:
         header = json.loads(header_line.decode("utf-8"))
         entries, meta = header["params"], header["meta"]

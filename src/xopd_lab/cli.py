@@ -53,7 +53,14 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
         p = Path(path)
         if not p.exists():
             raise UsageError(f"config file not found: {p}")
-        cfg = json.loads(p.read_text())
+        try:
+            cfg = json.loads(p.read_text())
+        except OSError as e:
+            raise UsageError(f"cannot read config file {p}: {e.strerror}") from None
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise ConfigurationError(f"config file {p} is not JSON: {e}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigurationError(f"config file {p} must hold a JSON object, got {cfg!r}")
     for kv in overrides:
         if "=" not in kv:
             raise UsageError(f"override must be key=value, got {kv!r}")
@@ -66,6 +73,8 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
         *parents, leaf = key.split(".")
         for part in parents:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigurationError(f"--set {key}: {part!r} is not a config section")
         node[leaf] = val
     return cfg
 
@@ -139,11 +148,8 @@ def cmd_train(args) -> int:
         TrainConfig, cfg.get("train", {}), "train", method=args.method, seed=args.seed,
         **{k: v for k, v in flags.items() if v is not None},
     )
-    # SFT and offline KD make one pass over the data; only X-OPD samples
-    # several rollouts per prompt and weighs the two advantages.
-    read_by = {"steps": ("gkd", "xopd"), "lam": ("xopd",), "n_rollouts": ("xopd",)}
     given = set(cfg.get("train", {})) | {k for k, v in flags.items() if v is not None}
-    unread = sorted(k for k in given & set(read_by) if args.method not in read_by[k])
+    unread = sorted(given - set(tc.read_fields()))
     if unread:
         raise UsageError(f"--method {args.method} does not read {', '.join(unread)}")
     out = Path(args.out)
@@ -172,7 +178,7 @@ def cmd_train(args) -> int:
     else:
         raise UsageError(f"missing student checkpoint: {args.student} (pass --auto to build)")
 
-    _write_resolved(out, {"train": asdict(tc), "data": str(data_dir)})
+    _write_resolved(out, {"train": tc.read_fields(), "data": str(data_dir)})
     run_method(tc, student, teacher, dataset, out_dir=out)
     print(f"run complete: {out / 'metrics.jsonl'}")
     return 0

@@ -15,7 +15,6 @@ names, ``Prompt`` and the sampled ``Trajectory``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -123,23 +122,8 @@ def init_backbone_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str
     return p
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    *lead, L, d = x.shape
-    hd = d // n_heads
-    x = ad.reshape(x, (*lead, L, n_heads, hd))
-    axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    return ad.permute(x, axes)  # (..., H, L, hd)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    *lead, H, L, hd = x.shape
-    axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    x = ad.permute(x, axes)  # (..., L, H, hd)
-    return ad.reshape(x, (*lead, L, H * hd))
-
-
 def backbone_logits(params: dict[str, Tensor], cfg: ModelConfig, emb: Tensor) -> Tensor:
-    """Run the transformer over embedded inputs (..., L, d) -> (..., L, V)."""
+    """Run the transformer over embedded inputs (B, L, d) -> (B, L, V)."""
     L = emb.shape[-2]
     if L > cfg.max_seq_len:
         raise LengthError(f"sequence length {L} exceeds max_seq_len {cfg.max_seq_len}")
@@ -148,10 +132,8 @@ def backbone_logits(params: dict[str, Tensor], cfg: ModelConfig, emb: Tensor) ->
     for i in range(cfg.n_layers):
         h = f"h{i}"
         a = ad.layer_norm(x, params[f"{h}.ln1.g"], params[f"{h}.ln1.b"])
-        q = _split_heads(ad.matmul(a, params[f"{h}.attn.wq"]), cfg.n_heads)
-        k = _split_heads(ad.matmul(a, params[f"{h}.attn.wk"]), cfg.n_heads)
-        v = _split_heads(ad.matmul(a, params[f"{h}.attn.wv"]), cfg.n_heads)
-        attn = _merge_heads(ad.causal_attention(q, k, v))
+        q, k, v = (ad.matmul(a, params[f"{h}.attn.{w}"]) for w in ("wq", "wk", "wv"))
+        attn = ad.causal_attention(q, k, v, cfg.n_heads)
         x = ad.add(x, ad.matmul(attn, params[f"{h}.attn.wo"]))
         m = ad.layer_norm(x, params[f"{h}.ln2.g"], params[f"{h}.ln2.b"])
         m = ad.gelu(ad.add(ad.matmul(m, params[f"{h}.mlp.w1"]), params[f"{h}.mlp.b1"]))
@@ -245,32 +227,18 @@ def _decode_step(
     """Advance the incremental decoder by T new rows.
 
     x: (B, T, d) embedded new positions (token + position embedding already
-    added). caches holds per-layer key/value tensors (B, H, S, hd) for the S
+    added). caches holds per-layer key/value arrays (B, S, d) for the S
     positions already consumed; they are extended in place. Returns the
     next-token logits for the final new row, shape (B, V).
     """
-    B, T, d = x.shape
-    H = cfg.n_heads
-    hd = d // H
-    inv_sqrt = 1.0 / math.sqrt(hd)
     for i in range(cfg.n_layers):
         h = f"h{i}"
         c = caches[i]
         a = ad.np_layer_norm(x, params[f"{h}.ln1.g"].data, params[f"{h}.ln1.b"].data)[0]
-        q = (a @ params[f"{h}.attn.wq"].data).reshape(B, T, H, hd).transpose(0, 2, 1, 3)
-        k = (a @ params[f"{h}.attn.wk"].data).reshape(B, T, H, hd).transpose(0, 2, 1, 3)
-        v = (a @ params[f"{h}.attn.wv"].data).reshape(B, T, H, hd).transpose(0, 2, 1, 3)
-        c["k"] = np.concatenate([c["k"], k], axis=2) if "k" in c else k
-        c["v"] = np.concatenate([c["v"], v], axis=2) if "v" in c else v
-        S = c["k"].shape[2]
-        scores = (q @ c["k"].transpose(0, 1, 3, 2)) * inv_sqrt  # (B, H, T, S)
-        if T > 1:
-            mask = np.where(np.tril(np.ones((T, T), dtype=bool)), 0.0, ad.MASK_NEG)
-            scores = scores + np.concatenate(
-                [np.zeros((T, S - T)), mask], axis=1
-            )
-        ctx = ad.np_softmax(scores) @ c["v"]  # (B, H, T, hd)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(B, T, d)
+        q, k, v = (a @ params[f"{h}.attn.{w}"].data for w in ("wq", "wk", "wv"))
+        c["k"] = np.concatenate([c["k"], k], axis=1) if "k" in c else k
+        c["v"] = np.concatenate([c["v"], v], axis=1) if "v" in c else v
+        ctx = ad.np_causal_attention(q, c["k"], c["v"], cfg.n_heads)[0]
         x = x + ctx @ params[f"{h}.attn.wo"].data
         m = ad.np_layer_norm(x, params[f"{h}.ln2.g"].data, params[f"{h}.ln2.b"].data)[0]
         m = ad.np_gelu(m @ params[f"{h}.mlp.w1"].data + params[f"{h}.mlp.b1"].data)[0]

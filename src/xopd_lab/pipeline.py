@@ -137,9 +137,11 @@ def _xopd_config(cfg: PipelineConfig, lam: float, seed: int) -> TrainConfig:
 def _method_variants(cfg: PipelineConfig, seed: int) -> list[tuple[str, TrainConfig]]:
     variants = [(f"xopd_l{lam:g}", _xopd_config(cfg, lam, seed)) for lam in cfg.lambda_grid]
     for method in BASELINE_METHODS:
+        # SFT and offline KD make one pass; only GKD takes a step count.
+        steps = {"steps": cfg.gkd_steps} if method == "gkd" else {}
         variants.append((method, TrainConfig(
             method=method, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-            steps=cfg.gkd_steps, max_new=cfg.max_new, seed=seed,
+            max_new=cfg.max_new, seed=seed, **steps,
         )))
     return variants
 

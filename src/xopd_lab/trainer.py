@@ -39,6 +39,11 @@ from .rollout import collect_rollouts
 
 METHODS = ("xopd", "sft", "offline_kd", "gkd")
 
+# The TrainConfig fields only some methods read; every method reads the
+# others. SFT and offline KD make one pass over the data; only X-OPD samples
+# several rollouts per prompt and weighs the two advantages.
+READ_BY = {"steps": ("gkd", "xopd"), "lam": ("xopd",), "n_rollouts": ("xopd",)}
+
 # Values used at paper scale; recorded as provenance in every run manifest,
 # not used by the desk-scale models.
 PAPER_PROVENANCE = {
@@ -89,6 +94,10 @@ class TrainConfig:
         _check_config(self, ("n_rollouts", "batch_size", "steps", "max_new"), "lam")
         if self.workers != 1:
             raise ConfigurationError(f"workers must be 1, got {self.workers}")
+
+    def read_fields(self) -> dict:
+        """The fields this config's method reads, as a dict."""
+        return {k: v for k, v in asdict(self).items() if self.method in READ_BY.get(k, METHODS)}
 
 
 @dataclass
@@ -334,7 +343,7 @@ def run_method(
     if run_dir:
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "config.json").write_text(
-            json.dumps({"train": asdict(cfg), "paper_provenance": PAPER_PROVENANCE}, indent=2, sort_keys=True)
+            json.dumps({"train": cfg.read_fields(), "paper_provenance": PAPER_PROVENANCE}, indent=2, sort_keys=True)
         )
         (run_dir / "checkpoints").mkdir(exist_ok=True)
         metrics_f = open(run_dir / "metrics.jsonl", "w")

@@ -25,7 +25,7 @@ def test_gradient_matches_finite_difference(name, build, n_inputs, shapes_fn):
 def test_softmax_matches_naive_oracle():
     rng = np.random.default_rng(3)
     x = rng.normal(0, 3, (5, 7))
-    got = ad.softmax(Tensor(x)).data
+    got = ad.np_softmax(x)
     np.testing.assert_allclose(got, naive_softmax(x), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=1e-12)
 
@@ -43,17 +43,45 @@ def test_log_softmax_is_log_of_softmax():
 
 def test_softmax_stable_under_large_shift():
     x = np.array([[1000.0, 1001.0, 999.0]])
-    p = ad.softmax(Tensor(x)).data
+    p = ad.np_softmax(x)
     assert np.all(np.isfinite(p))
     np.testing.assert_allclose(p, naive_softmax(x - 1000.0), rtol=1e-12)
+
+
+def _per_head_oracle(q, k, v, n_heads):
+    """naive_causal_attention run on each head of (B, L, d) inputs, merged."""
+    B, L, d = q.shape
+    split = lambda x: x.reshape(B, L, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    out = naive_causal_attention(split(q), split(k), split(v))
+    return out.transpose(0, 2, 1, 3).reshape(B, L, d)
 
 
 def test_causal_attention_matches_loop_oracle():
     rng = np.random.default_rng(5)
     q, k, v = (rng.normal(0, 1, (2, 6, 4)) for _ in range(3))
-    got = ad.causal_attention(Tensor(q), Tensor(k), Tensor(v)).data
-    want = naive_causal_attention(q, k, v)
+    for n_heads in (1, 2):
+        got = ad.causal_attention(Tensor(q), Tensor(k), Tensor(v), n_heads).data
+        want = _per_head_oracle(q, k, v, n_heads)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("T", [1, 2, 5])
+def test_attention_kernel_on_the_last_rows_equals_the_full_pass(T):
+    # The decoder's case: T new query rows against every cached position.
+    rng = np.random.default_rng([6, T])
+    q, k, v = (rng.normal(0, 1, (3, 5, 8)) for _ in range(3))
+    got, _ = ad.np_causal_attention(q[:, -T:], k, v, 2)
+    want = _per_head_oracle(q, k, v, 2)[:, -T:]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_causal_attention_rejects_non_finite_input(which, bad):
+    xs = [np.zeros((1, 3, 4)) for _ in range(3)]
+    xs[which][0, 1, 2] = bad
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        ad.causal_attention(*(Tensor(x) for x in xs), 2)
 
 
 def test_grad_accumulates_across_multiple_uses():
@@ -182,5 +210,5 @@ def test_forward_backward_is_deterministic():
 def test_float64_everywhere():
     x = Tensor(np.ones((2, 2), dtype=np.float32))
     assert x.data.dtype == np.float64
-    y = ad.gelu(ad.softmax(x))
+    y = ad.gelu(ad.log_softmax(x))
     assert y.data.dtype == np.float64

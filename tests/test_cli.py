@@ -3,13 +3,17 @@
 import json
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xopd_lab.cli import _build, _load_config, _pipeline_config, build_parser, main
 from xopd_lab.corpus import SpeechCodec, build_dataset, save_dataset
+from xopd_lab.errors import ConfigurationError, UsageError
 from xopd_lab.model import save_model
+from xopd_lab.pipeline import PipelineConfig
 from xopd_lab.trainer import TrainConfig
 
 
@@ -217,6 +221,17 @@ def test_eval_missing_checkpoint(tmp_path, data_dir):
     assert code == 2
 
 
+def test_eval_on_a_directory_exits_1_without_traceback(tmp_path, data_dir, capsys):
+    ckpt_dir = tmp_path / "a.ckpt"
+    ckpt_dir.mkdir()
+    code = main([
+        "eval", str(ckpt_dir), "--data", str(data_dir), "--out", str(tmp_path / "x"), "--n-eval", "2",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "a.ckpt" in err[0]
+
+
 def test_config_file_and_overrides(tmp_path, data_dir, ckpts, tiny_model_cfg_file):
     out = tmp_path / "cfg-run"
     code = main([
@@ -236,6 +251,68 @@ def test_missing_config_file_is_usage_error(tmp_path, data_dir):
         "gen-data", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("content,sets", [
+    (b"{bad", []),
+    (b"[1,2]", []),
+    (b"\xff\xfe{}", []),
+    (b'{"model": {"n_layers": 2}}', ["model.n_layers.x=1"]),
+    (b'{"model": {"n_layers": 2}}', ["model.n_layers.x.y=1"]),
+    (None, []),  # --config names a directory
+], ids=["not-json", "not-an-object", "not-utf8", "set-below-a-value", "set-two-below-a-value",
+        "directory"])
+def test_bad_config_input_exits_2_before_writing(tmp_path, content, sets, capsys):
+    path, out = tmp_path / "cfg", tmp_path / "out"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    argv = ["gen-data", "--config", str(path), "--out", str(out)]
+    code = main(argv + [a for kv in sets for a in ("--set", kv)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()
+
+
+_KEYS = ["seeds", "sizes", "noise_rate", "lambda_grid", "xopd_steps", "model", "model.n_layers",
+         "model.n_layers.x", "model.embed_dim", "pretrain", "pretrain.batch_size", "gap.n_val",
+         "train", "train.steps", "x.y", "", "."]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats(allow_nan=True)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+_OVERRIDE = st.one_of(
+    st.builds(lambda k, v: f"{k}={json.dumps(v)}", st.sampled_from(_KEYS), _JSON),
+    st.builds(lambda k, v: f"{k}={v}", st.sampled_from(_KEYS), st.text(max_size=6)),
+    st.text(max_size=12),
+)
+_FILE = st.one_of(
+    st.none(),
+    st.binary(max_size=40),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.dictionaries(st.sampled_from(_KEYS), _JSON, max_size=4).map(lambda v: json.dumps(v).encode()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILE, st.lists(_OVERRIDE, max_size=4))
+def test_any_config_input_gives_a_config_or_a_config_error(raw, overrides):
+    # Loading generates no data: the config either builds or is a usage or
+    # config error, which the CLI turns into exit 2.
+    with tempfile.TemporaryDirectory() as d:
+        path = None
+        if raw is not None:
+            path = str(Path(d) / "cfg.json")
+            Path(path).write_bytes(raw)
+        try:
+            pc = _pipeline_config(_load_config(path, overrides))
+        except (UsageError, ConfigurationError):
+            return
+    assert isinstance(pc, PipelineConfig)
 
 
 def test_malformed_override_is_usage_error(tmp_path):

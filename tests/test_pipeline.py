@@ -3,7 +3,7 @@ grid (cheap paths only; the full multi-seed pipeline is exercised by the
 acceptance suite)."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -17,7 +17,7 @@ from xopd_lab.pipeline import (
     run_ablation,
     run_seed,
 )
-from xopd_lab.trainer import GapConfig, clone_student
+from xopd_lab.trainer import GapConfig, TrainConfig, clone_student
 
 
 def _result(base_ds=40.0, base_dt=1.0, x_ds=10.0, x_dt=1.5,
@@ -69,6 +69,13 @@ def test_trend_checks_forgetting_every_variant_strict():
 
 def test_trend_checks_sft_text():
     assert _trend_checks(_result(sft_dt=0.5), (0.0, 0.5, 1.0))["sft_text_worsens"] is False
+
+
+def test_method_variants_set_no_field_their_method_ignores():
+    default = TrainConfig()
+    for name, tc in _method_variants(PipelineConfig(gkd_steps=7, xopd_steps=9), 0):
+        unread = set(asdict(tc)) - set(tc.read_fields())
+        assert {k: getattr(tc, k) for k in unread} == {k: getattr(default, k) for k in unread}, name
 
 
 def test_run_seed_scores_the_base_student_and_every_variant(tiny_teacher, tiny_config, tmp_path,

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -138,6 +139,26 @@ def test_sft_makes_one_pass(trainable_student, tiny_teacher, small_dataset, tmp_
     )
     assert len(metrics) == math.ceil(n / 16)
     assert json.loads((tmp_path / "manifest.json").read_text())["steps"] == len(metrics)
+
+
+@pytest.mark.parametrize("method,unread", [
+    ("sft", {"steps", "lam", "n_rollouts"}),
+    ("offline_kd", {"steps", "lam", "n_rollouts"}),
+    ("gkd", {"lam", "n_rollouts"}),
+    ("xopd", set()),
+])
+def test_read_fields_leave_out_what_the_method_ignores(method, unread):
+    cfg = _cfg(method=method)
+    assert set(asdict(cfg)) - set(cfg.read_fields()) == unread
+
+
+@pytest.mark.parametrize("method", ["sft", "gkd"])
+def test_run_config_echoes_only_the_fields_the_method_reads(
+    method, trainable_student, tiny_teacher, small_dataset, tmp_path
+):
+    cfg = _cfg(method=method, batch_size=32, steps=1)
+    run_method(cfg, trainable_student, tiny_teacher, small_dataset, out_dir=tmp_path)
+    assert json.loads((tmp_path / "config.json").read_text())["train"] == cfg.read_fields()
 
 
 @pytest.mark.parametrize("method", ["sft", "offline_kd"])
