@@ -56,14 +56,15 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
-# ---------------------------------------------------------------------------
-# Forward kernels on bare arrays. The ops below and the KV-cache decoder in
-# model.py both run these, so the two paths share one copy of the math.
-# ---------------------------------------------------------------------------
-
 # Additive attention mask for positions a query may not see.
 MASK_NEG = -1e30
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+
+# ---------------------------------------------------------------------------
+# Softmax kernels on bare arrays. The ops below run them, and so does the
+# sampler in model.py, which draws tokens from plain logits.
+# ---------------------------------------------------------------------------
 
 
 def np_softmax(z: np.ndarray) -> np.ndarray:
@@ -77,39 +78,6 @@ def np_log_softmax(z: np.ndarray) -> np.ndarray:
     """Max-stabilized log-softmax over the last axis."""
     z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def np_layer_norm(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layer norm over the last axis; returns (output, xhat, 1/std)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, xhat, inv
-
-
-def np_gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tanh-approximate GELU; returns (output, tanh term)."""
-    t = np.tanh(_GELU_C * (x + 0.044715 * ((x * x) * x)))
-    return 0.5 * x * (1.0 + t), t
-
-
-def np_causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> tuple:
-    """Multi-head causal attention. The Lq rows of q (B, Lq, d) are the last
-    Lq of the Lk positions in k and v (B, Lk, d). Returns the (B, Lq, d)
-    output and, for backward, the heads of q (B, H, Lq, hd), of k transposed
-    (B, H, hd, Lk) and of v (B, H, Lk, hd), and the probabilities. k
-    transposed is a contiguous copy: matmul rounds differently on a view."""
-    B, Lq, d = q.shape
-    Lk = k.shape[1]
-    hd = d // n_heads
-    qh, vh = (x.reshape(B, -1, n_heads, hd).transpose(0, 2, 1, 3).copy() for x in (q, v))
-    kt = k.reshape(B, Lk, n_heads, hd).transpose(0, 2, 3, 1).copy()
-    mask = np.where(np.tril(np.ones((Lq, Lk), dtype=bool), Lk - Lq), 0.0, MASK_NEG)
-    p = np_softmax((qh @ kt) * (1.0 / math.sqrt(hd)) + mask)
-    out = (p @ vh).transpose(0, 2, 1, 3).reshape(B, Lq, d)
-    return out, (qh, kt, vh, p)
 
 
 class Tensor:
@@ -347,7 +315,10 @@ def log_softmax(a: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply elementwise gain and bias."""
-    data, xhat, inv = np_layer_norm(x.data, gain.data, bias.data, eps)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + eps)
+    xhat = (x.data - mu) * inv
+    data = xhat * gain.data + bias.data
     n = x.data.shape[-1]
 
     def backward(g):
@@ -369,7 +340,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximate GELU."""
-    data, t = np_gelu(x.data)
+    t = np.tanh(_GELU_C * (x.data + 0.044715 * ((x.data * x.data) * x.data)))
+    data = 0.5 * x.data * (1.0 + t)
 
     def backward(g):
         if x.requires_grad:
@@ -381,15 +353,24 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head causal attention (see ``np_causal_attention``) as one node.
+    """Multi-head causal attention as one node.
 
-    Backward uses the closed-form softmax gradient dS = P*(dP - rowsum(dP*P)).
+    The Lq rows of q (B, Lq, d) are the last Lq of the Lk positions in k and
+    v (B, Lk, d); the output is (B, Lq, d). Backward uses the closed-form
+    softmax gradient dS = P*(dP - rowsum(dP*P)).
     """
     if not all(np.all(np.isfinite(x.data)) for x in (q, k, v)):
         raise FloatingPointError("causal_attention input contains non-finite values")
-    data, (qh, kt, vh, p) = np_causal_attention(q.data, k.data, v.data, n_heads)
-    B, Lq, d = data.shape
-    inv_sqrt = 1.0 / math.sqrt(d // n_heads)
+    B, Lq, d = q.shape
+    Lk = k.shape[1]
+    hd = d // n_heads
+    inv_sqrt = 1.0 / math.sqrt(hd)
+    qh, vh = (x.data.reshape(B, -1, n_heads, hd).transpose(0, 2, 1, 3).copy() for x in (q, v))
+    # A contiguous copy: matmul rounds differently on the transposed view.
+    kt = k.data.reshape(B, Lk, n_heads, hd).transpose(0, 2, 3, 1).copy()
+    mask = np.where(np.tril(np.ones((Lq, Lk), dtype=bool), Lk - Lq), 0.0, MASK_NEG)
+    p = np_softmax((qh @ kt) * inv_sqrt + mask)
+    data = (p @ vh).transpose(0, 2, 1, 3).reshape(B, Lq, d)
 
     def merge(x):  # (B, H, L, hd) -> (B, L, d)
         return x.transpose(0, 2, 1, 3).reshape(B, -1, d)

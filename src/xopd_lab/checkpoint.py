@@ -4,7 +4,8 @@ The header records parameter names, shapes, and byte offsets (relative to
 the end of the header line), the payload's byte size and SHA-256, plus
 arbitrary metadata such as the model config. Payloads are little-endian
 float64, written in header order. Loading checks the size and the hash, so
-a truncated or corrupted file raises CheckpointError instead of loading.
+a truncated or corrupted file raises CheckpointError instead of loading; so
+does a parameter holding NaN or inf, which no model can run on.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
             n = int(np.prod(shape)) if shape else 1
             off = entry["offset"]
             arr = np.frombuffer(payload[off : off + n * 8], dtype="<f8").reshape(shape).copy()
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{path}: parameter {entry['name']} holds NaN or inf")
             params[entry["name"]] = Tensor(arr, requires_grad=True)
     except (TypeError, KeyError, ValueError) as e:
         raise CheckpointError(f"{path}: bad parameter entry ({type(e).__name__}: {e})") from None

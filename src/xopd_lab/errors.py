@@ -1,6 +1,7 @@
 """Error taxonomy shared across the lab, and the value-type rule every
 config dataclass checks before its own range checks."""
 
+import math
 from dataclasses import fields
 
 
@@ -65,11 +66,12 @@ def is_number(x) -> bool:
 
 def check_field_types(cfg) -> None:
     """Raise ConfigurationError unless every ``int`` field of the dataclass
-    ``cfg`` holds an integer and every ``float`` field a number; a bool is
-    neither."""
+    ``cfg`` holds an integer and every ``float`` field a finite number; a
+    bool is neither."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type in ("int", int) and not is_int(value):
             raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-        if f.type in ("float", float) and not is_number(value):
-            raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+        finite = is_int(value) or (isinstance(value, float) and math.isfinite(value))
+        if f.type in ("float", float) and not finite:
+            raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")

@@ -122,17 +122,33 @@ def init_backbone_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str
     return p
 
 
-def backbone_logits(params: dict[str, Tensor], cfg: ModelConfig, emb: Tensor) -> Tensor:
-    """Run the transformer over embedded inputs (B, L, d) -> (B, L, V)."""
-    L = emb.shape[-2]
+def backbone_logits(
+    params: dict[str, Tensor],
+    cfg: ModelConfig,
+    emb: Tensor,
+    caches: list[dict[str, Tensor]] | None = None,
+) -> Tensor:
+    """Run the transformer over embedded inputs (B, L, d) -> (B, L, V).
+
+    The package's one transformer forward. With ``caches`` (one dict per
+    layer, used by the decoder) ``emb`` holds only the newest positions: each
+    layer's keys and values for the earlier ones come from its cache, which
+    is extended in place.
+    """
+    start = caches[0]["k"].shape[1] if caches and caches[0] else 0
+    L = start + emb.shape[-2]
     if L > cfg.max_seq_len:
         raise LengthError(f"sequence length {L} exceeds max_seq_len {cfg.max_seq_len}")
-    pos = ad.embedding(params["pos_emb"], np.arange(L))
+    pos = ad.embedding(params["pos_emb"], np.arange(start, L))
     x = ad.add(emb, pos)
     for i in range(cfg.n_layers):
         h = f"h{i}"
         a = ad.layer_norm(x, params[f"{h}.ln1.g"], params[f"{h}.ln1.b"])
         q, k, v = (ad.matmul(a, params[f"{h}.attn.{w}"]) for w in ("wq", "wk", "wv"))
+        if caches is not None:
+            c = caches[i]
+            k = c["k"] = Tensor(np.concatenate([c["k"].data, k.data], 1)) if "k" in c else k
+            v = c["v"] = Tensor(np.concatenate([c["v"].data, v.data], 1)) if "v" in c else v
         attn = ad.causal_attention(q, k, v, cfg.n_heads)
         x = ad.add(x, ad.matmul(attn, params[f"{h}.attn.wo"]))
         m = ad.layer_norm(x, params[f"{h}.ln2.g"], params[f"{h}.ln2.b"])
@@ -218,94 +234,52 @@ def init_student_from_teacher(teacher: TeacherModel, cfg: ModelConfig, seed: int
     return StudentModel(cfg, params)
 
 
-def _decode_step(
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    x: np.ndarray,
-    caches: list[dict[str, np.ndarray]],
-) -> np.ndarray:
-    """Advance the incremental decoder by T new rows.
-
-    x: (B, T, d) embedded new positions (token + position embedding already
-    added). caches holds per-layer key/value arrays (B, S, d) for the S
-    positions already consumed; they are extended in place. Returns the
-    next-token logits for the final new row, shape (B, V).
-    """
-    for i in range(cfg.n_layers):
-        h = f"h{i}"
-        c = caches[i]
-        a = ad.np_layer_norm(x, params[f"{h}.ln1.g"].data, params[f"{h}.ln1.b"].data)[0]
-        q, k, v = (a @ params[f"{h}.attn.{w}"].data for w in ("wq", "wk", "wv"))
-        c["k"] = np.concatenate([c["k"], k], axis=1) if "k" in c else k
-        c["v"] = np.concatenate([c["v"], v], axis=1) if "v" in c else v
-        ctx = ad.np_causal_attention(q, c["k"], c["v"], cfg.n_heads)[0]
-        x = x + ctx @ params[f"{h}.attn.wo"].data
-        m = ad.np_layer_norm(x, params[f"{h}.ln2.g"].data, params[f"{h}.ln2.b"].data)[0]
-        m = ad.np_gelu(m @ params[f"{h}.mlp.w1"].data + params[f"{h}.mlp.b1"].data)[0]
-        x = x + (m @ params[f"{h}.mlp.w2"].data + params[f"{h}.mlp.b2"].data)
-    last = ad.np_layer_norm(x[:, -1, :], params["lnf.g"].data, params["lnf.b"].data)[0]
-    return last @ params["head.w"].data
-
-
-def _shape_groups(prompts: list[Prompt]) -> list[list[int]]:
-    """Prompt indices grouped by (modality, length), groups in first-seen order."""
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, p in enumerate(prompts):
-        groups.setdefault((p.modality, len(p.tokens)), []).append(i)
-    return list(groups.values())
-
-
-def _decode_batch(
+def _decode(
     model: TeacherModel,
     prompts: list[Prompt],
     max_new: int,
     rngs: list[np.random.Generator] | None = None,
-) -> tuple[list[list[int]], list[bool], np.ndarray | None]:
-    """Incremental decoding with per-layer key/value caches.
+) -> list[tuple[list[int], bool, list[float]]]:
+    """Incremental decoding: ``backbone_logits`` with per-layer key/value caches.
 
-    All prompts must share one modality and length (callers group). With no
-    ``rngs`` every row takes the argmax and nothing is recorded. With one rng
-    per row, rows are sampled at temperature 1 and the third return value is
-    a (B, max_new) array of each chosen token's log-prob (zero past a
-    completion's end). Completions keep the terminating <eos> when emitted;
-    the flags say which did.
+    Prompts of one (modality, length) decode as one batch. With no ``rngs``
+    every row takes the argmax; with one rng per prompt, rows are sampled at
+    temperature 1. Returns (tokens, finished, logps) per prompt, in prompt
+    order: tokens keep the terminating <eos> when emitted, finished says
+    which did, and logps holds each chosen token's log-prob under the
+    logits it was chosen from.
     """
-    tok_emb = model.params["tok_emb"].data
-    pos_emb = model.params["pos_emb"].data
-    caches: list[dict[str, np.ndarray]] = [{} for _ in range(model.cfg.n_layers)]
+    if max_new < 1:
+        raise ConfigurationError("max_new must be >= 1")
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, p in enumerate(prompts):
+        groups.setdefault((p.modality, len(p.tokens)), []).append(i)
+    results: list = [None] * len(prompts)
     with ad.no_grad():
-        embs = [model.embed_sequence(p, [])[0].data for p in prompts]
-    batch = np.stack(embs)  # (B, L0, d)
-    B, L0 = batch.shape[:2]
-    if L0 + max_new > model.cfg.max_seq_len:
-        raise LengthError(
-            f"prompt length {L0} + max_new {max_new} exceeds max_seq_len {model.cfg.max_seq_len}"
-        )
-    logits = _decode_step(model.params, model.cfg, batch + pos_emb[:L0], caches)
-    outs: list[list[int]] = [[] for _ in prompts]
-    done = np.zeros(B, dtype=bool)
-    logps = None if rngs is None else np.zeros((B, max_new))
-    for step in range(max_new):
-        live = np.flatnonzero(~done)
-        nxt = np.zeros(B, dtype=np.int64)
-        if rngs is None:
-            nxt[live] = np.argmax(logits[live], axis=-1)
-        else:
-            for b in live:
-                p = ad.np_softmax(logits[b])
-                nxt[b] = rngs[b].choice(len(p), p=p)
-            # logp_old: the chosen token's log-prob under the logits it was
-            # drawn from.
-            lp = ad.np_log_softmax(logits)
-            logps[live, step] = lp[live, nxt[live]]
-        for b in live:
-            outs[b].append(int(nxt[b]))
-        done[live] = nxt[live] == EOS
-        if done.all() or step == max_new - 1:
-            break
-        rows = (tok_emb[nxt] + pos_emb[L0 + step])[:, None, :]
-        logits = _decode_step(model.params, model.cfg, rows, caches)
-    return outs, [bool(f) for f in done], logps
+        for idxs in groups.values():
+            emb = Tensor(np.stack([model.embed_sequence(prompts[i], [])[0].data for i in idxs]))
+            caches: list[dict[str, Tensor]] = [{} for _ in range(model.cfg.n_layers)]
+            outs: list[list[int]] = [[] for _ in idxs]
+            logps: list[list[float]] = [[] for _ in idxs]
+            done = np.zeros(len(idxs), dtype=bool)
+            for step in range(max_new):
+                logits = backbone_logits(model.params, model.cfg, emb, caches).data[:, -1]
+                lp = ad.np_log_softmax(logits)
+                nxt = np.zeros(len(idxs), dtype=np.int64)
+                for b in np.flatnonzero(~done):
+                    if rngs is None:
+                        nxt[b] = np.argmax(logits[b])
+                    else:
+                        nxt[b] = rngs[idxs[b]].choice(lp.shape[1], p=ad.np_softmax(logits[b]))
+                    outs[b].append(int(nxt[b]))
+                    logps[b].append(float(lp[b, nxt[b]]))
+                    done[b] = nxt[b] == EOS
+                if done.all() or step == max_new - 1:
+                    break
+                emb = ad.embedding(model.params["tok_emb"], nxt[:, None])
+            for b, i in enumerate(idxs):
+                results[i] = (outs[b], bool(done[b]), logps[b])
+    return results
 
 
 def sample_completions_batch(
@@ -315,33 +289,18 @@ def sample_completions_batch(
 ) -> list[Trajectory]:
     """Ancestral sampling until <eos> or max_new tokens, one rng per unit.
 
-    Decoding runs incrementally with key/value caches, grouped by prompt
-    shape; each unit consumes its rng independently of grouping, so tokens
-    do not depend on which units share a batch. Tokens are drawn at
-    temperature 1, so each token's sampling log-prob (logp_old, defining
-    pi_old) is its log-prob under the model, read from the decode logits it
-    was drawn from. A teacher-forced recomputation, or a call with other
-    units in the batch, agrees with it to rounding (within 1e-12), not bit
-    for bit.
+    Each unit consumes its rng independently of grouping, so tokens do not
+    depend on which units share a batch. Tokens are drawn at temperature 1,
+    so each token's sampling log-prob (logp_old, defining pi_old) is its
+    log-prob under the model, read from the decode logits it was drawn from.
+    A teacher-forced recomputation, or a call with other units in the batch,
+    agrees with it to rounding (within 1e-12), not bit for bit.
     """
-    if max_new < 1:
-        raise ConfigurationError("max_new must be >= 1")
-    prompts = [p for p, _ in units]
-    results: list[Trajectory | None] = [None] * len(units)
-    for idxs in _shape_groups(prompts):
-        outs, finished, logps = _decode_batch(
-            model, [prompts[i] for i in idxs], max_new, [units[i][1] for i in idxs]
-        )
-        for b, i in enumerate(idxs):
-            n = len(outs[b])
-            results[i] = Trajectory(
-                example_id="",
-                conditioning_modality=prompts[i].modality,
-                tokens=outs[b],
-                logp_old=logps[b, :n].tolist(),
-                finished=finished[b],
-            )
-    return results  # type: ignore[return-value]
+    decoded = _decode(model, [p for p, _ in units], max_new, [rng for _, rng in units])
+    return [
+        Trajectory("", prompt.modality, tokens, logps, finished)
+        for (prompt, _), (tokens, finished, logps) in zip(units, decoded)
+    ]
 
 
 def greedy_decode_batch(
@@ -352,12 +311,8 @@ def greedy_decode_batch(
     Token choices do not depend on which prompts share a batch. Returns
     tokens without the terminating <eos>.
     """
-    results: list[list[int] | None] = [None] * len(prompts)
-    for idxs in _shape_groups(prompts):
-        outs, finished, _ = _decode_batch(model, [prompts[i] for i in idxs], max_new)
-        for b, i in enumerate(idxs):
-            results[i] = outs[b][:-1] if finished[b] else outs[b]
-    return results  # type: ignore[return-value]
+    decoded = _decode(model, prompts, max_new)
+    return [tokens[:-1] if finished else tokens for tokens, finished, _ in decoded]
 
 
 def padded_log_probs(

@@ -113,3 +113,12 @@ def test_header_without_integrity_fields_is_rejected(params, tmp_path):
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(CheckpointError, match="header"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_is_rejected_by_name(params, tmp_path, bad):
+    # A valid hash does not make the weights usable: NaN or inf is refused on load.
+    params["w"].data[1, 2] = bad
+    path = _saved(params, tmp_path)
+    with pytest.raises(CheckpointError, match="parameter w holds NaN or inf"):
+        load_checkpoint(path)

@@ -4,11 +4,15 @@ import json
 import re
 import shlex
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xopd_lab.autodiff import Tensor
+from xopd_lab.checkpoint import save_checkpoint
 from xopd_lab.cli import _build, _load_config, _pipeline_config, build_parser, main
 from xopd_lab.corpus import SpeechCodec, build_dataset, save_dataset
 from xopd_lab.errors import ConfigurationError, UsageError
@@ -36,8 +40,6 @@ def ckpts(tmp_path_factory, tiny_teacher, tiny_student):
 
 @pytest.fixture(scope="module")
 def tiny_model_cfg_file(tmp_path_factory, tiny_config):
-    from dataclasses import asdict
-
     d = tmp_path_factory.mktemp("cfg")
     path = d / "config.json"
     path.write_text(json.dumps({"model": asdict(tiny_config)}))
@@ -320,12 +322,14 @@ def test_malformed_override_is_usage_error(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("field", ["temperature", "steps", "max_new"])
-def test_train_bad_train_config_exits_2_before_writing(tmp_path, field, capsys):
+@pytest.mark.parametrize("field,value", [
+    ("temperature", "0"), ("steps", "0"), ("max_new", "0"), ("learning_rate", "Infinity"),
+], ids=["temperature", "steps", "max_new", "learning_rate"])
+def test_train_bad_train_config_exits_2_before_writing(tmp_path, field, value, capsys):
     data, out = tmp_path / "data", tmp_path / "run"
     code = main([
         "train", "--method", "xopd", "--data", str(data), "--out", str(out), "--auto",
-        "--set", f"train.{field}=0",
+        "--set", f"train.{field}={value}",
     ])
     assert code == 2
     assert field in capsys.readouterr().err
@@ -366,6 +370,22 @@ def test_eval_damaged_checkpoint_exits_1_without_traceback(tmp_path, data_dir, c
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "damaged.ckpt" in err
+
+
+def test_eval_non_finite_checkpoint_exits_1_without_traceback(
+    tmp_path, data_dir, tiny_teacher, capsys
+):
+    # The payload hash is valid, so only the finiteness check can refuse it.
+    params = {k: Tensor(v.data.copy()) for k, v in tiny_teacher.params.items()}
+    params["h0.attn.wq"].data[0, 0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, params, {"kind": "teacher", "config": asdict(tiny_teacher.cfg)})
+    code = main([
+        "eval", str(path), "--data", str(data_dir), "--out", str(tmp_path / "x"), "--n-eval", "2",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "h0.attn.wq" in err[0], err
 
 
 def test_train_damaged_dataset_exits_1_without_traceback(tmp_path, data_dir, ckpts, capsys):

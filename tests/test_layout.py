@@ -9,12 +9,15 @@
 * Every top-level function and class of the package is named by package
   code: reference paths that only tests call belong in ``tests/oracles.py``.
 * Every ``int`` field of a config dataclass rejects a float and a bool, and
-  every ``float`` field a bool, so a field added later cannot skip the type
-  check.
+  every ``float`` field a bool, NaN and +-inf, so a field added later cannot
+  skip the type check.
+* Only ``init_backbone_params`` and ``backbone_logits`` name the per-layer
+  parameters, so the transformer block is written once.
 """
 
 import ast
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -100,7 +103,22 @@ def test_every_int_and_float_config_field_rejects_the_wrong_type(cls):
     ints, floats = _typed_fields(cls, int), _typed_fields(cls, float)
     assert ints, f"{cls.__name__} has no int field"
     cases = [(name, bad) for name in ints for bad in (1.5, True)]
-    cases += [(name, True) for name in floats]
+    cases += [(name, bad) for name in floats for bad in (True, math.nan, math.inf, -math.inf)]
     for name, bad in cases:
         with pytest.raises(ConfigurationError, match=name):
             cls(**{name: bad})
+
+
+def test_only_the_backbone_names_the_per_layer_parameters():
+    layer_key = re.compile(r"\.(attn|mlp|ln1|ln2)\.")
+    namers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if layer_key.search(node.value):
+                        namers.add(f"{path.stem}.{fn.name}")
+    assert namers == {"model.init_backbone_params", "model.backbone_logits"}, sorted(namers)

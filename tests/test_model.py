@@ -12,6 +12,7 @@ from xopd_lab.model import (
     Prompt,
     StudentModel,
     TeacherModel,
+    backbone_logits,
     batched_completion_logps,
     greedy_decode_batch,
     init_student_from_teacher,
@@ -118,14 +119,17 @@ def test_sampled_logp_old_matches_teacher_forced_recomputation(tiny_student, mod
         )
 
 
-def test_batched_sampling_matches_single(tiny_teacher):
+def test_batched_sampling_matches_single(tiny_student):
     prompts = [Prompt(TEXT, [4 + i, 5, 6]) for i in range(6)]
+    # One call spanning several shape groups: a speech prompt and another length.
+    prompts += [Prompt(SPEECH, [1, 2, 3, 4, 5, 6]), Prompt(TEXT, [9, 10, 11, 12, 13])]
     units = [(p, np.random.default_rng([7, i])) for i, p in enumerate(prompts)]
-    batched = sample_completions_batch(tiny_teacher, units, max_new=5)
+    batched = sample_completions_batch(tiny_student, units, max_new=5)
     for i, p in enumerate(prompts):
         single = sample_completions_batch(
-            tiny_teacher, [(p, np.random.default_rng([7, i]))], 5
+            tiny_student, [(p, np.random.default_rng([7, i]))], 5
         )[0]
+        assert batched[i].conditioning_modality == p.modality
         assert batched[i].tokens == single.tokens
         assert batched[i].finished == single.finished
         # Batched decode logits may differ from one-row logits in the last bits.
@@ -149,6 +153,45 @@ def test_greedy_decode_batch_matches_single(tiny_student):
     batched = greedy_decode_batch(tiny_student, prompts, max_new=6)
     for p, got in zip(prompts, batched):
         assert got == greedy_decode_batch(tiny_student, [p], 6)[0]
+
+
+@pytest.mark.parametrize("kind,prompt", [
+    ("teacher", Prompt(TEXT, [5, 6, 7, 8])),
+    ("student", Prompt(SPEECH, [1, 2, 3, 4, 5, 6, 7, 8, 9])),
+])
+def test_cached_forward_equals_the_full_pass(tiny_teacher, tiny_student, kind, prompt):
+    # The decoder's use: a prefill chunk, then one new row at a time.
+    model = tiny_teacher if kind == "teacher" else tiny_student
+    run = lambda x, caches=None: backbone_logits(model.params, model.cfg, ad.Tensor(x), caches).data
+    with ad.no_grad():
+        emb = model.embed_sequence(prompt, [9, 10, 11, 2])[0].data[None]
+        full = run(emb)
+        caches = [{} for _ in range(model.cfg.n_layers)]
+        chunks = [run(emb[:, :3], caches)]
+        chunks += [run(emb[:, t : t + 1], caches) for t in range(3, emb.shape[1])]
+    assert caches[0]["k"].shape[1] == emb.shape[1]
+    np.testing.assert_allclose(np.concatenate(chunks, axis=1), full, rtol=0, atol=1e-12)
+
+
+def test_cached_forward_rejects_positions_beyond_max_seq_len(tiny_teacher):
+    cfg = tiny_teacher.cfg
+    caches = [{} for _ in range(cfg.n_layers)]
+    rows = lambda n: ad.Tensor(np.zeros((1, n, cfg.embed_dim)))
+    with ad.no_grad():
+        backbone_logits(tiny_teacher.params, cfg, rows(cfg.max_seq_len - 1), caches)
+        with pytest.raises(LengthError):
+            backbone_logits(tiny_teacher.params, cfg, rows(2), caches)
+    # The decoder meets the same rule: <bos> prompt <sep> is one row too long.
+    with pytest.raises(LengthError):
+        greedy_decode_batch(tiny_teacher, [Prompt(TEXT, [5] * (cfg.max_seq_len - 1))], 1)
+
+
+def test_decoding_with_max_new_below_1_is_a_config_error(tiny_teacher):
+    prompt = Prompt(TEXT, [5, 6])
+    with pytest.raises(ConfigurationError, match="max_new"):
+        greedy_decode_batch(tiny_teacher, [prompt], 0)
+    with pytest.raises(ConfigurationError, match="max_new"):
+        sample_completions_batch(tiny_teacher, [(prompt, np.random.default_rng(0))], 0)
 
 
 def test_batched_completion_logps_matches_per_item(tiny_student):
