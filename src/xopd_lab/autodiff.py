@@ -32,7 +32,7 @@ __all__ = [
     "reshape",
     "concat_rows",
     "stack_pad",
-    "gather_bld",
+    "gather",
     "embedding",
     "log_softmax",
     "layer_norm",
@@ -266,17 +266,15 @@ def stack_pad(parts: Sequence[Tensor]) -> Tensor:
     return _make(data, tuple(parts), backward)
 
 
-def gather_bld(x: Tensor, b_idx, l_idx, v_idx) -> Tensor:
-    """Pick x[b, l, v] for parallel index arrays; returns a flat vector."""
-    b = np.asarray(b_idx, dtype=np.int64)
-    l = np.asarray(l_idx, dtype=np.int64)
-    v = np.asarray(v_idx, dtype=np.int64)
-    data = x.data[b, l, v]
+def gather(x: Tensor, idx: tuple) -> Tensor:
+    """Pick ``x.data[idx]`` for a tuple of integer index arrays."""
+    idx = tuple(np.asarray(i, dtype=np.int64) for i in idx)
+    data = x.data[idx]
 
     def backward(g):
         if x.requires_grad:
             full = np.zeros_like(x.data)
-            np.add.at(full, (b, l, v), g)
+            np.add.at(full, idx, g)
             x.accumulate_grad(full)
 
     return _make(data, (x,), backward)

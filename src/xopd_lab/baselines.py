@@ -16,15 +16,15 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import EOS, PairedExample
-from .errors import ConfigurationError, DataError
+from .errors import DataError
 from .model import (
     SPEECH,
     TEXT,
     Prompt,
     Trajectory,
     batched_completion_logps,
+    completion_log_probs,
     greedy_decode_batch,
-    padded_log_probs,
 )
 
 
@@ -41,7 +41,7 @@ def sft_batch_loss(model, examples: list[PairedExample]) -> Tensor:
         prompt_tokens = ex.speech_prompt if modality == SPEECH else ex.text_prompt
         items.append((Prompt(modality, prompt_tokens), tokens))
         weights.append(np.full(len(tokens), -1.0 / (len(tokens) * len(examples))))
-    lp, _ = batched_completion_logps(model, items)
+    lp = batched_completion_logps(model, items)
     return ad.sum_all(ad.mul(lp, Tensor(np.concatenate(weights))))
 
 
@@ -61,28 +61,18 @@ def gkd_batch_loss(
     """
     if not pairs:
         raise DataError("gkd_batch_loss given no trajectories")
-    if teacher.cfg.text_vocab_size != student.cfg.text_vocab_size:
-        raise ConfigurationError("teacher/student vocab mismatch")
     if any(traj.conditioning_modality != SPEECH for traj, _ in pairs):
         raise DataError("GKD expects SPEECH-conditioned trajectories")
     with ad.no_grad():
-        t_out, t_seps = padded_log_probs(
+        t_logp = completion_log_probs(
             teacher, [(Prompt(TEXT, ex.text_prompt), traj.tokens) for traj, ex in pairs]
-        )
-    t_logp = t_out.data
-    s_logp, s_seps = padded_log_probs(
+        ).data
+    s_logp = completion_log_probs(
         student, [(Prompt(SPEECH, ex.speech_prompt), traj.tokens) for traj, ex in pairs]
     )
-    p = np.exp(t_logp)
-    # Teacher and student sequences place the completion at different
-    # offsets; map the teacher rows into the student's coordinate frame.
-    coeff = np.zeros(s_logp.data.shape)
-    neg_entropy = 0.0
-    for i, (traj, _) in enumerate(pairs):
-        w = 1.0 / (len(traj.tokens) * len(pairs))
-        t_rows = slice(t_seps[i], t_seps[i] + len(traj.tokens))
-        s_rows = slice(s_seps[i], s_seps[i] + len(traj.tokens))
-        coeff[i, s_rows] = w * p[i, t_rows]
-        neg_entropy += float(w * (p[i, t_rows] * t_logp[i, t_rows]).sum())
+    # Both passes give one row per completion token, so the rows align.
+    w = np.concatenate([np.full(len(t.tokens), 1.0 / (len(t.tokens) * len(pairs))) for t, _ in pairs])
+    coeff = w[:, None] * np.exp(t_logp)
+    neg_entropy = float((coeff * t_logp).sum())
     cross = ad.sum_all(ad.mul(Tensor(coeff), s_logp))
     return ad.sub(Tensor(np.asarray(neg_entropy)), cross)

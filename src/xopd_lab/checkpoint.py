@@ -56,7 +56,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
         header = json.loads(header_line.decode("utf-8"))
         entries, meta = header["params"], header["meta"]
         size, digest = header["payload_bytes"], header["payload_sha256"]
-    except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as e:
+    except (ValueError, RecursionError, TypeError, KeyError) as e:
         raise CheckpointError(f"{path}: not a checkpoint header ({type(e).__name__}: {e})") from None
     if len(payload) != size:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, header says {size}")
@@ -72,7 +72,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"{path}: parameter {entry['name']} holds NaN or inf")
             params[entry["name"]] = Tensor(arr, requires_grad=True)
-    except (TypeError, KeyError, ValueError) as e:
+    except (TypeError, KeyError, ValueError, OverflowError) as e:
         raise CheckpointError(f"{path}: bad parameter entry ({type(e).__name__}: {e})") from None
     return params, meta
 

@@ -35,6 +35,8 @@ from .errors import (
     GenerationQualityError,
     VocabError,
     check_field_types,
+    is_int,
+    is_number,
 )
 
 FAMILIES = ("REASONING", "INSTRUCTION", "ACOUSTIC")
@@ -461,15 +463,49 @@ def _read(path: Path) -> bytes:
     return path.read_bytes()
 
 
+def _checked_example(line: str, speech_vocab_size: int) -> PairedExample:
+    """Parse one saved example; raise TypeError or ValueError unless the
+    models can read it: declared field types, a known family, text ids in
+    the vocabulary and frames in the codec's speech vocabulary."""
+    def ids(v) -> bool:
+        return isinstance(v, list) and all(is_int(i) for i in v)
+
+    ex = PairedExample.from_json(line)
+    typed = {
+        "example_id": isinstance(ex.example_id, str),
+        "family": isinstance(ex.family, str),
+        "difficulty": is_int(ex.difficulty),
+        "text_prompt": ids(ex.text_prompt),
+        "speech_prompt": ids(ex.speech_prompt),
+        "reference_answer": ids(ex.reference_answer),
+        "label": ex.label is None or is_int(ex.label),
+        "round_trip_error_rate": is_number(ex.round_trip_error_rate),
+    }
+    wrong = [name for name, ok in typed.items() if not ok]
+    if wrong:
+        raise TypeError(f"{wrong[0]} has the wrong type: {getattr(ex, wrong[0])!r}")
+    if ex.family not in FAMILIES:
+        raise ValueError(f"unknown family {ex.family!r}")
+    if not all(0 <= i < len(VOCAB) for i in ex.text_prompt + ex.reference_answer):
+        raise ValueError(f"text id outside [0, {len(VOCAB)})")
+    if not all(0 <= f < speech_vocab_size for f in ex.speech_prompt):
+        raise ValueError(f"speech frame outside [0, {speech_vocab_size})")
+    return ex
+
+
 def load_dataset(in_dir: str | Path) -> Dataset:
     """Load what save_dataset wrote, checking each split against the
-    manifest's SHA-256; a damaged or malformed file raises DataError."""
+    manifest's SHA-256 and each example as ``_checked_example`` does; a
+    damaged or malformed file raises DataError naming the file (and line)."""
     in_dir = Path(in_dir)
     path = in_dir / "manifest.json"
     try:
         manifest = json.loads(_read(path))
         hashes = {split: manifest["file_hashes"][split] for split in ("train", "val", "test")}
-    except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as e:
+        speech_vocab_size = manifest["codec"]["speech_vocab_size"]
+        if not is_int(speech_vocab_size):
+            raise TypeError(f"codec speech_vocab_size {speech_vocab_size!r} is not an integer")
+    except (ValueError, RecursionError, TypeError, KeyError) as e:
         raise DataError(f"{path}: not a dataset manifest ({type(e).__name__}: {e})") from None
     splits = {}
     for split, digest in hashes.items():
@@ -477,8 +513,10 @@ def load_dataset(in_dir: str | Path) -> Dataset:
         body = _read(path)
         if hashlib.sha256(body).hexdigest() != digest:
             raise DataError(f"{path}: SHA-256 does not match the manifest")
-        try:
-            splits[split] = [PairedExample.from_json(line) for line in body.decode().splitlines()]
-        except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as e:
-            raise DataError(f"{path}: malformed example ({type(e).__name__}: {e})") from None
+        splits[split] = []
+        for n, line in enumerate(body.splitlines(), 1):
+            try:
+                splits[split].append(_checked_example(line.decode(), speech_vocab_size))
+            except (ValueError, RecursionError, TypeError) as e:
+                raise DataError(f"{path}:{n}: malformed example ({type(e).__name__}: {e})") from None
     return Dataset(splits=splits, manifest=manifest)

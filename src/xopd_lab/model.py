@@ -315,43 +315,31 @@ def greedy_decode_batch(
     return [tokens[:-1] if finished else tokens for tokens, finished, _ in decoded]
 
 
-def padded_log_probs(
-    model: TeacherModel, items: list[tuple[Prompt, list[int]]]
-) -> tuple[Tensor, list[int]]:
-    """Teacher-forced log-softmax over many (prompt, completion) pairs.
-
-    The package's one teacher-forced pass: one padded, batched backbone
-    pass. Returns log-probs of shape (B, Lmax, V) and each item's <sep>
-    index: row ``seps[i] + t`` of item ``i`` is the distribution of its
-    completion token ``t``.
-    """
-    embs, seps = [], []
-    for prompt, completion in items:
+def completion_log_probs(model: TeacherModel, items: list[tuple[Prompt, list[int]]]) -> Tensor:
+    """The package's one teacher-forced pass: one padded, batched backbone
+    pass over many (prompt, completion) pairs, whose padding stays inside.
+    Returns one log-softmax row per completion token, shape (T, V), ordered
+    by item and then position, so passes over the same completions align
+    whatever their prompts."""
+    if not items:
+        raise ModalityError("completion_log_probs given no items")
+    embs, b_idx, l_idx = [], [], []
+    for i, (prompt, completion) in enumerate(items):
         e, sep = model.embed_sequence(prompt, completion)
         embs.append(e)
-        seps.append(sep)
-    return ad.log_softmax(backbone_logits(model.params, model.cfg, ad.stack_pad(embs))), seps
+        # Row sep + t predicts completion token t.
+        b_idx += [i] * len(completion)
+        l_idx += range(sep, sep + len(completion))
+    logits = backbone_logits(model.params, model.cfg, ad.stack_pad(embs))
+    return ad.log_softmax(ad.gather(logits, (b_idx, l_idx)))
 
 
-def batched_completion_logps(
-    model: TeacherModel, items: list[tuple[Prompt, list[int]]]
-) -> tuple[Tensor, np.ndarray]:
-    """Per-token completion log-probs for many (prompt, completion) pairs.
-
-    Runs one padded, batched backbone pass with gradients. Returns a flat
-    tensor of log-probs (ordered by item, then position) and a parallel
-    integer array mapping each entry to its item index.
-    """
-    if not items:
-        raise ModalityError("batched_completion_logps given no items")
-    logp, seps = padded_log_probs(model, items)
-    b_idx, l_idx, v_idx = [], [], []
-    for i, (_, completion) in enumerate(items):
-        for t, tok in enumerate(completion):
-            b_idx.append(i)
-            l_idx.append(seps[i] + t)
-            v_idx.append(tok)
-    return ad.gather_bld(logp, b_idx, l_idx, v_idx), np.asarray(b_idx, dtype=np.int64)
+def batched_completion_logps(model: TeacherModel, items: list[tuple[Prompt, list[int]]]) -> Tensor:
+    """Per-token completion log-probs, shape (T,): each completion token
+    picked from its row of ``completion_log_probs``, with gradients."""
+    rows = completion_log_probs(model, items)
+    tokens = np.concatenate([completion for _, completion in items])
+    return ad.gather(rows, (np.arange(len(tokens)), tokens))
 
 
 def save_model(model: TeacherModel, path: str | Path) -> None:

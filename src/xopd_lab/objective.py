@@ -49,14 +49,6 @@ class XopdLossReport:
         return {k: v for k, v in self.__dict__.items() if k != "advantages"}
 
 
-def _check_vocabs(teacher, student) -> None:
-    if teacher.cfg.text_vocab_size != student.cfg.text_vocab_size:
-        raise ConfigurationError(
-            f"teacher/student vocab mismatch: {teacher.cfg.text_vocab_size} vs "
-            f"{student.cfg.text_vocab_size}"
-        )
-
-
 def xopd_loss(
     rollouts: RolloutBatch,
     teacher,
@@ -71,7 +63,6 @@ def xopd_loss(
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigurationError(f"lambda must be in [0,1], got {lam}")
-    _check_vocabs(teacher, student)
     by_id = {ex.example_id: ex for ex in examples}
 
     ratio_vals: list[float] = []
@@ -114,9 +105,9 @@ def xopd_loss(
                 counts[modality] += 1
         if not student_items:
             return None
-        lp_new, _ = batched_completion_logps(student, student_items)
+        lp_new = batched_completion_logps(student, student_items)
         with ad.no_grad():
-            t_lp, _ = batched_completion_logps(teacher, teacher_items)
+            t_lp = batched_completion_logps(teacher, teacher_items)
         adv = t_lp.data - lp_new.data
         adv_by_modality[modality] = adv
         r = ad.exp(ad.sub(lp_new, Tensor(np.concatenate(logp_old))))

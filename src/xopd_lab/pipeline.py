@@ -6,7 +6,8 @@ every method variant from the same base checkpoint, then evaluate
 speech/text accuracy per family, aggregate drops versus the teacher, and
 acoustic-skill retention.
 
-The trend report checks three directional claims on each seed:
+The trend report checks three directional claims on each seed, each with
+a signed margin beside its verdict (positive when it holds with room):
 
 * gap narrowing   - the dual-advantage method cuts the speech drop by at
                     least half versus the base student and beats SFT,
@@ -224,10 +225,17 @@ def _trend_checks(result: dict, lambda_grid: tuple[float, ...]) -> dict:
     baseline_drops = [result["forgetting"][m]["drop"] for m in BASELINE_METHODS]
     forgetting_ok = all(xd < bd for xd in xopd_drops for bd in baseline_drops)
     sft_text_worsens = reps["sft"]["avg_drop_text"] > base_dt
+    # Signed margins: positive when a criterion holds with room to spare.
+    # The booleans stay the verdicts.
     return {
         "gap_narrowing": gap_narrowing,
+        "gap_narrowing_margin": min(
+            0.5 * base_ds - x_ds, min(baseline_ds.values()) - x_ds, base_dt + 2.0 - x_dt
+        ),
         "forgetting": forgetting_ok,
+        "forgetting_margin": min(baseline_drops) - max(xopd_drops),
         "sft_text_worsens": sft_text_worsens,
+        "sft_text_worsens_margin": reps["sft"]["avg_drop_text"] - base_dt,
         "numbers": {
             "base_drop_speech": base_ds,
             "base_drop_text": base_dt,

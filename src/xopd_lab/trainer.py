@@ -330,6 +330,13 @@ def run_method(
     (tower and adapter) is frozen, as in the paper, and asserted
     byte-for-byte after every step.
     """
+    # Every method but SFT reads the teacher's distribution over the
+    # student's vocabulary: refuse a mismatch before anything is written.
+    if cfg.method != "sft" and teacher.cfg.text_vocab_size != student.cfg.text_vocab_size:
+        raise ConfigurationError(
+            f"teacher/student vocab mismatch: {teacher.cfg.text_vocab_size} vs "
+            f"{student.cfg.text_vocab_size}"
+        )
     train_data = dataset.alignment_set("train")
     if not train_data:
         raise UsageError("alignment dataset is empty")

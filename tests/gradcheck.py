@@ -90,14 +90,13 @@ def op_cases():
     def stackpad(a, b, rng):
         return ad.stack_pad([a, b])
 
-    # Over log_softmax, as the losses pick token log-probs out of (B, L, V).
-    def gather_bld(x, rng):
+    # As the teacher-forced pass uses it: rows out of (B, L, V), their
+    # log_softmax, then one entry per row. Drawn rows may repeat.
+    def gather(x, rng):
         B, L, V = x.shape
         k = 4
-        bs = rng.integers(0, B, size=k)
-        ls = rng.integers(0, L, size=k)
-        vs = rng.integers(0, V, size=k)
-        return ad.gather_bld(ad.log_softmax(x), bs, ls, vs)
+        rows = ad.log_softmax(ad.gather(x, (rng.integers(0, B, size=k), rng.integers(0, L, size=k))))
+        return ad.gather(rows, (np.arange(k), rng.integers(0, V, size=k)))
 
     # The two means below are composites, not primitives: the weighted sums
     # the losses build from sum_all, scale and a constant mul.
@@ -125,7 +124,7 @@ def op_cases():
         ("concat_rows", lambda a, b, rng: ad.concat_rows([a, b]), 2,
          lambda rng: [(2, 3), (4, 3)]),
         ("stack_pad", stackpad, 2, lambda rng: [(2, 3), (4, 3)]),
-        ("gather_bld", gather_bld, 1, lambda rng: [(2, 3, 5)]),
+        ("gather", gather, 1, lambda rng: [(2, 3, 5)]),
         ("embedding", emb, 1, lambda rng: [(6, 3)]),
         ("log_softmax", lambda a, rng: ad.log_softmax(a), 1, _single),
         ("layer_norm", ln, 3, lambda rng: [(3, 6), (6,), (6,)]),

@@ -40,8 +40,8 @@ from xopd_lab.model import (
     ModelConfig,
     Prompt,
     TeacherModel,
+    completion_log_probs,
     init_student_from_teacher,
-    padded_log_probs,
 )
 from xopd_lab.objective import xopd_loss
 from xopd_lab.optim import Adam
@@ -192,19 +192,11 @@ def test_criterion_2d_expected_gradient_matches_exact_reverse_kl_gradient():
             if p.grad is not None:
                 expected[k] += p_y * p.grad
 
-        # Student and teacher see the same text sequence, so their rows align;
-        # the mask keeps the L rows that predict completion tokens.
-        s_logp, (sep,) = padded_log_probs(student, [(prompt, y)])
+        # One row per completion token on both sides, so the rows align.
+        s_logp = completion_log_probs(student, [(prompt, y)])
         with ad.no_grad():
-            t_logp = padded_log_probs(teacher, [(prompt, y)])[0].data
-        rows = np.zeros(s_logp.shape)
-        rows[0, sep : sep + L] = 1.0
-        kl = ad.sum_all(
-            ad.mul(
-                Tensor(rows),
-                ad.mul(ad.exp(s_logp), ad.sub(s_logp, Tensor(t_logp))),
-            )
-        )
+            t_logp = completion_log_probs(teacher, [(prompt, y)]).data
+        kl = ad.sum_all(ad.mul(ad.exp(s_logp), ad.sub(s_logp, Tensor(t_logp))))
         kl_terms.append(ad.scale(kl, -p_y / L))
 
     objective = kl_terms[0]

@@ -162,22 +162,29 @@ def test_stack_pad_forward_layout():
     np.testing.assert_array_equal(out[1], b)
 
 
-def test_gather_bld_forward_values():
+def test_gather_forward_values():
     rng = np.random.default_rng(0)
     x = rng.normal(0, 1, (2, 3, 5))
     b = np.array([0, 1, 1])
     l = np.array([2, 0, 1])
     v = np.array([4, 3, 0])
-    got = ad.gather_bld(Tensor(x), b, l, v).data
+    got = ad.gather(Tensor(x), (b, l, v)).data
     np.testing.assert_array_equal(got, x[b, l, v])
+    # Fewer index arrays than axes pick whole rows.
+    rows = ad.gather(Tensor(x), (b, l)).data
+    assert rows.shape == (3, 5)
+    np.testing.assert_array_equal(rows, x[b, l])
 
 
-def test_gather_bld_repeated_index_accumulates_grad():
+def test_gather_repeated_index_accumulates_grad():
     x = Tensor(np.zeros((1, 1, 3)), requires_grad=True)
     idx = np.zeros(4, dtype=int)
-    out = ad.gather_bld(x, idx, idx, idx)  # same element four times
+    out = ad.gather(x, (idx, idx, idx))  # same element four times
     ad.sum_all(out).backward()
     assert x.grad[0, 0, 0] == 4.0
+    rows = Tensor(np.zeros((2, 3)), requires_grad=True)
+    ad.sum_all(ad.gather(rows, ([1, 1],))).backward()  # same row twice
+    np.testing.assert_array_equal(rows.grad, [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
 
 
 def test_layer_norm_rows_standardized():

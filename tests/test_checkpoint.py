@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from xopd_lab.autodiff import Tensor
 from xopd_lab.checkpoint import load_checkpoint, params_hash, save_checkpoint
@@ -122,3 +125,40 @@ def test_non_finite_parameter_is_rejected_by_name(params, tmp_path, bad):
     path = _saved(params, tmp_path)
     with pytest.raises(CheckpointError, match="parameter w holds NaN or inf"):
         load_checkpoint(path)
+
+
+_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_ENTRY = st.fixed_dictionaries(
+    {}, optional={"name": _VALUE, "shape": _VALUE | st.lists(st.integers(-2, 5), max_size=3),
+                  "offset": _VALUE | st.integers(-16, 64)}
+)
+
+
+def _with_valid_hash(entries, meta, payload: bytes) -> bytes:
+    """A header whose payload size and SHA-256 hold, so the entries reach the parser."""
+    header = {"params": entries, "meta": meta, "payload_bytes": len(payload),
+              "payload_sha256": hashlib.sha256(payload).hexdigest()}
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=80),
+    st.builds(_with_valid_hash, st.lists(_ENTRY, max_size=3) | _VALUE, _VALUE, st.binary(max_size=48)),
+))
+@example(b"[" * 100_000)
+@example(b"1" * 5_000)
+@example(_with_valid_hash([{"name": "w", "shape": [float("inf")], "offset": 0}], {}, b""))
+def test_any_checkpoint_bytes_give_params_or_a_checkpoint_error(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "x.ckpt"
+        path.write_bytes(raw)
+        try:
+            params, _ = load_checkpoint(path)
+        except CheckpointError:
+            return
+    assert all(np.all(np.isfinite(t.data)) for t in params.values())

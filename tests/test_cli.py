@@ -1,10 +1,11 @@
 """CLI tests: subcommand wiring and exit codes (0 success, 1 failure, 2 usage)."""
 
+import hashlib
 import json
 import re
 import shlex
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from xopd_lab.checkpoint import save_checkpoint
 from xopd_lab.cli import _build, _load_config, _pipeline_config, build_parser, main
 from xopd_lab.corpus import SpeechCodec, build_dataset, save_dataset
 from xopd_lab.errors import ConfigurationError, UsageError
-from xopd_lab.model import save_model
+from xopd_lab.model import TeacherModel, save_model
 from xopd_lab.pipeline import PipelineConfig
 from xopd_lab.trainer import TrainConfig
 
@@ -402,6 +403,48 @@ def test_train_damaged_dataset_exits_1_without_traceback(tmp_path, data_dir, ckp
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "train.jsonl" in err[0]
+
+
+def test_eval_example_with_an_unknown_text_id_exits_1_without_traceback(
+    tmp_path, data_dir, ckpts, capsys
+):
+    # The manifest is re-hashed, so only the example check can refuse it.
+    damaged = tmp_path / "data"
+    damaged.mkdir()
+    for f in data_dir.iterdir():
+        (damaged / f.name).write_bytes(f.read_bytes())
+    lines = (damaged / "test.jsonl").read_text().splitlines(keepends=True)
+    example = json.loads(lines[0])
+    example["text_prompt"][0] = 999
+    lines[0] = json.dumps(example) + "\n"
+    body = "".join(lines).encode()
+    (damaged / "test.jsonl").write_bytes(body)
+    manifest = json.loads((damaged / "manifest.json").read_text())
+    manifest["file_hashes"]["test"] = hashlib.sha256(body).hexdigest()
+    (damaged / "manifest.json").write_text(json.dumps(manifest))
+    code = main([
+        "eval", str(ckpts / "student.ckpt"), "--data", str(damaged),
+        "--out", str(tmp_path / "x"), "--n-eval", "2",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "test.jsonl:1" in err[0], err
+
+
+def test_train_offline_kd_with_a_mismatched_teacher_vocab_exits_2_before_training(
+    tmp_path, data_dir, ckpts, tiny_config, capsys
+):
+    teacher = tmp_path / "teacher80.ckpt"
+    save_model(TeacherModel.init(replace(tiny_config, text_vocab_size=80), 3), teacher)
+    out = tmp_path / "run"
+    code = main([
+        "train", "--method", "offline_kd", "--data", str(data_dir), "--out", str(out),
+        "--teacher", str(teacher), "--student", str(ckpts / "student.ckpt"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "error: teacher/student vocab mismatch: 80 vs 64", err
+    assert not (out / "metrics.jsonl").exists() and not (out / "distilled.jsonl").exists()
 
 
 @pytest.mark.parametrize("argv,unknown", [

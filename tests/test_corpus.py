@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xopd_lab.corpus import (
     EOS,
@@ -346,6 +348,82 @@ def test_load_rejects_a_malformed_example_even_with_a_matching_hash(codec, tmp_p
     (tmp_path / "test.jsonl").write_bytes(body)
     with pytest.raises(DataError, match="malformed example"):
         load_dataset(tmp_path)
+
+
+def _rewrite(root, name: str, body: bytes) -> None:
+    """Replace one dataset file, re-hashing a split so the body reaches the parser."""
+    if name != "manifest.json":
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["file_hashes"][name.removesuffix(".jsonl")] = hashlib.sha256(body).hexdigest()
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    (root / name).write_bytes(body)
+
+
+@pytest.mark.parametrize("change,named", [
+    ({"difficulty": "1"}, "difficulty has the wrong type"),
+    ({"text_prompt": [5, 6.0]}, "text_prompt has the wrong type"),
+    ({"label": True}, "label has the wrong type"),
+    ({"family": "POETRY"}, "unknown family 'POETRY'"),
+    ({"text_prompt": [5, 999]}, "text id outside [0, 64)"),
+    ({"reference_answer": [-1]}, "text id outside [0, 64)"),
+    ({"speech_prompt": [64, 1, 2]}, "speech frame outside [0, 64)"),
+], ids=["difficulty", "text_prompt-float", "label-bool", "family", "prompt-id", "answer-id", "frame"])
+def test_load_rejects_an_example_the_models_cannot_read(codec, tmp_path, change, named):
+    save_dataset(build_dataset(SIZES, codec, seed=7), tmp_path)
+    lines = (tmp_path / "test.jsonl").read_text().splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), **change}) + "\n"
+    _rewrite(tmp_path, "test.jsonl", "".join(lines).encode())
+    with pytest.raises(DataError) as exc:
+        load_dataset(tmp_path)
+    message = str(exc.value)
+    assert message.startswith(f"{tmp_path / 'test.jsonl'}:3: malformed example") and named in message
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    d = tmp_path_factory.mktemp("saved")
+    save_dataset(build_dataset({"REASONING": (2, 1, 1), "ACOUSTIC": (1, 1, 1)}, SpeechCodec(), seed=0), d)
+    return {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+_FIELDS = [f.name for f in dataclasses.fields(PairedExample)]
+_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=5,
+)
+_GOOD = {"example_id": "x", "family": "REASONING", "difficulty": 1, "text_prompt": [5],
+         "speech_prompt": [1, 2, 3], "reference_answer": [6], "label": None,
+         "round_trip_error_rate": 0.0}
+# A sound example with up to two fields replaced, or a subset of fields.
+_EXAMPLE_LINE = st.one_of(
+    st.dictionaries(st.sampled_from(_FIELDS), _VALUE, max_size=2).map(lambda d: {**_GOOD, **d}),
+    st.fixed_dictionaries({}, optional={name: _VALUE for name in _FIELDS}),
+).map(lambda d: json.dumps(d).encode())
+_LINES = st.lists(st.binary(max_size=30) | _EXAMPLE_LINE, min_size=1, max_size=3).map(b"\n".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["manifest.json", "train.jsonl", "test.jsonl"]), st.binary(max_size=60) | _LINES)
+@example("manifest.json", b"[" * 100_000)
+@example("manifest.json", b"1" * 5_000)
+@example("test.jsonl", b"[" * 100_000)
+@example("test.jsonl", b"1" * 5_000)
+def test_any_dataset_bytes_give_a_dataset_or_a_data_error(saved_dataset, name, body):
+    # Split bodies are re-hashed in the manifest, so they reach the parser.
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        for file, raw in saved_dataset.items():
+            (root / file).write_bytes(raw)
+        _rewrite(root, name, body)
+        try:
+            ds = load_dataset(root)
+        except DataError:
+            return
+    for ex in (e for split in ds.splits.values() for e in split):
+        assert ex.family in FAMILIES
+        assert all(0 <= i < len(VOCAB) for i in ex.text_prompt + ex.reference_answer)
+        assert all(0 <= f < 64 for f in ex.speech_prompt)
 
 
 def test_save_is_byte_stable(codec, tmp_path):

@@ -13,6 +13,8 @@
   skip the type check.
 * Only ``init_backbone_params`` and ``backbone_logits`` name the per-layer
   parameters, so the transformer block is written once.
+* Only ``model.completion_log_probs`` calls ``stack_pad``, so the padded
+  layout stays inside the one teacher-forced pass.
 """
 
 import ast
@@ -122,3 +124,18 @@ def test_only_the_backbone_names_the_per_layer_parameters():
                     if layer_key.search(node.value):
                         namers.add(f"{path.stem}.{fn.name}")
     assert namers == {"model.init_backbone_params", "model.backbone_logits"}, sorted(namers)
+
+
+def test_only_the_teacher_forced_pass_pads():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "stack_pad":
+                        callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"model.completion_log_probs"}, sorted(callers)

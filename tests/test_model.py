@@ -14,16 +14,16 @@ from xopd_lab.model import (
     TeacherModel,
     backbone_logits,
     batched_completion_logps,
+    completion_log_probs,
     greedy_decode_batch,
     init_student_from_teacher,
     load_model,
-    padded_log_probs,
     sample_completions_batch,
     save_model,
 )
 from xopd_lab.rollout import SPEECH, TEXT
 
-from oracles import naive_full_logits, naive_softmax, naive_token_logps
+from oracles import naive_completion_log_probs, naive_full_logits, naive_softmax, naive_token_logps
 
 
 def _oracle_logps(model, prompt, tokens):
@@ -31,15 +31,25 @@ def _oracle_logps(model, prompt, tokens):
     return naive_token_logps(model, prompt.modality, prompt.tokens, tokens)
 
 
+def _logits(model, prompt, completion):
+    """Every row of the backbone's logits, prompt rows included."""
+    with ad.no_grad():
+        emb = model.embed_sequence(prompt, completion)[0].data[None]
+        return backbone_logits(model.params, model.cfg, ad.Tensor(emb)).data
+
+
 def _log_probs(model, items):
     with ad.no_grad():
-        return padded_log_probs(model, items)[0].data
+        return completion_log_probs(model, items).data
 
 
 def test_fresh_model_is_uniform(tiny_config):
     model = TeacherModel.init(tiny_config, 0)
-    logp = _log_probs(model, [(Prompt(TEXT, [5, 6, 7]), [8, 9])])
+    prompt, completion = Prompt(TEXT, [5, 6, 7]), [8, 9]
     # The zero head gives all-zero logits, hence exactly -log V everywhere.
+    np.testing.assert_array_equal(_logits(model, prompt, completion), 0.0)
+    logp = _log_probs(model, [(prompt, completion)])
+    assert logp.shape == (2, tiny_config.text_vocab_size)
     np.testing.assert_array_equal(logp, -np.log(tiny_config.text_vocab_size))
 
 
@@ -54,15 +64,16 @@ def test_teacher_rejects_speech_prompts(tiny_teacher):
     with pytest.raises(ModalityError):
         tiny_teacher.embed_sequence(Prompt(SPEECH, [1, 2, 3]), [4])
     with pytest.raises(ModalityError):
-        padded_log_probs(tiny_teacher, [(Prompt(SPEECH, [1, 2, 3]), [4])])
+        completion_log_probs(tiny_teacher, [(Prompt(SPEECH, [1, 2, 3]), [4])])
 
 
 def test_student_accepts_both_modalities(tiny_student):
     # Two text tokens and two speech tokens (F=3) give sequences of equal length.
     items = [(Prompt(TEXT, [5, 6]), [7]), (Prompt(SPEECH, [1, 2, 3, 4, 5, 6]), [7])]
-    logp, seps = padded_log_probs(tiny_student, items)
-    assert logp.shape == (2, 5, tiny_student.cfg.text_vocab_size)
-    assert seps == [3, 3]
+    embedded = [tiny_student.embed_sequence(p, c) for p, c in items]
+    assert [(emb.shape[0], sep) for emb, sep in embedded] == [(5, 3), (5, 3)]
+    logp = completion_log_probs(tiny_student, items)
+    assert logp.shape == (2, tiny_student.cfg.text_vocab_size)
     with pytest.raises(ModalityError):
         tiny_student.embed_sequence(Prompt("AUDIO", [1]), [2])
 
@@ -78,14 +89,18 @@ def test_student_backbone_copies_teacher(tiny_teacher, tiny_config):
 
 def test_student_text_path_matches_teacher_backbone(tiny_teacher, tiny_config):
     student = init_student_from_teacher(tiny_teacher, tiny_config, seed=3)
-    items = [(Prompt(TEXT, [10, 11, 12]), [4, 5])]
+    prompt, completion = Prompt(TEXT, [10, 11, 12]), [4, 5]
+    np.testing.assert_array_equal(
+        _logits(tiny_teacher, prompt, completion), _logits(student, prompt, completion)
+    )
+    items = [(prompt, completion)]
     np.testing.assert_array_equal(_log_probs(tiny_teacher, items), _log_probs(student, items))
 
 
 def test_forward_rejects_overlong_sequences(tiny_teacher):
     max_len = tiny_teacher.cfg.max_seq_len
     with pytest.raises(LengthError):
-        padded_log_probs(tiny_teacher, [(Prompt(TEXT, [5] * max_len), [1, 2])])
+        completion_log_probs(tiny_teacher, [(Prompt(TEXT, [5] * max_len), [1, 2])])
 
 
 def _reference_sample(model, prompt, max_new, rng):
@@ -200,19 +215,31 @@ def test_batched_completion_logps_matches_per_item(tiny_student):
         (Prompt(TEXT, [10, 11]), [12, 2]),
         (Prompt(SPEECH, [1, 2, 3, 4, 5, 6]), [13, 2]),
     ]
-    flat, idx = batched_completion_logps(tiny_student, items)
-    assert flat.data.shape == (sum(len(c) for _, c in items),)
-    for i, (prompt, completion) in enumerate(items):
+    flat = batched_completion_logps(tiny_student, items)
+    rows = _log_probs(tiny_student, items)
+    lengths = [len(c) for _, c in items]
+    assert flat.data.shape == (sum(lengths),)
+    assert rows.shape == (sum(lengths), tiny_student.cfg.text_vocab_size)
+    # Rows and tokens run item by item, then position by position.
+    ends = np.cumsum(lengths)[:-1]
+    for (prompt, completion), got, got_rows in zip(
+        items, np.split(flat.data, ends), np.split(rows, ends)
+    ):
         want = _oracle_logps(tiny_student, prompt, completion)
-        got = flat.data[idx == i]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        want_rows = naive_completion_log_probs(
+            tiny_student, prompt.modality, prompt.tokens, completion
+        )
+        np.testing.assert_allclose(got_rows, want_rows, rtol=1e-12, atol=1e-14)
     with pytest.raises(ModalityError):
         batched_completion_logps(tiny_student, [])
+    with pytest.raises(ModalityError):
+        completion_log_probs(tiny_student, [])
 
 
 def test_batched_completion_logps_carries_gradient(tiny_student):
     items = [(Prompt(TEXT, [5, 6]), [7, 2]), (Prompt(SPEECH, [1, 2, 3]), [8, 2])]
-    flat, _ = batched_completion_logps(tiny_student, items)
+    flat = batched_completion_logps(tiny_student, items)
     for p in tiny_student.params.values():
         p.zero_grad()
     ad.sum_all(flat).backward()
@@ -232,7 +259,11 @@ def test_save_load_round_trip(tiny_student, tmp_path):
     assert back.cfg == tiny_student.cfg
     for name, p in tiny_student.params.items():
         np.testing.assert_array_equal(back.params[name].data, p.data)
-    items = [(Prompt(SPEECH, [1, 2, 3]), [4])]
+    prompt, completion = Prompt(SPEECH, [1, 2, 3]), [4]
+    np.testing.assert_array_equal(
+        _logits(back, prompt, completion), _logits(tiny_student, prompt, completion)
+    )
+    items = [(prompt, completion)]
     np.testing.assert_array_equal(_log_probs(back, items), _log_probs(tiny_student, items))
 
 

@@ -45,30 +45,49 @@ def test_trend_checks_pass_case():
     assert checks["forgetting"] is True
     assert checks["sft_text_worsens"] is True
     assert checks["numbers"]["xopd_drop_speech"] == 10.0
+    # The text slack binds the gap: 1.0 + 2 - 1.5, against 40/2 - 10 and 30 - 10.
+    assert checks["gap_narrowing_margin"] == pytest.approx(1.5)
+    assert checks["forgetting_margin"] == pytest.approx(0.19)
+    assert checks["sft_text_worsens_margin"] == pytest.approx(4.0)
 
 
 def test_trend_checks_gap_needs_half_reduction():
     checks = _trend_checks(_result(x_ds=25.0), (0.0, 0.5, 1.0))
     assert checks["gap_narrowing"] is False  # 25 > 0.5 * 40
+    assert checks["gap_narrowing_margin"] == pytest.approx(-5.0)
 
 
 def test_trend_checks_gap_needs_beating_baselines():
     checks = _trend_checks(_result(x_ds=19.0, baseline_ds=18.0), (0.0, 0.5, 1.0))
     assert checks["gap_narrowing"] is False
+    assert checks["gap_narrowing_margin"] == pytest.approx(-1.0)
+    # A tie with the best baseline is no win, and no room either.
+    tie = _trend_checks(_result(x_ds=18.0, baseline_ds=18.0), (0.0, 0.5, 1.0))
+    assert tie["gap_narrowing"] is False and tie["gap_narrowing_margin"] == 0.0
 
 
 def test_trend_checks_gap_allows_two_point_text_slack():
     assert _trend_checks(_result(x_dt=2.9), (0.0, 0.5, 1.0))["gap_narrowing"] is True
-    assert _trend_checks(_result(x_dt=3.1), (0.0, 0.5, 1.0))["gap_narrowing"] is False
+    checks = _trend_checks(_result(x_dt=3.1), (0.0, 0.5, 1.0))
+    assert checks["gap_narrowing"] is False
+    assert checks["gap_narrowing_margin"] == pytest.approx(-0.1)
 
 
 def test_trend_checks_forgetting_every_variant_strict():
     checks = _trend_checks(_result(xopd_forget=0.2, baseline_forget=0.2), (0.0, 0.5, 1.0))
     assert checks["forgetting"] is False
+    assert checks["forgetting_margin"] == 0.0
+    checks = _trend_checks(_result(xopd_forget=0.3), (0.0, 0.5, 1.0))
+    assert checks["forgetting"] is False
+    assert checks["forgetting_margin"] == pytest.approx(-0.1)
 
 
 def test_trend_checks_sft_text():
-    assert _trend_checks(_result(sft_dt=0.5), (0.0, 0.5, 1.0))["sft_text_worsens"] is False
+    checks = _trend_checks(_result(sft_dt=0.5), (0.0, 0.5, 1.0))
+    assert checks["sft_text_worsens"] is False
+    assert checks["sft_text_worsens_margin"] == pytest.approx(-0.5)
+    equal = _trend_checks(_result(sft_dt=1.0), (0.0, 0.5, 1.0))
+    assert equal["sft_text_worsens"] is False and equal["sft_text_worsens_margin"] == 0.0
 
 
 def test_method_variants_set_no_field_their_method_ignores():

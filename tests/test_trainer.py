@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from xopd_lab.autodiff import Tensor
 from xopd_lab.corpus import SpeechCodec, build_dataset
 from xopd_lab.baselines import sft_batch_loss
 from xopd_lab.errors import ConfigurationError, DataError, TrainingFailure
+from xopd_lab.model import TeacherModel
 from xopd_lab.optim import Adam
 from xopd_lab.trainer import (
     GapConfig,
@@ -130,6 +131,23 @@ def test_run_method_smoke_and_frozen_tower(method, trainable_student, tiny_teach
     assert metrics and all(np.isfinite(m["loss"] if "loss" in m else m["loss_total"]) for m in metrics)
     for k, b in before.items():
         assert trainable_student.params[k].data.tobytes() == b
+
+
+@pytest.mark.parametrize("method", ["offline_kd", "gkd", "xopd"])
+def test_a_teacher_vocab_mismatch_is_refused_before_anything_is_written(
+    method, trainable_student, tiny_config, small_dataset, tmp_path
+):
+    teacher = TeacherModel.init(replace(tiny_config, text_vocab_size=80), 3)
+    out = tmp_path / "run"
+    with pytest.raises(ConfigurationError, match="teacher/student vocab mismatch: 80 vs 64"):
+        run_method(_cfg(method=method), trainable_student, teacher, small_dataset, out_dir=out)
+    assert not out.exists()
+
+
+def test_sft_reads_no_teacher_so_any_vocab_will_do(trainable_student, tiny_config, small_dataset):
+    teacher = TeacherModel.init(replace(tiny_config, text_vocab_size=80), 3)
+    _, metrics = run_method(_cfg(method="sft", batch_size=64), trainable_student, teacher, small_dataset)
+    assert metrics
 
 
 def test_sft_makes_one_pass(trainable_student, tiny_teacher, small_dataset, tmp_path):
