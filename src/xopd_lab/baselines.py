@@ -52,26 +52,26 @@ def offline_kd_build(teacher, examples: list[PairedExample], max_new: int) -> li
 
 
 def gkd_batch_loss(
-    teacher, student, pairs: list[tuple[Trajectory, PairedExample]]
+    teacher, student, pairs: list[tuple[PairedExample, Trajectory]]
 ) -> Tensor:
     """Mean over pairs of the per-pair mean forward KL, in batched passes.
 
-    Each pair holds a student-sampled SPEECH trajectory and its example;
+    Each pair holds an example and a student-sampled SPEECH trajectory;
     only the student distribution carries gradient.
     """
     if not pairs:
         raise DataError("gkd_batch_loss given no trajectories")
-    if any(traj.conditioning_modality != SPEECH for traj, _ in pairs):
+    if any(traj.conditioning_modality != SPEECH for _, traj in pairs):
         raise DataError("GKD expects SPEECH-conditioned trajectories")
     with ad.no_grad():
         t_logp = completion_log_probs(
-            teacher, [(Prompt(TEXT, ex.text_prompt), traj.tokens) for traj, ex in pairs]
+            teacher, [(Prompt(TEXT, ex.text_prompt), traj.tokens) for ex, traj in pairs]
         ).data
     s_logp = completion_log_probs(
-        student, [(Prompt(SPEECH, ex.speech_prompt), traj.tokens) for traj, ex in pairs]
+        student, [(Prompt(SPEECH, ex.speech_prompt), traj.tokens) for ex, traj in pairs]
     )
     # Both passes give one row per completion token, so the rows align.
-    w = np.concatenate([np.full(len(t.tokens), 1.0 / (len(t.tokens) * len(pairs))) for t, _ in pairs])
+    w = np.concatenate([np.full(len(t.tokens), 1.0 / (len(t.tokens) * len(pairs))) for _, t in pairs])
     coeff = w[:, None] * np.exp(t_logp)
     neg_entropy = float((coeff * t_logp).sum())
     cross = ad.sum_all(ad.mul(Tensor(coeff), s_logp))

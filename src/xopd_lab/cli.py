@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .corpus import load_dataset, save_dataset
+from .corpus import VOCAB, Dataset, load_dataset, save_dataset
 from .errors import (
     ConfigurationError,
     TrainingFailure,
@@ -59,6 +59,8 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
             raise UsageError(f"cannot read config file {p}: {e.strerror}") from None
         except ValueError as e:  # not UTF-8, or not JSON
             raise ConfigurationError(f"config file {p} is not JSON: {e}") from None
+        except RecursionError:
+            raise ConfigurationError(f"config file {p} nests too deeply to parse") from None
         if not isinstance(cfg, dict):
             raise ConfigurationError(f"config file {p} must hold a JSON object, got {cfg!r}")
     for kv in overrides:
@@ -69,6 +71,8 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
             val = json.loads(raw)
         except json.JSONDecodeError:
             val = raw
+        except RecursionError:
+            raise ConfigurationError(f"--set {key}: value nests too deeply to parse") from None
         node = cfg
         *parents, leaf = key.split(".")
         for part in parents:
@@ -91,6 +95,32 @@ def _require(path: str | Path, what: str) -> Path:
     if not p.exists():
         raise UsageError(f"missing {what}: {p}")
     return p
+
+
+def _load_model_for(path: str | Path, dataset: Dataset):
+    """The model checkpointed at ``path``, refused with a config error unless
+    it can read ``dataset``: its text vocabulary covers the corpus's and, for
+    a student, its speech vocabulary covers the codec's and its frames per
+    token match."""
+    model = load_model(path)
+    codec, cfg = dataset.manifest["codec"], model.cfg
+    if cfg.text_vocab_size < len(VOCAB):
+        raise ConfigurationError(
+            f"{path}: text_vocab_size {cfg.text_vocab_size} is below the corpus vocabulary's "
+            f"{len(VOCAB)}"
+        )
+    if isinstance(model, StudentModel):
+        if cfg.speech_vocab_size < codec["speech_vocab_size"]:
+            raise ConfigurationError(
+                f"{path}: speech_vocab_size {cfg.speech_vocab_size} is below the dataset "
+                f"codec's {codec['speech_vocab_size']}"
+            )
+        if cfg.frames_per_token != codec.get("frames_per_token"):
+            raise ConfigurationError(
+                f"{path}: frames_per_token {cfg.frames_per_token} differs from the dataset "
+                f"codec's {codec.get('frames_per_token')}"
+            )
+    return model
 
 
 def _build(cls, values, section: str, **fixed):
@@ -160,23 +190,25 @@ def cmd_train(args) -> int:
         save_dataset(pc.dataset(args.seed), data_dir)
     dataset = load_dataset(data_dir)
 
-    if args.teacher and Path(args.teacher).exists():
-        teacher = load_model(args.teacher)
-    elif args.auto:
+    # Check the given checkpoints against the data before building any.
+    teacher, student = (
+        _load_model_for(p, dataset) if p and Path(p).exists() else None
+        for p in (args.teacher, args.student)
+    )
+    if student is not None and not isinstance(student, StudentModel):
+        raise ConfigurationError(f"{args.student} is not a student checkpoint")
+
+    if teacher is None:
+        if not args.auto:
+            raise UsageError(f"missing teacher checkpoint: {args.teacher} (pass --auto to build)")
         teacher, _ = pretrain_teacher(dataset, pc.model, pc.pretrain, args.seed)
         save_model(teacher, out / "teacher.ckpt")
-    else:
-        raise UsageError(f"missing teacher checkpoint: {args.teacher} (pass --auto to build)")
 
-    if args.student and Path(args.student).exists():
-        student = load_model(args.student)
-        if not isinstance(student, StudentModel):
-            raise ConfigurationError(f"{args.student} is not a student checkpoint")
-    elif args.auto:
+    if student is None:
+        if not args.auto:
+            raise UsageError(f"missing student checkpoint: {args.student} (pass --auto to build)")
         student, _ = build_gapped_student(teacher, dataset, pc.model, pc.gap, args.seed)
         save_model(student, out / "student_base.ckpt")
-    else:
-        raise UsageError(f"missing student checkpoint: {args.student} (pass --auto to build)")
 
     _write_resolved(out, {"train": tc.read_fields(), "data": str(data_dir)})
     run_method(tc, student, teacher, dataset, out_dir=out)
@@ -195,18 +227,17 @@ def cmd_eval(args) -> int:
             raise UsageError("--ablation needs one lambda per checkpoint")
     if args.n_eval < 1:
         raise UsageError(f"--n-eval must be >= 1, got {args.n_eval}")
-    data_dir = _require(args.data, "dataset directory")
-    dataset = load_dataset(data_dir)
+    dataset = load_dataset(_require(args.data, "dataset directory"))
+    base = _load_model_for(_require(args.base, "base checkpoint"), dataset) if args.base else None
+    models = [_load_model_for(_require(ckpt, "checkpoint"), dataset) for ckpt in args.checkpoints]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base_report = None
-    if args.base:
-        base = load_model(_require(args.base, "base checkpoint"))
+    if base is not None:
         base_report = evaluate_model(base, dataset, "base", args.seed, n_eval=args.n_eval)
         write_report(base_report, out / "report_base.json")
     reports = []
-    for i, ckpt in enumerate(args.checkpoints):
-        model = load_model(_require(ckpt, "checkpoint"))
+    for i, (ckpt, model) in enumerate(zip(args.checkpoints, models)):
         model_id = Path(ckpt).stem if lambdas is None else f"lambda={lambdas[i]:g}"
         rep = evaluate_model(model, dataset, model_id, args.seed, n_eval=args.n_eval)
         if base_report is not None:
@@ -224,11 +255,12 @@ def cmd_ablation(args) -> int:
     cfg["lambda_grid"] = _flag_list(args.lambdas, float, "--lambdas")
     pc = _pipeline_config(cfg)
     dataset = load_dataset(_require(args.data, "dataset directory"))
-    teacher = load_model(_require(args.teacher, "teacher checkpoint"))
-    student = load_model(_require(args.student, "student checkpoint"))
+    teacher = _load_model_for(_require(args.teacher, "teacher checkpoint"), dataset)
+    student = _load_model_for(_require(args.student, "student checkpoint"), dataset)
     teachers = {"teacher": teacher}
     if args.teacher2:
-        teachers["teacher_large"] = load_model(_require(args.teacher2, "second teacher checkpoint"))
+        teacher2 = _require(args.teacher2, "second teacher checkpoint")
+        teachers["teacher_large"] = _load_model_for(teacher2, dataset)
     out = Path(args.out)
     _write_resolved(out, {"lambdas": list(pc.lambda_grid), "teachers": list(teachers)})
     run_ablation(teachers, pc, dataset, student, args.seed, out)

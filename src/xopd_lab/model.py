@@ -82,7 +82,6 @@ class Prompt:
 class Trajectory:
     """One sampled completion with log-probs recorded at sampling time."""
 
-    example_id: str
     conditioning_modality: str
     tokens: list[int]
     logp_old: list[float]  # sampling log pi_old(y_t | ., y_<t)
@@ -298,7 +297,7 @@ def sample_completions_batch(
     """
     decoded = _decode(model, [p for p, _ in units], max_new, [rng for _, rng in units])
     return [
-        Trajectory("", prompt.modality, tokens, logps, finished)
+        Trajectory(prompt.modality, tokens, logps, finished)
         for (prompt, _), (tokens, finished, logps) in zip(units, decoded)
     ]
 

@@ -19,6 +19,7 @@ is an unbiased per-token estimate of reverse KL to the teacher).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import PairedExample
 from .errors import ConfigurationError, DataError, UsageError
-from .model import SPEECH, TEXT, Prompt, batched_completion_logps
-from .rollout import RolloutBatch
+from .model import MODALITIES, SPEECH, TEXT, Prompt, Trajectory, batched_completion_logps
 
 
 @dataclass
@@ -50,96 +50,60 @@ class XopdLossReport:
 
 
 def xopd_loss(
-    rollouts: RolloutBatch,
-    teacher,
-    student,
-    lam: float,
-    examples: list[PairedExample],
+    pairs: list[tuple[PairedExample, Trajectory]], teacher, student, lam: float
 ) -> tuple[XopdLossReport, Tensor]:
-    """Blended objective over a rollout batch; the returned scalar is maximized.
-
-    One teacher pass per modality gives the advantage against the current
-    student, which the report carries as ``report.advantages``.
-    """
+    """Blended objective over (example, trajectory) pairs; the returned
+    scalar is maximized. Each modality's pairs get one batched teacher pass
+    (constants) and one batched student pass, which carries the gradient and
+    doubles as the student side of the advantage (``report.advantages``)."""
     if not 0.0 <= lam <= 1.0:
         raise ConfigurationError(f"lambda must be in [0,1], got {lam}")
-    by_id = {ex.example_id: ex for ex in examples}
-
-    ratio_vals: list[float] = []
-    adv_vals: list[float] = []
-    kl_est_vals: list[float] = []
-    counts = {TEXT: 0, SPEECH: 0}
-    adv_by_modality: dict[str, np.ndarray] = {}
-
-    def modality_loss(modality: str) -> Tensor | None:
-        # Flatten all (example, trajectory) pairs for this modality into one
-        # batched teacher pass (constants) and one batched student pass
-        # (carries the gradient; its values double as the student side of
-        # the advantage, which is a gradient constant by construction).
-        student_items: list[tuple[Prompt, list[int]]] = []
-        teacher_items: list[tuple[Prompt, list[int]]] = []
-        weights: list[np.ndarray] = []
-        logp_old: list[np.ndarray] = []
-        n_examples = 0
-        for example_id, per_mod in rollouts.trajectories.items():
-            trajs = per_mod.get(modality, [])
-            if not trajs:
-                continue
-            n_examples += 1
-            ex = by_id[example_id]
-            if modality == TEXT:
-                if any(t.conditioning_modality != TEXT for t in trajs):
-                    raise UsageError("in-modal loss expects TEXT-conditioned trajectories")
-                student_prompt = Prompt(TEXT, ex.text_prompt)
-            else:
-                if any(t.conditioning_modality != SPEECH for t in trajs):
-                    raise UsageError("cross-modal loss expects SPEECH-conditioned trajectories")
-                if not ex.text_prompt:
-                    raise DataError(f"example {ex.example_id} has no paired text prompt")
-                student_prompt = Prompt(SPEECH, ex.speech_prompt)
-            for traj in trajs:
-                student_items.append((student_prompt, traj.tokens))
-                teacher_items.append((Prompt(TEXT, ex.text_prompt), traj.tokens))
-                weights.append(np.full(len(traj.tokens), 1.0 / (len(traj.tokens) * len(trajs))))
-                logp_old.append(np.asarray(traj.logp_old))
-                counts[modality] += 1
-        if not student_items:
-            return None
-        lp_new = batched_completion_logps(student, student_items)
+    weights = {TEXT: lam, SPEECH: 1.0 - lam}
+    counts = Counter(t.conditioning_modality for _, t in pairs)
+    losses: dict[str, Tensor] = {}
+    ratios: list[np.ndarray] = []
+    advantages: dict[str, np.ndarray] = {}
+    for modality in MODALITIES:
+        mod_pairs = [(ex, t) for ex, t in pairs if t.conditioning_modality == modality]
+        if not mod_pairs and weights[modality] > 0.0:
+            raise UsageError(f"{modality} has weight {weights[modality]} but no trajectories")
+        if not mod_pairs:
+            continue
+        for ex, _ in mod_pairs:
+            if modality == SPEECH and not ex.text_prompt:
+                raise DataError(f"example {ex.example_id} has no paired text prompt")
+        n = Counter(ex.example_id for ex, _ in mod_pairs)
+        lp_new = batched_completion_logps(student, [
+            (Prompt(modality, ex.text_prompt if modality == TEXT else ex.speech_prompt), t.tokens)
+            for ex, t in mod_pairs
+        ])
         with ad.no_grad():
-            t_lp = batched_completion_logps(teacher, teacher_items)
+            t_lp = batched_completion_logps(
+                teacher, [(Prompt(TEXT, ex.text_prompt), t.tokens) for ex, t in mod_pairs]
+            )
         adv = t_lp.data - lp_new.data
-        adv_by_modality[modality] = adv
-        r = ad.exp(ad.sub(lp_new, Tensor(np.concatenate(logp_old))))
-        term = ad.mul(r, Tensor(adv))
-        w = np.concatenate(weights) / n_examples
-        ratio_vals.extend(r.data.tolist())
-        adv_vals.extend(np.abs(adv).tolist())
-        kl_est_vals.extend((-adv).tolist())
-        return ad.sum_all(ad.mul(term, Tensor(w)))
-
-    loss_im = modality_loss(TEXT)
-    loss_cm = modality_loss(SPEECH)
-    if loss_im is None and lam > 0.0:
-        raise UsageError("lambda > 0 but no TEXT-conditioned trajectories")
-    if loss_cm is None and lam < 1.0:
-        raise UsageError("lambda < 1 but no SPEECH-conditioned trajectories")
+        r = ad.exp(ad.sub(lp_new, Tensor(np.concatenate([t.logp_old for _, t in mod_pairs]))))
+        w = np.concatenate([
+            np.full(len(t.tokens), 1.0 / (len(t.tokens) * n[ex.example_id])) for ex, t in mod_pairs
+        ]) / len(n)
+        losses[modality] = ad.sum_all(ad.mul(ad.mul(r, Tensor(adv)), Tensor(w)))
+        ratios.append(r.data)
+        advantages[modality] = adv
 
     zero = Tensor(np.asarray(0.0))
-    total = ad.add(
-        ad.scale(loss_im if loss_im is not None else zero, lam),
-        ad.scale(loss_cm if loss_cm is not None else zero, 1.0 - lam),
-    )
+    loss_im, loss_cm = losses.get(TEXT, zero), losses.get(SPEECH, zero)
+    total = ad.add(ad.scale(loss_im, lam), ad.scale(loss_cm, 1.0 - lam))
+    adv_all = np.concatenate(list(advantages.values()))
     report = XopdLossReport(
-        loss_im=float(loss_im.data) if loss_im is not None else 0.0,
-        loss_cm=float(loss_cm.data) if loss_cm is not None else 0.0,
+        loss_im=float(loss_im.data),
+        loss_cm=float(loss_cm.data),
         loss_total=float(total.data),
-        mean_ratio=float(np.mean(ratio_vals)),
-        mean_abs_advantage=float(np.mean(adv_vals)),
-        mean_reverse_kl_estimate=float(np.mean(kl_est_vals)),
+        mean_ratio=float(np.mean(np.concatenate(ratios))),
+        mean_abs_advantage=float(np.mean(np.abs(adv_all))),
+        mean_reverse_kl_estimate=float(np.mean(-adv_all)),
         lam=lam,
         n_text_trajectories=counts[TEXT],
         n_speech_trajectories=counts[SPEECH],
-        advantages=adv_by_modality,
+        advantages=advantages,
     )
     return report, total

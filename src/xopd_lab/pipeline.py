@@ -40,6 +40,7 @@ from .evaluation import (
 )
 from .model import ModelConfig, StudentModel, TeacherModel, save_model
 from .trainer import (
+    READ_BY,
     GapConfig,
     PretrainConfig,
     TrainConfig,
@@ -138,11 +139,11 @@ def _xopd_config(cfg: PipelineConfig, lam: float, seed: int) -> TrainConfig:
 def _method_variants(cfg: PipelineConfig, seed: int) -> list[tuple[str, TrainConfig]]:
     variants = [(f"xopd_l{lam:g}", _xopd_config(cfg, lam, seed)) for lam in cfg.lambda_grid]
     for method in BASELINE_METHODS:
-        # SFT and offline KD make one pass; only GKD takes a step count.
-        steps = {"steps": cfg.gkd_steps} if method == "gkd" else {}
+        # Each baseline gets only the fields its method reads.
+        read = {"steps": cfg.gkd_steps, "max_new": cfg.max_new}
         variants.append((method, TrainConfig(
-            method=method, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-            max_new=cfg.max_new, seed=seed, **steps,
+            method=method, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, seed=seed,
+            **{k: v for k, v in read.items() if method in READ_BY[k]},
         )))
     return variants
 

@@ -8,7 +8,7 @@ batch order; results merge deterministically by key.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .model import MODALITIES, SPEECH, TEXT, Prompt, Trajectory, sample_completi
 @dataclass
 class RolloutBatch:
     # example_id -> modality -> list of n trajectories
-    trajectories: dict[str, dict[str, list[Trajectory]]] = field(default_factory=dict)
+    trajectories: dict[str, dict[str, list[Trajectory]]]
 
 
 def _unit_seed(master_seed: int, example_id: str, modality: str, sample_idx: int) -> list[int]:
@@ -57,10 +57,19 @@ def collect_rollouts(
         units.append((Prompt(modality, tokens), rng))
     trajs = sample_completions_batch(student, units, max_new)
 
-    out = RolloutBatch()
-    for (ex, modality, j), traj in zip(keys, trajs):
-        traj.example_id = ex.example_id
-        per_mod = out.trajectories.setdefault(ex.example_id, {})
-        per_mod.setdefault(modality, []).append(traj)
-    return out
+    nested: dict[str, dict[str, list[Trajectory]]] = {}
+    for (ex, modality, _), traj in zip(keys, trajs):
+        nested.setdefault(ex.example_id, {}).setdefault(modality, []).append(traj)
+    return RolloutBatch(nested)
 
+
+def rollout_pairs(
+    rollouts: RolloutBatch, batch: list[PairedExample]
+) -> list[tuple[PairedExample, Trajectory]]:
+    """The losses' input: (example, trajectory) pairs in unit order (``batch``
+    order, then modality, then sample). The package's only reader of the
+    nested record; it goes, with ``RolloutBatch``, once ``collect_rollouts``
+    returns these pairs itself."""
+    return [
+        (ex, t) for ex in batch for m in MODALITIES for t in rollouts.trajectories[ex.example_id].get(m, [])
+    ]

@@ -35,14 +35,16 @@ from .model import (
 )
 from .objective import xopd_loss
 from .optim import Adam
-from .rollout import collect_rollouts
+from .rollout import collect_rollouts, rollout_pairs
 
 METHODS = ("xopd", "sft", "offline_kd", "gkd")
 
 # The TrainConfig fields only some methods read; every method reads the
-# others. SFT and offline KD make one pass over the data; only X-OPD samples
-# several rollouts per prompt and weighs the two advantages.
-READ_BY = {"steps": ("gkd", "xopd"), "lam": ("xopd",), "n_rollouts": ("xopd",)}
+# others. SFT and offline KD make one pass over the data, and SFT never
+# decodes; only X-OPD samples several rollouts per prompt and weighs the two
+# advantages.
+READ_BY = {"steps": ("gkd", "xopd"), "lam": ("xopd",), "n_rollouts": ("xopd",),
+           "max_new": ("gkd", "offline_kd", "xopd")}
 
 # Values used at paper scale; recorded as provenance in every run manifest,
 # not used by the desk-scale models.
@@ -298,21 +300,21 @@ def _step_loss(
     cfg: TrainConfig, step: int, batch: list[PairedExample], student: StudentModel, teacher: TeacherModel
 ) -> tuple[Tensor, dict]:
     """The method's loss on one batch, and the metrics row the step logs."""
-    seed = cfg.seed * 1_000_003 + step
-    if cfg.method == "xopd":
-        # Sample only the modalities the objective weighs above zero.
-        modalities = tuple(m for m, w in ((TEXT, cfg.lam), (SPEECH, 1.0 - cfg.lam)) if w > 0)
-        rollouts = collect_rollouts(
-            student, batch, n=cfg.n_rollouts, seed=seed, max_new=cfg.max_new, modalities=modalities
-        )
-        report, objective = xopd_loss(rollouts, teacher, student, cfg.lam, batch)
-        return ad.neg(objective), {"step": step, **report.to_dict()}
-    if cfg.method == "gkd":
-        rollouts = collect_rollouts(student, batch, n=1, seed=seed, max_new=cfg.max_new, modalities=(SPEECH,))
-        pairs = [(rollouts.trajectories[ex.example_id][SPEECH][0], ex) for ex in batch]
-        loss = gkd_batch_loss(teacher, student, pairs)
-    else:
+    if cfg.method in ("sft", "offline_kd"):
         loss = sft_batch_loss(student, batch)
+        return loss, {"step": step, "loss": float(loss.data)}
+    # X-OPD and GKD sample only the modalities their loss weighs above zero.
+    xopd = cfg.method == "xopd"
+    weights = ((TEXT, cfg.lam), (SPEECH, 1.0 - cfg.lam)) if xopd else ((SPEECH, 1.0),)
+    rollouts = collect_rollouts(
+        student, batch, n=cfg.n_rollouts if xopd else 1, seed=cfg.seed * 1_000_003 + step,
+        max_new=cfg.max_new, modalities=tuple(m for m, w in weights if w > 0),
+    )
+    pairs = rollout_pairs(rollouts, batch)
+    if xopd:
+        report, objective = xopd_loss(pairs, teacher, student, cfg.lam)
+        return ad.neg(objective), {"step": step, **report.to_dict()}
+    loss = gkd_batch_loss(teacher, student, pairs)
     return loss, {"step": step, "loss": float(loss.data)}
 
 

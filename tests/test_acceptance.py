@@ -48,9 +48,9 @@ from xopd_lab.optim import Adam
 from xopd_lab.pipeline import DEFAULT_SIZES, PipelineConfig, reproduce_paper_trends
 from xopd_lab.rollout import (
     TEXT,
-    RolloutBatch,
     Trajectory,
     collect_rollouts,
+    rollout_pairs,
 )
 from xopd_lab.trainer import TrainConfig, clone_student, run_method
 
@@ -119,7 +119,7 @@ def test_criterion_2a_in_modal_advantage_zero_for_identical_policies():
     twin = init_student_from_teacher(teacher, TOY_CFG, 9)
     ex = _toy_example()
     rollouts = collect_rollouts(twin, [ex], n=4, seed=0, max_new=4, modalities=(TEXT,))
-    report, _ = xopd_loss(rollouts, teacher, twin, 1.0, [ex])
+    report, _ = xopd_loss(rollout_pairs(rollouts, [ex]), teacher, twin, 1.0)
     adv = report.advantages[TEXT]
     assert adv.size == sum(len(t.tokens) for t in trajectories_of(rollouts, TEXT))
     assert np.abs(adv).max() <= 1e-12
@@ -139,7 +139,7 @@ def test_criterion_2b_importance_ratios_one_at_sampling_point(monkeypatch):
         return out
 
     monkeypatch.setattr(ad, "exp", spy)
-    xopd_loss(rollouts, teacher, student, 1.0, [ex])
+    xopd_loss(rollout_pairs(rollouts, [ex]), teacher, student, 1.0)
     r = np.concatenate(ratios)
     assert r.size == sum(len(t.tokens) for t in trajectories_of(rollouts, TEXT))
     assert np.allclose(r, 1.0, rtol=0, atol=1e-9)
@@ -152,7 +152,7 @@ def test_criterion_2c_loss_affine_in_lambda_with_endpoint_equality():
     totals = {}
     reports = {}
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        report, total = xopd_loss(rollouts, teacher, student, lam, [ex])
+        report, total = xopd_loss(rollout_pairs(rollouts, [ex]), teacher, student, lam)
         totals[lam] = float(total.data)
         reports[lam] = report
     for lam in (0.25, 0.5, 0.75):
@@ -181,10 +181,8 @@ def test_criterion_2d_expected_gradient_matches_exact_reverse_kl_gradient():
         lp_old = _seq_logp(student, prompt, y)
         p_y = float(np.exp(lp_old.sum()))
 
-        traj = Trajectory("toy-0", TEXT, y, list(lp_old), True)
-        rollouts = RolloutBatch()
-        rollouts.trajectories = {"toy-0": {TEXT: [traj]}}
-        _, total = xopd_loss(rollouts, teacher, student, 1.0, [ex])
+        traj = Trajectory(TEXT, y, list(lp_old), True)
+        _, total = xopd_loss([(ex, traj)], teacher, student, 1.0)
         for p in student.params.values():
             p.zero_grad()
         total.backward()
@@ -235,7 +233,7 @@ def test_criterion_3_single_step_reduces_exhaustive_reverse_kl(seed):
     before = _exhaustive_reverse_kl(student, teacher, prompt, 3)
 
     rollouts = collect_rollouts(student, [ex], n=64, seed=seed, max_new=3, modalities=(TEXT,))
-    _, total = xopd_loss(rollouts, teacher, student, 1.0, [ex])
+    _, total = xopd_loss(rollout_pairs(rollouts, [ex]), teacher, student, 1.0)
     loss = ad.neg(total)
     for p in student.params.values():
         p.zero_grad()

@@ -9,7 +9,7 @@ from xopd_lab.baselines import gkd_batch_loss, offline_kd_build, sft_batch_loss
 from xopd_lab.corpus import EOS
 from xopd_lab.errors import DataError
 from xopd_lab.model import Prompt, TeacherModel, greedy_decode_batch
-from xopd_lab.rollout import SPEECH, TEXT, collect_rollouts
+from xopd_lab.rollout import SPEECH, TEXT, collect_rollouts, rollout_pairs
 
 from oracles import kl_divergence, naive_completion_log_probs, naive_token_logps
 
@@ -26,7 +26,7 @@ def _oracle_sft(model, examples, modality):
 def _oracle_gkd(teacher, student, pairs):
     """Mean over pairs of the mean per-position KL(teacher(.|T) || student(.|S))."""
     per = []
-    for traj, ex in pairs:
+    for ex, traj in pairs:
         t_lp = naive_completion_log_probs(teacher, TEXT, ex.text_prompt, traj.tokens)
         s_lp = naive_completion_log_probs(student, SPEECH, ex.speech_prompt, traj.tokens)
         per.append(kl_divergence(np.exp(t_lp), np.exp(s_lp)) / len(traj.tokens))
@@ -71,7 +71,7 @@ def test_offline_kd_build_uses_teacher_greedy_answers(tiny_teacher, small_datase
 def test_gkd_batch_matches_mean_of_per_pair(tiny_teacher, tiny_student, small_dataset):
     batch = small_dataset.alignment_set("train")[:3]
     r = collect_rollouts(tiny_student, batch, n=2, seed=4, max_new=5, modalities=(SPEECH,))
-    pairs = [(t, ex) for ex in batch for t in r.trajectories[ex.example_id][SPEECH]]
+    pairs = rollout_pairs(r, batch)
     batched = float(gkd_batch_loss(tiny_teacher, tiny_student, pairs).data)
     assert batched == pytest.approx(_oracle_gkd(tiny_teacher, tiny_student, pairs), rel=1e-9)
 
@@ -79,7 +79,7 @@ def test_gkd_batch_matches_mean_of_per_pair(tiny_teacher, tiny_student, small_da
 def test_gkd_loss_equals_forward_kl_oracle(tiny_teacher, tiny_student, small_dataset):
     ex = small_dataset.alignment_set("train")[0]
     r = collect_rollouts(tiny_student, [ex], n=1, seed=0, max_new=4, modalities=(SPEECH,))
-    pairs = [(r.trajectories[ex.example_id][SPEECH][0], ex)]
+    pairs = rollout_pairs(r, [ex])
     got = float(gkd_batch_loss(tiny_teacher, tiny_student, pairs).data)
     assert got == pytest.approx(_oracle_gkd(tiny_teacher, tiny_student, pairs), rel=1e-9)
 
@@ -87,7 +87,7 @@ def test_gkd_loss_equals_forward_kl_oracle(tiny_teacher, tiny_student, small_dat
 def test_gkd_gradient_hits_student_not_teacher(tiny_teacher, tiny_student, small_dataset):
     batch = small_dataset.alignment_set("train")[:2]
     r = collect_rollouts(tiny_student, batch, n=1, seed=1, max_new=4, modalities=(SPEECH,))
-    pairs = [(r.trajectories[ex.example_id][SPEECH][0], ex) for ex in batch]
+    pairs = rollout_pairs(r, batch)
     for model in (tiny_teacher, tiny_student):
         for p in model.params.values():
             p.zero_grad()
@@ -101,8 +101,7 @@ def test_gkd_gradient_hits_student_not_teacher(tiny_teacher, tiny_student, small
 def test_gkd_rejects_text_trajectories(tiny_teacher, tiny_student, small_dataset):
     ex = small_dataset.alignment_set("train")[0]
     r = collect_rollouts(tiny_student, [ex], n=1, seed=0, max_new=4, modalities=(TEXT,))
-    traj = r.trajectories[ex.example_id][TEXT][0]
     with pytest.raises(DataError):
-        gkd_batch_loss(tiny_teacher, tiny_student, [(traj, ex)])
+        gkd_batch_loss(tiny_teacher, tiny_student, rollout_pairs(r, [ex]))
     with pytest.raises(DataError):
         gkd_batch_loss(tiny_teacher, tiny_student, [])

@@ -96,9 +96,9 @@ def test_train_unknown_method_is_usage_error(tmp_path, data_dir):
 
 @pytest.mark.parametrize("method,extra", [
     ("sft", []),
-    ("offline_kd", []),
-    ("gkd", ["--steps", "2"]),
-    ("xopd", ["--lambda", "0.5", "--steps", "2", "--rollouts", "2"]),
+    ("offline_kd", ["--set", "train.max_new=5"]),
+    ("gkd", ["--steps", "2", "--set", "train.max_new=5"]),
+    ("xopd", ["--lambda", "0.5", "--steps", "2", "--rollouts", "2", "--set", "train.max_new=5"]),
 ])
 def test_train_each_method_smoke(method, extra, tmp_path, data_dir, ckpts, capsys):
     out = tmp_path / f"run-{method}"
@@ -107,7 +107,7 @@ def test_train_each_method_smoke(method, extra, tmp_path, data_dir, ckpts, capsy
         "--teacher", str(ckpts / "teacher.ckpt"),
         "--student", str(ckpts / "student.ckpt"),
         "--out", str(out),
-        "--set", "train.batch_size=8", "--set", "train.max_new=5",
+        "--set", "train.batch_size=8",
     ] + extra)
     assert code == 0, capsys.readouterr().err
     assert (out / "metrics.jsonl").exists()
@@ -224,6 +224,39 @@ def test_eval_missing_checkpoint(tmp_path, data_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,data_value,model_value", [
+    ("speech_vocab_size", 128, 64),
+    ("frames_per_token", 2, 3),
+])
+def test_eval_a_student_that_cannot_read_the_data_exits_2_before_writing(
+    tmp_path, ckpts, field, data_value, model_value, capsys
+):
+    data, out = tmp_path / "data", tmp_path / "eval"
+    assert main([
+        "gen-data", "--out", str(data), "--set", 'sizes={"REASONING": [2, 2, 2]}',
+        "--set", f"model.{field}={data_value}",
+    ]) == 0
+    capsys.readouterr()
+    code = main(["eval", str(ckpts / "student.ckpt"), "--data", str(data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"{field} {model_value}" in err[0] and str(data_value) in err[0], err
+    assert not out.exists()
+
+
+def test_eval_a_teacher_below_the_corpus_vocabulary_exits_2_before_writing(
+    tmp_path, data_dir, tiny_config, capsys
+):
+    teacher, out = tmp_path / "teacher32.ckpt", tmp_path / "eval"
+    save_model(TeacherModel.init(replace(tiny_config, text_vocab_size=32), 3), teacher)
+    code = main(["eval", str(teacher), "--data", str(data_dir), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "text_vocab_size 32" in err[0] and "64" in err[0], err
+    assert not out.exists()
+
+
 def test_eval_on_a_directory_exits_1_without_traceback(tmp_path, data_dir, capsys):
     ckpt_dir = tmp_path / "a.ckpt"
     ckpt_dir.mkdir()
@@ -263,8 +296,10 @@ def test_missing_config_file_is_usage_error(tmp_path, data_dir):
     (b'{"model": {"n_layers": 2}}', ["model.n_layers.x=1"]),
     (b'{"model": {"n_layers": 2}}', ["model.n_layers.x.y=1"]),
     (None, []),  # --config names a directory
+    (b"[" * 100_000, []),
+    (b"{}", ["seeds=" + "[" * 100_000]),
 ], ids=["not-json", "not-an-object", "not-utf8", "set-below-a-value", "set-two-below-a-value",
-        "directory"])
+        "directory", "file-nests-too-deeply", "set-nests-too-deeply"])
 def test_bad_config_input_exits_2_before_writing(tmp_path, content, sets, capsys):
     path, out = tmp_path / "cfg", tmp_path / "out"
     if content is None:
@@ -344,6 +379,7 @@ def test_train_bad_train_config_exits_2_before_writing(tmp_path, field, value, c
     ("sft", ["--lambda", "0.3", "--rollouts", "7"], "lam, n_rollouts"),
     ("gkd", ["--lambda", "0.3"], "lam"),
     ("gkd", ["--set", "train.n_rollouts=7"], "n_rollouts"),
+    ("sft", ["--set", "train.max_new=5"], "max_new"),
 ])
 def test_train_flag_the_method_does_not_read_exits_2_before_writing(
     tmp_path, data_dir, ckpts, method, extra, unread, capsys

@@ -15,6 +15,9 @@
   parameters, so the transformer block is written once.
 * Only ``model.completion_log_probs`` calls ``stack_pad``, so the padded
   layout stays inside the one teacher-forced pass.
+* Only ``rollout.rollout_pairs`` reads ``.trajectories``, so the losses see
+  the rollouts as one flat list of (example, trajectory) pairs and the
+  nested record cannot leak back into them.
 """
 
 import ast
@@ -139,3 +142,14 @@ def test_only_the_teacher_forced_pass_pads():
                     if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "stack_pad":
                         callers.add(f"{path.stem}.{fn.name}")
     assert callers == {"model.completion_log_probs"}, sorted(callers)
+
+
+def test_only_rollout_pairs_reads_the_nested_rollout_record():
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "trajectories":
+                    readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert readers == {"rollout.rollout_pairs"}, sorted(readers)

@@ -92,7 +92,7 @@ def test_trend_checks_sft_text():
 
 def test_method_variants_set_no_field_their_method_ignores():
     default = TrainConfig()
-    for name, tc in _method_variants(PipelineConfig(gkd_steps=7, xopd_steps=9), 0):
+    for name, tc in _method_variants(PipelineConfig(gkd_steps=7, xopd_steps=9, max_new=5), 0):
         unread = set(asdict(tc)) - set(tc.read_fields())
         assert {k: getattr(tc, k) for k in unread} == {k: getattr(default, k) for k in unread}, name
 

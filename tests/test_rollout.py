@@ -10,13 +10,14 @@ from xopd_lab.rollout import (
     TEXT,
     Trajectory,
     collect_rollouts,
+    rollout_pairs,
 )
 
 from oracles import trajectories_of
 
 
 def _traj_key(t):
-    return (t.example_id, t.conditioning_modality, tuple(t.tokens), tuple(t.logp_old))
+    return (t.conditioning_modality, tuple(t.tokens), tuple(t.logp_old))
 
 
 def _flat(rollouts):
@@ -30,9 +31,9 @@ def _flat(rollouts):
 
 def test_trajectory_validates_shape():
     with pytest.raises(UsageError):
-        Trajectory("x", TEXT, [], [], True)
+        Trajectory(TEXT, [], [], True)
     with pytest.raises(UsageError):
-        Trajectory("x", TEXT, [1, 2], [0.0], True)
+        Trajectory(TEXT, [1, 2], [0.0], True)
 
 
 def test_collect_rollouts_shape(tiny_student, small_dataset):
@@ -86,3 +87,15 @@ def test_single_modality_collection(tiny_student, small_dataset):
     assert trajectories_of(r, SPEECH) == []
     assert len(trajectories_of(r, TEXT)) == 4
 
+
+
+@pytest.mark.parametrize("modalities", [MODALITIES, (SPEECH,)], ids=["both", "speech"])
+def test_rollout_pairs_run_in_unit_order(tiny_student, small_dataset, modalities):
+    # batch order, then modality, then sample; each pair holds its example.
+    batch = small_dataset.alignment_set("train")[:3]
+    r = collect_rollouts(tiny_student, batch, n=2, seed=4, max_new=5, modalities=modalities)
+    pairs = rollout_pairs(r, batch)
+    want = [(ex, t) for ex in batch for m in modalities for t in r.trajectories[ex.example_id][m]]
+    assert len(pairs) == len(batch) * len(modalities) * 2
+    assert [(ex.example_id, id(t)) for ex, t in pairs] == [(ex.example_id, id(t)) for ex, t in want]
+    assert [t.conditioning_modality for _, t in pairs] == [m for _ in batch for m in modalities for _ in range(2)]

@@ -10,8 +10,9 @@ import pytest
 import xopd_lab.autodiff as ad
 import xopd_lab.trainer as trainer_mod
 from xopd_lab.autodiff import Tensor
-from xopd_lab.corpus import SpeechCodec, build_dataset
-from xopd_lab.baselines import sft_batch_loss
+from xopd_lab.baselines import offline_kd_build, sft_batch_loss
+from xopd_lab.checkpoint import params_hash
+from xopd_lab.corpus import Dataset, SpeechCodec, build_dataset
 from xopd_lab.errors import ConfigurationError, DataError, TrainingFailure
 from xopd_lab.model import TeacherModel
 from xopd_lab.optim import Adam
@@ -160,7 +161,7 @@ def test_sft_makes_one_pass(trainable_student, tiny_teacher, small_dataset, tmp_
 
 
 @pytest.mark.parametrize("method,unread", [
-    ("sft", {"steps", "lam", "n_rollouts"}),
+    ("sft", {"steps", "lam", "n_rollouts", "max_new"}),
     ("offline_kd", {"steps", "lam", "n_rollouts"}),
     ("gkd", {"lam", "n_rollouts"}),
     ("xopd", set()),
@@ -257,6 +258,20 @@ def test_rerun_is_bit_identical(tiny_student, tiny_teacher, small_dataset, tmp_p
     h0 = json.loads((outs[0] / "manifest.json").read_text())["final_params_hash"]
     h1 = json.loads((outs[1] / "manifest.json").read_text())["final_params_hash"]
     assert h0 == h1
+
+
+def test_offline_kd_is_sft_on_the_teachers_greedy_answers(tiny_student, tiny_teacher, small_dataset):
+    # Same schedule, same loss: only the answers differ, and they are the
+    # teacher's. Sending offline KD to any other loss breaks the equality.
+    cfg = _cfg(method="offline_kd", batch_size=16)
+    distilled = offline_kd_build(tiny_teacher, small_dataset.alignment_set("train"), cfg.max_new)
+    acoustic = small_dataset.split_family("train", "ACOUSTIC")
+    on_distilled = Dataset(splits={**small_dataset.splits, "train": distilled + acoustic},
+                           manifest=small_dataset.manifest)
+    kd, _ = run_method(cfg, clone_student(tiny_student), tiny_teacher, small_dataset)
+    sft, _ = run_method(replace(cfg, method="sft"), clone_student(tiny_student), tiny_teacher, on_distilled)
+    assert params_hash(kd.params) == params_hash(sft.params)
+    assert params_hash(kd.params) != params_hash(tiny_student.params)
 
 
 def test_offline_kd_records_distilled_provenance(tiny_student, tiny_teacher, small_dataset, tmp_path):
