@@ -252,7 +252,8 @@ def cmd_eval(args) -> int:
 
 def cmd_ablation(args) -> int:
     cfg = _load_config(args.config, args.set or [])
-    cfg["lambda_grid"] = _flag_list(args.lambdas, float, "--lambdas")
+    if args.lambdas is not None:
+        cfg["lambda_grid"] = _flag_list(args.lambdas, float, "--lambdas")
     pc = _pipeline_config(cfg)
     dataset = load_dataset(_require(args.data, "dataset directory"))
     teacher = _load_model_for(_require(args.teacher, "teacher checkpoint"), dataset)
@@ -285,18 +286,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xopd-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
-        p.add_argument("--seed", type=int, default=0)
+    def command(name, summary, func, *, config, seed):
+        """A subcommand taking ``--out``, plus ``--config``/``--set`` and
+        ``--seed`` where it reads them; options must be spelled in full."""
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if config:
+            p.add_argument("--config", help="JSON config file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=_default_out())
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate the paired dataset")
-    common(p)
-    p.set_defaults(func=cmd_gen_data)
+    command("gen-data", "generate the paired dataset", cmd_gen_data, config=True, seed=True)
 
-    p = sub.add_parser("train", help="train one method run")
-    common(p)
+    p = command("train", "train one method run", cmd_train, config=True, seed=True)
     p.add_argument("--method", required=True, choices=["xopd", "sft", "offline_kd", "gkd"])
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--rollouts", type=int, default=None)
@@ -305,30 +310,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", default=None)
     p.add_argument("--student", default=None)
     p.add_argument("--auto", action="store_true", help="build missing inputs")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score checkpoints and emit comparison tables")
-    common(p)
+    p = command("eval", "score checkpoints and emit comparison tables", cmd_eval, config=False, seed=True)
     p.add_argument("checkpoints", nargs="+")
     p.add_argument("--data", required=True)
     p.add_argument("--base", default=None, help="base model for drop computation")
     p.add_argument("--n-eval", type=int, default=500)
     p.add_argument("--ablation", default=None, metavar="lambda=V1,V2,...")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablation", help="run the (teacher x lambda) grid")
-    common(p)
+    p = command("ablation", "run the (teacher x lambda) grid", cmd_ablation, config=True, seed=True)
     p.add_argument("--data", required=True)
     p.add_argument("--teacher", required=True)
     p.add_argument("--teacher2", default=None)
     p.add_argument("--student", required=True)
-    p.add_argument("--lambdas", default="0,0.5,1")
-    p.set_defaults(func=cmd_ablation)
+    p.add_argument("--lambdas", default=None, help="comma-separated lambda grid")
 
-    p = sub.add_parser("reproduce-paper-trends", help="full multi-seed trend pipeline")
-    common(p)
+    p = command(
+        "reproduce-paper-trends", "full multi-seed trend pipeline", cmd_reproduce, config=True, seed=False
+    )
     p.add_argument("--seeds", default=None, help="comma-separated seed list")
-    p.set_defaults(func=cmd_reproduce)
     return parser
 
 

@@ -271,9 +271,11 @@ PRETRAIN_DIFFICULTY = (1, 2)
 def pretraining_batch(seed: int, step: int, size: int) -> list["PairedExample"]:
     """Fresh text-only (prompt -> answer) tasks for teacher pretraining.
 
-    Streams from the REASONING/INSTRUCTION generators (3:1 mix) under a
-    deterministic per-step seed, so the stream is independent of call
-    order. The speech channel is left empty: the teacher is text-only.
+    Streams REASONING, INSTRUCTION and ACOUSTIC label-echo tasks in a
+    6:1:1 mix (three of every four slots are REASONING; the fourth
+    alternates between the other two) under a deterministic per-step seed,
+    so the stream is independent of call order. The speech channel is left
+    empty: the teacher is text-only.
     """
     rng = np.random.default_rng([seed, 0x517E, step])
     lo, hi = PRETRAIN_DIFFICULTY

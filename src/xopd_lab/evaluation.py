@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .corpus import FAMILIES, Dataset, PairedExample
-from .errors import DataError, ModalityError
+from .errors import DataError
 from .model import SPEECH, TEXT, Prompt, greedy_decode_batch
 
 DROP_FAMILIES = ("REASONING", "INSTRUCTION")
@@ -44,8 +44,6 @@ def score_model(model, examples: list[PairedExample], modality: str) -> float:
     Decoding runs to one token past the longest reference, which shows
     whether a decode ends there; greedy tokens do not depend on the budget,
     so any larger one gives the same score."""
-    if modality == SPEECH and model.kind == "teacher":
-        raise ModalityError("teacher cannot be scored on the speech modality")
     prompts = [
         Prompt(modality, ex.text_prompt if modality == TEXT else ex.speech_prompt)
         for ex in examples

@@ -172,9 +172,6 @@ class TeacherModel:
         rng = np.random.default_rng([seed, 0x7E4])
         return cls(cfg, init_backbone_params(cfg, rng))
 
-    def backbone_params(self) -> dict[str, Tensor]:
-        return self.params
-
     def embed_sequence(self, prompt: Prompt, completion: list[int]) -> tuple[Tensor, int]:
         """Embed <bos> prompt <sep> completion; returns (emb, sep index)."""
         if prompt.modality != TEXT:
@@ -220,9 +217,13 @@ class StudentModel(TeacherModel):
 
 
 def init_student_from_teacher(teacher: TeacherModel, cfg: ModelConfig, seed: int) -> StudentModel:
-    """Copy the teacher backbone; draw tower/adapter from the seed."""
-    if cfg.embed_dim != teacher.cfg.embed_dim or cfg.text_vocab_size != teacher.cfg.text_vocab_size:
-        raise ConfigurationError("student config incompatible with teacher backbone")
+    """Copy the teacher backbone; draw tower/adapter from the seed. Every
+    backbone field of ``cfg`` must equal the teacher's, so the student's text
+    behaviour is the teacher's."""
+    for name, value in asdict(cfg).items():
+        theirs = getattr(teacher.cfg, name)
+        if value != theirs and name not in ("speech_vocab_size", "frames_per_token", "speech_embed_dim"):
+            raise ConfigurationError(f"student {name} {value} differs from the teacher backbone's {theirs}")
     params = {
         name: Tensor(t.data.copy(), requires_grad=True) for name, t in teacher.params.items()
     }

@@ -274,34 +274,21 @@ def reproduce_paper_trends(cfg: PipelineConfig, out_root: str | Path) -> dict:
 
     n = len(checks)
     need = 2 if n >= 3 else n
-    gap_count = sum(c["gap_narrowing"] for c in checks)
-    forget_count = sum(c["forgetting"] for c in checks)
-    sft_count = sum(c["sft_text_worsens"] for c in checks)
-    deviations = []
-    if sft_count < need:
-        deviations.append(
-            {
+    criteria, deviations = {}, []
+    for name in ("gap_narrowing", "forgetting", "sft_text_worsens"):
+        passes = sum(c[name] for c in checks)
+        criteria[name] = {"passes": passes, "of": n, "ok": passes >= need}
+        if name == "sft_text_worsens" and passes < need:
+            # A recorded deviation stands in for the SFT criterion.
+            deviations.append({
                 "type": "DEVIATION",
                 "criterion": "baseline_text_degradation",
-                "detail": (
-                    f"SFT text drop worsened on only {sft_count}/{n} seeds; the "
-                    "paper-scale degradation did not fully transfer to desk scale."
-                ),
-            }
-        )
+                "detail": f"SFT text drop worsened on only {passes}/{n} seeds; the paper-scale "
+                "degradation did not fully transfer to desk scale.",
+            })
+            criteria[name]["ok"] = True
     report = {
-        "seeds": list(cfg.seeds),
-        "per_seed_checks": checks,
-        "criteria": {
-            "gap_narrowing": {"passes": gap_count, "of": n, "ok": gap_count >= need},
-            "forgetting": {"passes": forget_count, "of": n, "ok": forget_count >= need},
-            "sft_text_worsens": {
-                "passes": sft_count,
-                "of": n,
-                "ok": sft_count >= need or bool(deviations),
-            },
-        },
-        "deviations": deviations,
+        "seeds": list(cfg.seeds), "per_seed_checks": checks, "criteria": criteria, "deviations": deviations
     }
     (out_root / "trends_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
 

@@ -323,9 +323,10 @@ def run_method(
     student: StudentModel,
     teacher: TeacherModel,
     dataset: Dataset,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
 ) -> tuple[StudentModel, list[dict]]:
-    """Train the student in place with the configured method.
+    """Train the student in place with the configured method, writing the
+    run directory ``out_dir`` (see the module docstring).
 
     Per step: batch -> rollouts (policy methods) -> loss -> finite-loss
     check -> backward -> Adam update on the backbone. The speech pathway
@@ -346,28 +347,23 @@ def run_method(
     tower_bytes = {k: student.params[k].data.tobytes() for k in student.BACKBONE_EXTRA}
     opt = _optimizer(student, student.backbone_params(), cfg.learning_rate)
 
-    run_dir = Path(out_dir) if out_dir else None
-    metrics_f = timings_f = None
-    last_good: str | None = None
-    if run_dir:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "config.json").write_text(
-            json.dumps({"train": cfg.read_fields(), "paper_provenance": PAPER_PROVENANCE}, indent=2, sort_keys=True)
-        )
-        (run_dir / "checkpoints").mkdir(exist_ok=True)
-        metrics_f = open(run_dir / "metrics.jsonl", "w")
-        timings_f = open(run_dir / "timings.jsonl", "w")
+    run_dir = Path(out_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.json").write_text(
+        json.dumps({"train": cfg.read_fields(), "paper_provenance": PAPER_PROVENANCE}, indent=2, sort_keys=True)
+    )
+    (run_dir / "checkpoints").mkdir(exist_ok=True)
 
     if cfg.method == "offline_kd":
         train_data = offline_kd_build(teacher, train_data, cfg.max_new)
-        if run_dir:
-            (run_dir / "distilled.jsonl").write_text(
-                json.dumps({"method": "offline_kd", "decode_mode": "greedy"}, sort_keys=True) + "\n"
-                + "".join(e.to_json() + "\n" for e in train_data)
-            )
+        (run_dir / "distilled.jsonl").write_text(
+            json.dumps({"method": "offline_kd", "decode_mode": "greedy"}, sort_keys=True) + "\n"
+            + "".join(e.to_json() + "\n" for e in train_data)
+        )
 
     metrics: list[dict] = []
-    try:
+    last_good: str | None = None
+    with open(run_dir / "metrics.jsonl", "w") as metrics_f, open(run_dir / "timings.jsonl", "w") as timings_f:
         for step, idx in enumerate(_batches(cfg, len(train_data)), 1):
             t0 = time.perf_counter()
             loss, row = _step_loss(cfg, step, [train_data[i] for i in idx], student, teacher)
@@ -376,27 +372,21 @@ def run_method(
                 if student.params[k].data.tobytes() != tower_bytes[k]:
                     raise TrainingFailure(f"frozen parameter {k} changed at step {step}")
             metrics.append(row)
-            if metrics_f:
-                metrics_f.write(json.dumps(row, sort_keys=True) + "\n")
-                timings_f.write(json.dumps({"step": step, "seconds": time.perf_counter() - t0}) + "\n")
-            if run_dir and cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
+            metrics_f.write(json.dumps(row, sort_keys=True) + "\n")
+            timings_f.write(json.dumps({"step": step, "seconds": time.perf_counter() - t0}) + "\n")
+            if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
                 path = run_dir / "checkpoints" / f"step-{step}.ckpt"
                 save_model(student, path)
                 last_good = str(path)
-    finally:
-        if metrics_f:
-            metrics_f.close()
-            timings_f.close()
 
-    if run_dir:
-        save_model(student, run_dir / "checkpoints" / "final.ckpt")
-        manifest = {
-            "seed": cfg.seed,
-            "method": cfg.method,
-            "steps": len(metrics),
-            "dataset_manifest": dataset.manifest,
-            "final_params_hash": params_hash(student.params),
-            "paper_provenance": PAPER_PROVENANCE,
-        }
-        (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    save_model(student, run_dir / "checkpoints" / "final.ckpt")
+    manifest = {
+        "seed": cfg.seed,
+        "method": cfg.method,
+        "steps": len(metrics),
+        "dataset_manifest": dataset.manifest,
+        "final_params_hash": params_hash(student.params),
+        "paper_provenance": PAPER_PROVENANCE,
+    }
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return student, metrics

@@ -563,6 +563,46 @@ def test_bad_list_flag_exits_2_before_work(tmp_path, argv, named, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "a.ckpt", "--data", "d", "--set", "x=1"],
+    ["eval", "a.ckpt", "--data", "d", "--config", "c.json"],
+    # Without allow_abbrev=False this would parse as --seeds 3.
+    ["reproduce-paper-trends", "--seed", "3"],
+], ids=["eval-set", "eval-config", "reproduce-seed"])
+def test_an_option_the_command_does_not_read_is_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("field,value", [("n_heads", 4), ("n_layers", 1), ("max_seq_len", 128)])
+def test_train_refuses_a_student_backbone_unlike_the_teachers(
+    tmp_path, data_dir, ckpts, tiny_model_cfg_file, field, value, capsys
+):
+    out = tmp_path / "run"
+    code = main([
+        "train", "--method", "sft", "--data", str(data_dir), "--auto", "--out", str(out),
+        "--teacher", str(ckpts / "teacher.ckpt"), "--config", str(tiny_model_cfg_file),
+        "--set", f"model.{field}={value}",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0], err
+    assert not (out / "student_base.ckpt").exists()
+
+
+def test_ablation_keeps_the_config_lambda_grid_without_the_flag(tmp_path, data_dir, ckpts):
+    out = tmp_path / "ablation"
+    code = main([
+        "ablation", "--data", str(data_dir), "--out", str(out),
+        "--teacher", str(ckpts / "teacher.ckpt"), "--student", str(ckpts / "student.ckpt"),
+        "--set", "lambda_grid=[0.5]", "--set", "xopd_steps=1", "--set", "batch_size=4",
+        "--set", "n_rollouts=1", "--set", "max_new=3", "--set", "n_eval=2",
+    ])
+    assert code == 0
+    assert json.loads((out / "ablation_grid.json").read_text())["lambda_values"] == [0.5]
+
+
 def test_pipeline_config_takes_every_pipeline_field():
     pc = _pipeline_config({"seeds": [0, 1], "lambda_grid": [0.5], "xopd_steps": 3,
                            "model": {"embed_dim": 32}})

@@ -18,16 +18,22 @@
 * Only ``rollout.rollout_pairs`` reads ``.trajectories``, so the losses see
   the rollouts as one flat list of (example, trajectory) pairs and the
   nested record cannot leak back into them.
+* Every option of every CLI subcommand is read as ``args.<dest>`` by that
+  subcommand's ``cmd_*`` function, so the CLI offers no option that does
+  nothing.
 """
 
+import argparse
 import ast
 import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
 
 import pytest
 
+from xopd_lab.cli import build_parser
 from xopd_lab.corpus import SpeechCodec
 from xopd_lab.errors import ConfigurationError
 from xopd_lab.model import ModelConfig
@@ -153,3 +159,18 @@ def test_only_rollout_pairs_reads_the_nested_rollout_record():
                 if isinstance(node, ast.Attribute) and node.attr == "trajectories":
                     readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert readers == {"rollout.rollout_pairs"}, sorted(readers)
+
+
+def test_every_cli_option_is_read_by_its_command():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = {}
+    for name, sub in subparsers.choices.items():
+        func = sub.get_default("func")
+        read = {
+            node.attr for node in ast.walk(ast.parse(inspect.getsource(func)))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+        }
+        missing = sorted(a.dest for a in sub._actions if a.dest != "help" and a.dest not in read)
+        if missing:
+            unread[name] = missing
+    assert unread == {}, unread

@@ -1,5 +1,7 @@
 """Unit tests for the teacher / student transformer models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,14 @@ def test_student_backbone_copies_teacher(tiny_teacher, tiny_config):
         assert student.params[name] is not p  # independent storage
     assert set(student.speech_params()) == set(StudentModel.BACKBONE_EXTRA)
     assert set(student.backbone_params()) == set(tiny_teacher.params)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("text_vocab_size", 80), ("embed_dim", 64), ("n_layers", 1), ("n_heads", 4), ("max_seq_len", 128),
+])
+def test_a_student_backbone_unlike_the_teachers_is_refused(tiny_teacher, tiny_config, field, value):
+    with pytest.raises(ConfigurationError, match=f"student {field} {value} differs"):
+        init_student_from_teacher(tiny_teacher, replace(tiny_config, **{field: value}), seed=0)
 
 
 def test_student_text_path_matches_teacher_backbone(tiny_teacher, tiny_config):

@@ -123,12 +123,12 @@ def test_clone_student_is_independent(tiny_student):
 
 
 @pytest.mark.parametrize("method", ["sft", "offline_kd", "gkd", "xopd"])
-def test_run_method_smoke_and_frozen_tower(method, trainable_student, tiny_teacher, small_dataset):
+def test_run_method_smoke_and_frozen_tower(method, trainable_student, tiny_teacher, small_dataset, tmp_path):
     before = {
         k: trainable_student.params[k].data.tobytes()
         for k in trainable_student.BACKBONE_EXTRA
     }
-    _, metrics = run_method(_cfg(method=method), trainable_student, tiny_teacher, small_dataset)
+    _, metrics = run_method(_cfg(method=method), trainable_student, tiny_teacher, small_dataset, out_dir=tmp_path)
     assert metrics and all(np.isfinite(m["loss"] if "loss" in m else m["loss_total"]) for m in metrics)
     for k, b in before.items():
         assert trainable_student.params[k].data.tobytes() == b
@@ -145,9 +145,11 @@ def test_a_teacher_vocab_mismatch_is_refused_before_anything_is_written(
     assert not out.exists()
 
 
-def test_sft_reads_no_teacher_so_any_vocab_will_do(trainable_student, tiny_config, small_dataset):
+def test_sft_reads_no_teacher_so_any_vocab_will_do(trainable_student, tiny_config, small_dataset, tmp_path):
     teacher = TeacherModel.init(replace(tiny_config, text_vocab_size=80), 3)
-    _, metrics = run_method(_cfg(method="sft", batch_size=64), trainable_student, teacher, small_dataset)
+    _, metrics = run_method(
+        _cfg(method="sft", batch_size=64), trainable_student, teacher, small_dataset, out_dir=tmp_path
+    )
     assert metrics
 
 
@@ -222,8 +224,10 @@ def test_divergence_carries_the_last_good_checkpoint(
     assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == ["step-1.ckpt", "step-2.ckpt"]
 
 
-def test_xopd_metrics_carry_objective_report(trainable_student, tiny_teacher, small_dataset):
-    _, metrics = run_method(_cfg(method="xopd", lam=0.5), trainable_student, tiny_teacher, small_dataset)
+def test_xopd_metrics_carry_objective_report(trainable_student, tiny_teacher, small_dataset, tmp_path):
+    _, metrics = run_method(
+        _cfg(method="xopd", lam=0.5), trainable_student, tiny_teacher, small_dataset, out_dir=tmp_path
+    )
     row = metrics[0]
     for key in ("loss_im", "loss_cm", "loss_total", "mean_ratio", "lam"):
         assert key in row
@@ -260,7 +264,7 @@ def test_rerun_is_bit_identical(tiny_student, tiny_teacher, small_dataset, tmp_p
     assert h0 == h1
 
 
-def test_offline_kd_is_sft_on_the_teachers_greedy_answers(tiny_student, tiny_teacher, small_dataset):
+def test_offline_kd_is_sft_on_the_teachers_greedy_answers(tiny_student, tiny_teacher, small_dataset, tmp_path):
     # Same schedule, same loss: only the answers differ, and they are the
     # teacher's. Sending offline KD to any other loss breaks the equality.
     cfg = _cfg(method="offline_kd", batch_size=16)
@@ -268,8 +272,10 @@ def test_offline_kd_is_sft_on_the_teachers_greedy_answers(tiny_student, tiny_tea
     acoustic = small_dataset.split_family("train", "ACOUSTIC")
     on_distilled = Dataset(splits={**small_dataset.splits, "train": distilled + acoustic},
                            manifest=small_dataset.manifest)
-    kd, _ = run_method(cfg, clone_student(tiny_student), tiny_teacher, small_dataset)
-    sft, _ = run_method(replace(cfg, method="sft"), clone_student(tiny_student), tiny_teacher, on_distilled)
+    kd, _ = run_method(cfg, clone_student(tiny_student), tiny_teacher, small_dataset, out_dir=tmp_path / "kd")
+    sft, _ = run_method(
+        replace(cfg, method="sft"), clone_student(tiny_student), tiny_teacher, on_distilled, out_dir=tmp_path / "sft"
+    )
     assert params_hash(kd.params) == params_hash(sft.params)
     assert params_hash(kd.params) != params_hash(tiny_student.params)
 
@@ -323,10 +329,10 @@ def test_gap_step_trains_only_the_speech_pathway(gapped_student, tiny_teacher):
     assert all(p.grad is not None for p in gapped_student.speech_params().values())
 
 
-def test_gapped_student_trains_its_backbone_in_run_method(gapped_student, tiny_teacher, small_dataset):
+def test_gapped_student_trains_its_backbone_in_run_method(gapped_student, tiny_teacher, small_dataset, tmp_path):
     # The train --auto path hands the gapped student to run_method uncloned.
     before = {k: p.data.copy() for k, p in gapped_student.params.items()}
-    run_method(_cfg(method="xopd"), gapped_student, tiny_teacher, small_dataset)
+    run_method(_cfg(method="xopd"), gapped_student, tiny_teacher, small_dataset, out_dir=tmp_path)
     moved = [
         k for k in gapped_student.backbone_params()
         if not np.array_equal(gapped_student.params[k].data, before[k])
