@@ -31,7 +31,8 @@ __all__ = [
     "matmul",
     "reshape",
     "concat_rows",
-    "stack_pad",
+    "pad_rows",
+    "unpad_rows",
     "gather",
     "embedding",
     "log_softmax",
@@ -102,8 +103,11 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A C-ordered copy, never zero-filled first: a backward may hand
+            # on a transposed view, and matmul rounds differently on one.
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from a scalar root, summing into .grad fields."""
@@ -208,20 +212,43 @@ def exp(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, lengths=None, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus ``bias`` if given.
+
+    With ``lengths``, ``a`` holds packed rows (N, d) of sequences with those
+    lengths, and results and gradients are bit for bit those of the padded
+    (B, Lmax, d) batch. The forward computes the N rows only: a plain
+    product's rows round alike whatever the row count, except that a one-row
+    product takes matmul's vector path, so one-row sequences (decoding steps)
+    take it too. The backward runs on the padded layout, zero rows for
+    padding, because the transposed products and the sums over rows and then
+    sequences round with the shape they are given.
+    """
     if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
+    if lengths is None:
+        idx, layout = None, lambda x: x
+        data = np.matmul(a.data, b.data)
+    else:
+        idx = packed_index(lengths)
+        layout = lambda x: _padded(x, lengths, idx)
+        one_row = max(lengths) == 1
+        data = np.matmul(a.data[:, None], b.data)[:, 0] if one_row else a.data @ b.data
+    if bias is not None:
+        data = data + bias.data
 
     def backward(g):
+        g = layout(g)
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
+            a.accumulate_grad(_unbroadcast(ga, a.shape) if idx is None else ga[idx])
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            gb = np.matmul(np.swapaxes(layout(a.data), -1, -2), g)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.shape))
 
-    return _make(data, (a, b), backward)
+    return _make(data, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -250,20 +277,45 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _make(data, tuple(parts), backward)
 
 
-def stack_pad(parts: Sequence[Tensor]) -> Tensor:
-    """Stack (L_i, d) tensors into (B, Lmax, d), zero-padding rows at the end."""
-    Lmax = max(p.data.shape[0] for p in parts)
-    d = parts[0].data.shape[1]
-    data = np.zeros((len(parts), Lmax, d))
-    for i, p in enumerate(parts):
-        data[i, : p.data.shape[0]] = p.data
+def packed_index(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """(sequence, position) of each packed row of sequences with ``lengths``,
+    stored back to back."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    return seq, np.arange(len(seq)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _padded(a: np.ndarray, lengths, idx) -> np.ndarray:
+    """Packed rows ``a`` laid out as (B, Lmax, .), zero rows at each sequence's end."""
+    out = np.zeros((len(lengths), max(lengths), a.shape[-1]))
+    out[idx] = a
+    return out
+
+
+def pad_rows(x: Tensor, lengths) -> Tensor:
+    """Packed rows (N, d) of sequences with ``lengths`` -> (B, Lmax, d),
+    zero-padding each sequence at its end. ``unpad_rows`` inverts it."""
+    idx = packed_index(lengths)
 
     def backward(g):
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                p.accumulate_grad(g[i, : p.data.shape[0]])
+        if x.requires_grad:
+            x.accumulate_grad(g[idx])
 
-    return _make(data, tuple(parts), backward)
+    return _make(_padded(x.data, lengths, idx), (x,), backward)
+
+
+def unpad_rows(x: Tensor, lengths) -> Tensor:
+    """(B, Lmax, d) -> the packed (N, d) rows of sequences with ``lengths``."""
+    idx = packed_index(lengths)
+
+    def backward(g):
+        if x.requires_grad:
+            # Each packed row has its own slot: a plain copy, no np.add.at.
+            full = np.zeros_like(x.data)
+            full[idx] = g
+            x.accumulate_grad(full)
+
+    return _make(x.data[idx], (x,), backward)
 
 
 def gather(x: Tensor, idx: tuple) -> Tensor:

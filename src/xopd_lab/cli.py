@@ -218,7 +218,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     lambdas = None
-    if args.ablation:
+    if args.ablation is not None:
         key, _, vals = args.ablation.partition("=")
         if key != "lambda":
             raise UsageError(f"--ablation expects lambda=v1,v2,..., got {args.ablation!r}")
@@ -271,7 +271,7 @@ def cmd_ablation(args) -> int:
 
 def cmd_reproduce(args) -> int:
     cfg = _load_config(args.config, args.set or [])
-    if args.seeds:
+    if args.seeds is not None:
         cfg["seeds"] = _flag_list(args.seeds, int, "--seeds")
     pc = _pipeline_config(cfg)
     out = Path(args.out)

@@ -125,37 +125,45 @@ def backbone_logits(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     emb: Tensor,
+    lengths,
     caches: list[dict[str, Tensor]] | None = None,
 ) -> Tensor:
-    """Run the transformer over embedded inputs (B, L, d) -> (B, L, V).
+    """Run the transformer over packed embedded rows (N, d) -> logits (N, V).
 
-    The package's one transformer forward. With ``caches`` (one dict per
-    layer, used by the decoder) ``emb`` holds only the newest positions: each
-    layer's keys and values for the earlier ones come from its cache, which
-    is extended in place.
+    The package's one transformer forward. ``emb`` holds the rows of
+    sequences of ``lengths`` back to back, and every row-wise layer runs on
+    those N rows only. They are padded to (B, Lmax, d) just around
+    ``causal_attention``, whose causal mask keeps a sequence's real rows from
+    seeing its padding at the end, and in the backward of ``matmul``, whose
+    results and gradients are bit for bit the padded batch's. With ``caches`` (one
+    dict per layer, used by the decoder) ``emb`` holds only the newest
+    positions, as many for every sequence: each layer's keys and values for
+    the earlier ones come from its cache, which is extended in place.
     """
     start = caches[0]["k"].shape[1] if caches and caches[0] else 0
-    L = start + emb.shape[-2]
+    L = start + max(lengths)
     if L > cfg.max_seq_len:
         raise LengthError(f"sequence length {L} exceeds max_seq_len {cfg.max_seq_len}")
-    pos = ad.embedding(params["pos_emb"], np.arange(start, L))
+    pos = ad.embedding(params["pos_emb"], start + ad.packed_index(lengths)[1])
     x = ad.add(emb, pos)
     for i in range(cfg.n_layers):
         h = f"h{i}"
         a = ad.layer_norm(x, params[f"{h}.ln1.g"], params[f"{h}.ln1.b"])
-        q, k, v = (ad.matmul(a, params[f"{h}.attn.{w}"]) for w in ("wq", "wk", "wv"))
+        q, k, v = (
+            ad.pad_rows(ad.matmul(a, params[f"{h}.attn.{w}"], lengths), lengths)
+            for w in ("wq", "wk", "wv")
+        )
         if caches is not None:
             c = caches[i]
             k = c["k"] = Tensor(np.concatenate([c["k"].data, k.data], 1)) if "k" in c else k
             v = c["v"] = Tensor(np.concatenate([c["v"].data, v.data], 1)) if "v" in c else v
-        attn = ad.causal_attention(q, k, v, cfg.n_heads)
-        x = ad.add(x, ad.matmul(attn, params[f"{h}.attn.wo"]))
+        attn = ad.unpad_rows(ad.causal_attention(q, k, v, cfg.n_heads), lengths)
+        x = ad.add(x, ad.matmul(attn, params[f"{h}.attn.wo"], lengths))
         m = ad.layer_norm(x, params[f"{h}.ln2.g"], params[f"{h}.ln2.b"])
-        m = ad.gelu(ad.add(ad.matmul(m, params[f"{h}.mlp.w1"]), params[f"{h}.mlp.b1"]))
-        m = ad.add(ad.matmul(m, params[f"{h}.mlp.w2"]), params[f"{h}.mlp.b2"])
-        x = ad.add(x, m)
+        m = ad.gelu(ad.matmul(m, params[f"{h}.mlp.w1"], lengths, params[f"{h}.mlp.b1"]))
+        x = ad.add(x, ad.matmul(m, params[f"{h}.mlp.w2"], lengths, params[f"{h}.mlp.b2"]))
     x = ad.layer_norm(x, params["lnf.g"], params["lnf.b"])
-    return ad.matmul(x, params["head.w"])
+    return ad.matmul(x, params["head.w"], lengths)
 
 
 class TeacherModel:
@@ -234,6 +242,18 @@ def init_student_from_teacher(teacher: TeacherModel, cfg: ModelConfig, seed: int
     return StudentModel(cfg, params)
 
 
+def _draw(logits: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One token per row of ``logits``, drawn from the row's softmax with the
+    row's rng by ``rng.choice(V, p=p)``'s own recipe: the normalised cumsum,
+    one ``rng.random()`` and a right-sided search. So the index and the rng's
+    state equal those of that call."""
+    cdf = np.cumsum(ad.np_softmax(logits), axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs])
+    # A row's cdf is sorted, so this counts what searchsorted(side="right") finds.
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
 def _decode(
     model: TeacherModel,
     prompts: list[Prompt],
@@ -242,12 +262,15 @@ def _decode(
 ) -> list[tuple[list[int], bool, list[float]]]:
     """Incremental decoding: ``backbone_logits`` with per-layer key/value caches.
 
-    Prompts of one (modality, length) decode as one batch. With no ``rngs``
-    every row takes the argmax; with one rng per prompt, rows are sampled at
-    temperature 1. Returns (tokens, finished, logps) per prompt, in prompt
-    order: tokens keep the terminating <eos> when emitted, finished says
-    which did, and logps holds each chosen token's log-prob under the
-    logits it was chosen from.
+    Prompts of one (modality, length) decode as one batch of packed rows.
+    After each step the rows that emitted <eos> retire: they leave the next
+    input and every layer's cached keys and values, so no step computes a
+    finished row. With no ``rngs`` every live row takes the argmax; with one
+    rng per prompt, all live rows are drawn at once at temperature 1 (see
+    ``_draw``). A non-finite logit raises ``FloatingPointError``. Returns
+    (tokens, finished, logps) per prompt, in prompt order: tokens keep the
+    terminating <eos> when emitted, finished says which did, and logps holds
+    each chosen token's log-prob under the logits it was chosen from.
     """
     if max_new < 1:
         raise ConfigurationError("max_new must be >= 1")
@@ -257,28 +280,35 @@ def _decode(
     results: list = [None] * len(prompts)
     with ad.no_grad():
         for idxs in groups.values():
-            emb = Tensor(np.stack([model.embed_sequence(prompts[i], [])[0].data for i in idxs]))
+            embs = [model.embed_sequence(prompts[i], [])[0].data for i in idxs]
+            emb, lengths = Tensor(np.concatenate(embs)), [len(embs[0])] * len(idxs)
             caches: list[dict[str, Tensor]] = [{} for _ in range(model.cfg.n_layers)]
             outs: list[list[int]] = [[] for _ in idxs]
             logps: list[list[float]] = [[] for _ in idxs]
-            done = np.zeros(len(idxs), dtype=bool)
+            live = np.arange(len(idxs))  # positions in idxs still decoding
             for step in range(max_new):
-                logits = backbone_logits(model.params, model.cfg, emb, caches).data[:, -1]
-                lp = ad.np_log_softmax(logits)
-                nxt = np.zeros(len(idxs), dtype=np.int64)
-                for b in np.flatnonzero(~done):
-                    if rngs is None:
-                        nxt[b] = np.argmax(logits[b])
-                    else:
-                        nxt[b] = rngs[idxs[b]].choice(lp.shape[1], p=ad.np_softmax(logits[b]))
-                    outs[b].append(int(nxt[b]))
-                    logps[b].append(float(lp[b, nxt[b]]))
-                    done[b] = nxt[b] == EOS
-                if done.all() or step == max_new - 1:
+                logits = backbone_logits(model.params, model.cfg, emb, lengths, caches).data
+                logits = logits[np.cumsum(lengths) - 1]  # each sequence's newest row
+                if not np.isfinite(logits).all():
+                    raise FloatingPointError("decoder logits contain non-finite values")
+                if rngs is None:
+                    nxt = logits.argmax(axis=1)
+                else:
+                    nxt = _draw(logits, [rngs[idxs[b]] for b in live])
+                lp = ad.np_log_softmax(logits)[np.arange(live.size), nxt]
+                for b, t, logp in zip(live, nxt, lp):
+                    outs[b].append(int(t))
+                    logps[b].append(float(logp))
+                keep = nxt != EOS
+                live, nxt = live[keep], nxt[keep]
+                if not live.size or step == max_new - 1:
                     break
-                emb = ad.embedding(model.params["tok_emb"], nxt[:, None])
+                if not keep.all():
+                    for c in caches:
+                        c["k"], c["v"] = Tensor(c["k"].data[keep]), Tensor(c["v"].data[keep])
+                emb, lengths = ad.embedding(model.params["tok_emb"], nxt), [1] * live.size
             for b, i in enumerate(idxs):
-                results[i] = (outs[b], bool(done[b]), logps[b])
+                results[i] = (outs[b], outs[b][-1] == EOS, logps[b])
     return results
 
 
@@ -289,8 +319,10 @@ def sample_completions_batch(
 ) -> list[Trajectory]:
     """Ancestral sampling until <eos> or max_new tokens, one rng per unit.
 
-    Each unit consumes its rng independently of grouping, so tokens do not
-    depend on which units share a batch. Tokens are drawn at temperature 1,
+    Each token costs its unit's rng one ``rng.random()``, and the token and
+    the rng's state equal those of ``rng.choice(V, p=softmax(logits))``. A
+    unit stops drawing once it emits <eos>, so tokens do not depend on
+    which units share a batch. Tokens are drawn at temperature 1,
     so each token's sampling log-prob (logp_old, defining pi_old) is its
     log-prob under the model, read from the decode logits it was drawn from.
     A teacher-forced recomputation, or a call with other units in the batch,
@@ -316,22 +348,23 @@ def greedy_decode_batch(
 
 
 def completion_log_probs(model: TeacherModel, items: list[tuple[Prompt, list[int]]]) -> Tensor:
-    """The package's one teacher-forced pass: one padded, batched backbone
-    pass over many (prompt, completion) pairs, whose padding stays inside.
-    Returns one log-softmax row per completion token, shape (T, V), ordered
-    by item and then position, so passes over the same completions align
-    whatever their prompts."""
+    """The package's one teacher-forced pass: one backbone pass over the
+    packed rows of many (prompt, completion) pairs, with no padding outside
+    attention. Returns one log-softmax row per completion token, shape
+    (T, V), ordered by item and then position, so passes over the same
+    completions align whatever their prompts."""
     if not items:
         raise ModalityError("completion_log_probs given no items")
-    embs, b_idx, l_idx = [], [], []
-    for i, (prompt, completion) in enumerate(items):
+    embs, rows, off = [], [], 0
+    for prompt, completion in items:
         e, sep = model.embed_sequence(prompt, completion)
         embs.append(e)
-        # Row sep + t predicts completion token t.
-        b_idx += [i] * len(completion)
-        l_idx += range(sep, sep + len(completion))
-    logits = backbone_logits(model.params, model.cfg, ad.stack_pad(embs))
-    return ad.log_softmax(ad.gather(logits, (b_idx, l_idx)))
+        # Packed row off + sep + t predicts completion token t.
+        rows += range(off + sep, off + sep + len(completion))
+        off += e.shape[0]
+    lengths = [e.shape[0] for e in embs]
+    logits = backbone_logits(model.params, model.cfg, ad.concat_rows(embs), lengths)
+    return ad.log_softmax(ad.gather(logits, (rows,)))
 
 
 def batched_completion_logps(model: TeacherModel, items: list[tuple[Prompt, list[int]]]) -> Tensor:

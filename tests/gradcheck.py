@@ -87,9 +87,6 @@ def op_cases():
         ids = rng.integers(0, table.shape[0], size=5)
         return ad.embedding(table, ids)
 
-    def stackpad(a, b, rng):
-        return ad.stack_pad([a, b])
-
     # As the teacher-forced pass uses it: rows out of (B, L, V), their
     # log_softmax, then one entry per row. Drawn rows may repeat.
     def gather(x, rng):
@@ -123,7 +120,14 @@ def op_cases():
         ("reshape", lambda a, rng: ad.reshape(a, (a.data.size,)), 1, _single),
         ("concat_rows", lambda a, b, rng: ad.concat_rows([a, b]), 2,
          lambda rng: [(2, 3), (4, 3)]),
-        ("stack_pad", stackpad, 2, lambda rng: [(2, 3), (4, 3)]),
+        # The backbone's layout ops: packed rows of sequences of lengths 2
+        # and 4 to (2, 4, d), and back.
+        ("pad_rows", lambda a, rng: ad.pad_rows(a, [2, 4]), 1, lambda rng: [(6, 3)]),
+        ("unpad_rows", lambda a, rng: ad.unpad_rows(a, [2, 4]), 1, lambda rng: [(2, 4, 3)]),
+        ("matmul_packed", lambda x, w, b, rng: ad.matmul(x, w, [2, 4], b), 3,
+         lambda rng: [(6, 3), (3, 5), (5,)]),
+        ("matmul_packed_one_row_sequences", lambda x, w, rng: ad.matmul(x, w, [1, 1, 1]), 2,
+         lambda rng: [(3, 4), (4, 2)]),
         ("gather", gather, 1, lambda rng: [(2, 3, 5)]),
         ("embedding", emb, 1, lambda rng: [(6, 3)]),
         ("log_softmax", lambda a, rng: ad.log_softmax(a), 1, _single),

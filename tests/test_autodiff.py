@@ -152,14 +152,43 @@ def test_no_grad_on_overlapping_threads_leaves_each_thread_its_own_mode():
     assert _grad_mode()
 
 
-def test_stack_pad_forward_layout():
+def test_pad_rows_forward_layout():
     a = np.arange(6.0).reshape(2, 3)
     b = np.arange(12.0).reshape(4, 3)
-    out = ad.stack_pad([Tensor(a), Tensor(b)]).data
+    packed = np.concatenate([a, b])
+    out = ad.pad_rows(Tensor(packed), [2, 4]).data
     assert out.shape == (2, 4, 3)
     np.testing.assert_array_equal(out[0, :2], a)
     np.testing.assert_array_equal(out[0, 2:], 0.0)
     np.testing.assert_array_equal(out[1], b)
+    np.testing.assert_array_equal(ad.unpad_rows(Tensor(out), [2, 4]).data, packed)
+
+
+# At these sizes one 2-D product, or 2-D sums, would round differently.
+@pytest.mark.parametrize("lengths", [[3, 5, 1, 4] * 4, [1, 1, 1]], ids=["ragged", "one-row"])
+def test_packed_matmul_equals_the_padded_batch_bit_for_bit(lengths):
+    rng = np.random.default_rng(0)
+    d, k = 64, 64
+    B, Lmax = len(lengths), max(lengths)
+    x, w, b = (rng.normal(0, 1, s) for s in ((sum(lengths), d), (d, k), (k,)))
+    coeff = rng.normal(0, 1, (sum(lengths), k))
+    idx = ad.packed_index(lengths)
+    pad = lambda a: ad.pad_rows(Tensor(a), lengths).data
+
+    def grads(run):
+        ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = run(*ts)
+        ad.sum_all(ad.mul(out, Tensor(coeff if out.data.ndim == 2 else pad(coeff)))).backward()
+        return out.data, [t.grad for t in ts]
+
+    packed, (gx, gw, gb) = grads(lambda x, w, b: ad.matmul(x, w, lengths, b))
+    padded, (gxp, gwp, gbp) = grads(
+        lambda x, w, b: ad.add(ad.matmul(ad.pad_rows(x, lengths), w), b)
+    )
+    np.testing.assert_array_equal(packed, padded[idx])
+    np.testing.assert_array_equal(gx, gxp)
+    np.testing.assert_array_equal(gw, gwp)
+    np.testing.assert_array_equal(gb, gbp)
 
 
 def test_gather_forward_values():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import xopd_lab.cli as cli_module
 from xopd_lab.autodiff import Tensor
 from xopd_lab.checkpoint import save_checkpoint
 from xopd_lab.cli import _build, _load_config, _pipeline_config, build_parser, main
@@ -553,8 +554,15 @@ def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, caps
     # A parsed value still goes through PipelineConfig's lambda_grid check.
     (["ablation", "--data", "{data}", "--teacher", "t.ckpt", "--student", "s.ckpt",
       "--lambdas", "0,2"], "lambda_grid"),
-], ids=["seeds", "lambdas", "ablation", "lambdas-range"])
-def test_bad_list_flag_exits_2_before_work(tmp_path, argv, named, capsys):
+    # An empty value is given, not absent: it is refused, not replaced by the default.
+    (["reproduce-paper-trends", "--seeds", ""], "--seeds"),
+    (["eval", "a.ckpt", "--data", "{data}", "--ablation", ""], "--ablation"),
+], ids=["seeds", "lambdas", "ablation", "lambdas-range", "seeds-empty", "ablation-empty"])
+def test_bad_list_flag_exits_2_before_work(tmp_path, argv, named, capsys, monkeypatch):
+    def trend_run(*args):
+        raise AssertionError("the trend run started")
+
+    monkeypatch.setattr(cli_module, "reproduce_paper_trends", trend_run)
     data, out = tmp_path / "data", tmp_path / "out"
     code = main([a.format(data=data) for a in argv] + ["--out", str(out)])
     assert code == 2

@@ -13,8 +13,9 @@
   skip the type check.
 * Only ``init_backbone_params`` and ``backbone_logits`` name the per-layer
   parameters, so the transformer block is written once.
-* Only ``model.completion_log_probs`` calls ``stack_pad``, so the padded
-  layout stays inside the one teacher-forced pass.
+* Only ``model.backbone_logits`` calls the layout ops ``pad_rows`` and
+  ``unpad_rows``, so every other layer sees packed rows and the padded
+  layout stays around attention.
 * Only ``rollout.rollout_pairs`` reads ``.trajectories``, so the losses see
   the rollouts as one flat list of (example, trajectory) pairs and the
   nested record cannot leak back into them.
@@ -135,7 +136,7 @@ def test_only_the_backbone_names_the_per_layer_parameters():
     assert namers == {"model.init_backbone_params", "model.backbone_logits"}, sorted(namers)
 
 
-def test_only_the_teacher_forced_pass_pads():
+def test_only_the_backbone_pads():
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -145,9 +146,10 @@ def test_only_the_teacher_forced_pass_pads():
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call):
                     f = node.func
-                    if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "stack_pad":
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name in ("pad_rows", "unpad_rows"):
                         callers.add(f"{path.stem}.{fn.name}")
-    assert callers == {"model.completion_log_probs"}, sorted(callers)
+    assert callers == {"model.backbone_logits"}, sorted(callers)
 
 
 def test_only_rollout_pairs_reads_the_nested_rollout_record():

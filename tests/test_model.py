@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import xopd_lab.autodiff as ad
+import xopd_lab.model as model_mod
 from xopd_lab.corpus import EOS
 from xopd_lab.checkpoint import save_checkpoint
 from xopd_lab.errors import CheckpointError, ConfigurationError, LengthError, ModalityError
@@ -14,6 +16,7 @@ from xopd_lab.model import (
     Prompt,
     StudentModel,
     TeacherModel,
+    _draw,
     backbone_logits,
     batched_completion_logps,
     completion_log_probs,
@@ -36,8 +39,8 @@ def _oracle_logps(model, prompt, tokens):
 def _logits(model, prompt, completion):
     """Every row of the backbone's logits, prompt rows included."""
     with ad.no_grad():
-        emb = model.embed_sequence(prompt, completion)[0].data[None]
-        return backbone_logits(model.params, model.cfg, ad.Tensor(emb)).data
+        emb = model.embed_sequence(prompt, completion)[0].data
+        return backbone_logits(model.params, model.cfg, ad.Tensor(emb), [len(emb)]).data
 
 
 def _log_probs(model, items):
@@ -172,6 +175,56 @@ def test_batched_sampling_order_invariant(tiny_teacher):
         assert fwd[i].logp_old == rev[len(prompts) - 1 - i].logp_old
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+    V=st.integers(2, 80),
+    spread=st.sampled_from([0.1, 1.0, 10.0, 100.0]),
+)
+def test_the_batched_draw_is_rng_choice(seed, rows, V, spread):
+    # Wide spreads give rows whose cdf has long flat runs, where a search
+    # that was not right-sided would pick another index.
+    logits = np.random.default_rng(seed).normal(0.0, spread, (rows, V))
+    ours = [np.random.default_rng([seed, r]) for r in range(rows)]
+    theirs = [np.random.default_rng([seed, r]) for r in range(rows)]
+    got = _draw(logits, ours)
+    want = [rng.choice(V, p=ad.np_softmax(row)) for rng, row in zip(theirs, logits)]
+    assert got.tolist() == want
+    assert [r.bit_generator.state for r in ours] == [r.bit_generator.state for r in theirs]
+
+
+def test_no_decode_step_feeds_a_finished_row(tiny_student, monkeypatch):
+    fed = []
+    backbone = model_mod.backbone_logits
+
+    def counting(params, cfg, emb, *rest):
+        fed.append(emb.shape[0])
+        return backbone(params, cfg, emb, *rest)
+
+    monkeypatch.setattr(model_mod, "backbone_logits", counting)
+    prompt = Prompt(TEXT, [5, 6, 7])
+    units = [(prompt, np.random.default_rng([13, i])) for i in range(200)]
+    trajs = sample_completions_batch(tiny_student, units, max_new=12)
+    lengths = [len(t.tokens) for t in trajs]
+    assert min(lengths) < 11, "no row finished early enough to retire"
+    # Step s feeds the rows that choose a token at step s; the first feeds
+    # every prompt row.
+    live = [sum(n > s for n in lengths) for s in range(max(lengths))]
+    assert fed == [live[0] * 5] + live[1:]
+
+
+def test_a_non_finite_head_stops_both_decoders(tiny_teacher):
+    params = {k: ad.Tensor(p.data.copy()) for k, p in tiny_teacher.params.items()}
+    params["head.w"].data[0, 0] = np.nan
+    broken = TeacherModel(tiny_teacher.cfg, params)
+    prompt = Prompt(TEXT, [5, 6, 7])
+    with pytest.raises(FloatingPointError):
+        sample_completions_batch(broken, [(prompt, np.random.default_rng(0))], 4)
+    with pytest.raises(FloatingPointError):
+        greedy_decode_batch(broken, [prompt], 4)
+
+
 def test_greedy_decode_batch_matches_single(tiny_student):
     prompts = [Prompt(TEXT, [4 + i, 9]) for i in range(4)]
     prompts += [Prompt(SPEECH, [1 + i, 2, 3, 4, 5, 6]) for i in range(4)]
@@ -187,7 +240,9 @@ def test_greedy_decode_batch_matches_single(tiny_student):
 def test_cached_forward_equals_the_full_pass(tiny_teacher, tiny_student, kind, prompt):
     # The decoder's use: a prefill chunk, then one new row at a time.
     model = tiny_teacher if kind == "teacher" else tiny_student
-    run = lambda x, caches=None: backbone_logits(model.params, model.cfg, ad.Tensor(x), caches).data
+    run = lambda x, caches=None: backbone_logits(
+        model.params, model.cfg, ad.Tensor(x[0]), [x.shape[1]], caches
+    ).data[None]
     with ad.no_grad():
         emb = model.embed_sequence(prompt, [9, 10, 11, 2])[0].data[None]
         full = run(emb)
@@ -201,11 +256,12 @@ def test_cached_forward_equals_the_full_pass(tiny_teacher, tiny_student, kind, p
 def test_cached_forward_rejects_positions_beyond_max_seq_len(tiny_teacher):
     cfg = tiny_teacher.cfg
     caches = [{} for _ in range(cfg.n_layers)]
-    rows = lambda n: ad.Tensor(np.zeros((1, n, cfg.embed_dim)))
+    rows = lambda n: ad.Tensor(np.zeros((n, cfg.embed_dim)))
     with ad.no_grad():
-        backbone_logits(tiny_teacher.params, cfg, rows(cfg.max_seq_len - 1), caches)
+        n = cfg.max_seq_len - 1
+        backbone_logits(tiny_teacher.params, cfg, rows(n), [n], caches)
         with pytest.raises(LengthError):
-            backbone_logits(tiny_teacher.params, cfg, rows(2), caches)
+            backbone_logits(tiny_teacher.params, cfg, rows(2), [2], caches)
     # The decoder meets the same rule: <bos> prompt <sep> is one row too long.
     with pytest.raises(LengthError):
         greedy_decode_batch(tiny_teacher, [Prompt(TEXT, [5] * (cfg.max_seq_len - 1))], 1)
