@@ -27,6 +27,7 @@ from .evaluation import avg_drop, comparison_table_csv, evaluate_model, write_re
 from .model import ModelConfig, StudentModel, load_model, save_model
 from .pipeline import (
     PipelineConfig,
+    method_config,
     reproduce_paper_trends,
     run_ablation,
 )
@@ -123,16 +124,15 @@ def _load_model_for(path: str | Path, dataset: Dataset):
     return model
 
 
-def _build(cls, values, section: str, **fixed):
-    """``cls(**values, **fixed)``, with unknown keys and bad values as config
-    errors; ``fixed`` holds values the command sets itself, which win."""
+def _build(cls, values, section: str):
+    """``cls(**values)``, with unknown keys and bad values as config errors."""
     if not isinstance(values, dict):
         raise ConfigurationError(f"config section {section!r} must be an object, got {values!r}")
     unknown = sorted(set(values) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigurationError(f"unknown {section} config key(s): {', '.join(unknown)}")
     try:
-        return cls(**{**values, **fixed})
+        return cls(**values)
     except TypeError as e:
         raise ConfigurationError(f"bad {section} config value: {e}") from None
 
@@ -145,10 +145,9 @@ def _flag_list(text: str, convert, flag: str) -> list:
         raise UsageError(f"{flag} expects comma-separated {convert.__name__} values, got {text!r}") from None
 
 
-def _pipeline_config(cfg: dict, own: tuple[str, ...] = ()) -> PipelineConfig:
-    """The pipeline config from a loaded config; ``own`` names the top-level
-    sections the command reads itself."""
-    values = {k: v for k, v in cfg.items() if k not in own}
+def _pipeline_config(cfg: dict) -> PipelineConfig:
+    """The pipeline config from a loaded config."""
+    values = dict(cfg)
     for key, cls in (("model", ModelConfig), ("pretrain", PretrainConfig), ("gap", GapConfig)):
         if key in values:
             values[key] = _build(cls, values[key], key)
@@ -170,18 +169,11 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config, args.set or [])
-    pc = _pipeline_config(cfg, own=("train",))
+    pc = _pipeline_config(_load_config(args.config, args.set or []))
     # Validate the run's config before any work, so a bad value writes nothing.
-    flags = {"lam": args.lam, "n_rollouts": args.rollouts, "steps": args.steps}
-    tc = _build(
-        TrainConfig, cfg.get("train", {}), "train", method=args.method, seed=args.seed,
-        **{k: v for k, v in flags.items() if v is not None},
-    )
-    given = set(cfg.get("train", {})) | {k for k, v in flags.items() if v is not None}
-    unread = sorted(given - set(tc.read_fields()))
-    if unread:
-        raise UsageError(f"--method {args.method} does not read {', '.join(unread)}")
+    tc = method_config(pc, args.method, args.seed, TrainConfig.lam if args.lam is None else args.lam)
+    if args.lam is not None and "lam" not in tc.read_fields():
+        raise UsageError(f"--method {args.method} does not read lam")
     out = Path(args.out)
     data_dir = Path(args.data)
     if not data_dir.exists():
@@ -210,7 +202,7 @@ def cmd_train(args) -> int:
         student, _ = build_gapped_student(teacher, dataset, pc.model, pc.gap, args.seed)
         save_model(student, out / "student_base.ckpt")
 
-    _write_resolved(out, {"train": tc.read_fields(), "data": str(data_dir)})
+    _write_resolved(out, asdict(pc))
     run_method(tc, student, teacher, dataset, out_dir=out)
     print(f"run complete: {out / 'metrics.jsonl'}")
     return 0
@@ -304,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", "train one method run", cmd_train, config=True, seed=True)
     p.add_argument("--method", required=True, choices=["xopd", "sft", "offline_kd", "gkd"])
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--rollouts", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--teacher", default=None)
     p.add_argument("--student", default=None)

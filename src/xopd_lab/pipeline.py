@@ -77,6 +77,7 @@ class PipelineConfig:
     batch_size: int = TrainConfig.batch_size
     n_rollouts: int = TrainConfig.n_rollouts
     max_new: int = TrainConfig.max_new
+    checkpoint_interval: int = TrainConfig.checkpoint_interval
     n_eval: int = 500
 
     def __post_init__(self) -> None:
@@ -104,12 +105,19 @@ class PipelineConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.learning_rate < 0:
-            raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
+        for name in ("learning_rate", "checkpoint_interval"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not self.seeds or not all(is_int(s) for s in self.seeds):
             raise ConfigurationError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigurationError(f"seeds must not repeat, got {self.seeds!r}")
         if not self.lambda_grid or not all(is_number(x) and 0 <= x <= 1 for x in self.lambda_grid):
             raise ConfigurationError(f"lambda_grid must be non-empty, in [0, 1], got {self.lambda_grid!r}")
+        # Each lambda names its run directory and report key.
+        labels = [f"l{lam:g}" for lam in self.lambda_grid]
+        if len(set(labels)) < len(labels):
+            raise ConfigurationError(f"lambda_grid values must have distinct labels, got {labels}")
         try:
             self.codec()
         except ConfigurationError as e:
@@ -128,24 +136,22 @@ class PipelineConfig:
         return build_dataset({k: tuple(v) for k, v in self.sizes.items()}, self.codec(), seed=seed)
 
 
-def _xopd_config(cfg: PipelineConfig, lam: float, seed: int) -> TrainConfig:
+def method_config(cfg: PipelineConfig, method: str, seed: int, lam: float = TrainConfig.lam) -> TrainConfig:
+    """The run of ``method`` under ``cfg``'s shared recipe. It sets only the
+    fields the method reads (``READ_BY``); GKD steps ``gkd_steps`` times and
+    X-OPD ``xopd_steps`` times."""
+    recipe = {"lam": lam, "n_rollouts": cfg.n_rollouts, "max_new": cfg.max_new,
+              "steps": cfg.xopd_steps if method == "xopd" else cfg.gkd_steps}
     return TrainConfig(
-        method="xopd", lam=lam, n_rollouts=cfg.n_rollouts,
-        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-        steps=cfg.xopd_steps, max_new=cfg.max_new, seed=seed,
+        method=method, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, seed=seed,
+        checkpoint_interval=cfg.checkpoint_interval,
+        **{k: v for k, v in recipe.items() if method in READ_BY[k]},
     )
 
 
 def _method_variants(cfg: PipelineConfig, seed: int) -> list[tuple[str, TrainConfig]]:
-    variants = [(f"xopd_l{lam:g}", _xopd_config(cfg, lam, seed)) for lam in cfg.lambda_grid]
-    for method in BASELINE_METHODS:
-        # Each baseline gets only the fields its method reads.
-        read = {"steps": cfg.gkd_steps, "max_new": cfg.max_new}
-        variants.append((method, TrainConfig(
-            method=method, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, seed=seed,
-            **{k: v for k, v in read.items() if method in READ_BY[k]},
-        )))
-    return variants
+    variants = [(f"xopd_l{lam:g}", method_config(cfg, "xopd", seed, lam)) for lam in cfg.lambda_grid]
+    return variants + [(method, method_config(cfg, method, seed)) for method in BASELINE_METHODS]
 
 
 def _train_and_score(
@@ -337,7 +343,7 @@ def run_ablation(
             name = f"{teacher_id}_{label}"
             try:
                 rep = _train_and_score(
-                    cfg, _xopd_config(cfg, lam, seed), name, base_student, teacher, dataset,
+                    cfg, method_config(cfg, "xopd", seed, lam), name, base_student, teacher, dataset,
                     reference, out_dir / name,
                 )
             except XopdError as e:

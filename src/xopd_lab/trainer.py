@@ -94,6 +94,8 @@ class TrainConfig:
         if self.method not in METHODS:
             raise ConfigurationError(f"method must be one of {METHODS}, got {self.method!r}")
         _check_config(self, ("n_rollouts", "batch_size", "steps", "max_new"), "lam")
+        if self.checkpoint_interval < 0:
+            raise ConfigurationError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval!r}")
         if self.workers != 1:
             raise ConfigurationError(f"workers must be 1, got {self.workers}")
 

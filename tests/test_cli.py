@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xopd_lab.cli as cli_module
+from xopd_lab import trainer as trainer_mod
 from xopd_lab.autodiff import Tensor
 from xopd_lab.checkpoint import save_checkpoint
-from xopd_lab.cli import _build, _load_config, _pipeline_config, build_parser, main
+from xopd_lab.cli import _load_config, _pipeline_config, build_parser, main
 from xopd_lab.corpus import SpeechCodec, build_dataset, save_dataset
 from xopd_lab.errors import ConfigurationError, UsageError
 from xopd_lab.model import TeacherModel, save_model
-from xopd_lab.pipeline import PipelineConfig
-from xopd_lab.trainer import TrainConfig
+from xopd_lab.pipeline import PipelineConfig, _method_variants, run_seed
+from xopd_lab.trainer import GapConfig
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +98,9 @@ def test_train_unknown_method_is_usage_error(tmp_path, data_dir):
 
 @pytest.mark.parametrize("method,extra", [
     ("sft", []),
-    ("offline_kd", ["--set", "train.max_new=5"]),
-    ("gkd", ["--steps", "2", "--set", "train.max_new=5"]),
-    ("xopd", ["--lambda", "0.5", "--steps", "2", "--rollouts", "2", "--set", "train.max_new=5"]),
+    ("offline_kd", []),
+    ("gkd", []),
+    ("xopd", ["--lambda", "0.5"]),
 ])
 def test_train_each_method_smoke(method, extra, tmp_path, data_dir, ckpts, capsys):
     out = tmp_path / f"run-{method}"
@@ -108,7 +109,8 @@ def test_train_each_method_smoke(method, extra, tmp_path, data_dir, ckpts, capsy
         "--teacher", str(ckpts / "teacher.ckpt"),
         "--student", str(ckpts / "student.ckpt"),
         "--out", str(out),
-        "--set", "train.batch_size=8",
+        "--set", "batch_size=8", "--set", "max_new=5", "--set", "xopd_steps=2",
+        "--set", "gkd_steps=2", "--set", "n_rollouts=2",
     ] + extra)
     assert code == 0, capsys.readouterr().err
     assert (out / "metrics.jsonl").exists()
@@ -276,11 +278,59 @@ def test_config_file_and_overrides(tmp_path, data_dir, ckpts, tiny_model_cfg_fil
         "--data", str(data_dir),
         "--teacher", str(ckpts / "teacher.ckpt"),
         "--student", str(ckpts / "student.ckpt"),
-        "--out", str(out), "--set", "train.batch_size=16",
+        "--out", str(out), "--set", "batch_size=16",
     ])
     assert code == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
-    assert resolved["train"]["batch_size"] == 16
+    assert resolved["batch_size"] == 16
+    assert json.loads((out / "config.json").read_text())["train"]["batch_size"] == 16
+
+
+def test_train_resolved_config_reruns_the_run(tmp_path, data_dir, ckpts, tiny_model_cfg_file):
+    argv = [
+        "train", "--method", "gkd", "--data", str(data_dir),
+        "--teacher", str(ckpts / "teacher.ckpt"), "--student", str(ckpts / "student.ckpt"),
+    ]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(argv + [
+        "--config", str(tiny_model_cfg_file), "--out", str(first),
+        "--set", "gkd_steps=2", "--set", "batch_size=4", "--set", "max_new=5",
+    ]) == 0
+    assert main(argv + ["--config", str(first / "resolved_config.json"), "--out", str(second)]) == 0
+    for name in ("resolved_config.json", "config.json"):
+        assert (first / name).read_text() == (second / name).read_text(), name
+    hashes = [json.loads((d / "manifest.json").read_text())["final_params_hash"] for d in (first, second)]
+    assert hashes[0] == hashes[1]
+
+
+def test_train_reruns_each_pipeline_run_from_its_config(tiny_teacher, tiny_config, tmp_path, monkeypatch):
+    # Scoring inside gap construction is stubbed so one step meets its
+    # targets: the teacher scores 1 on text and the student 0 everywhere.
+    monkeypatch.setattr(
+        trainer_mod, "score_model", lambda model, *a, **k: 1.0 if model is tiny_teacher else 0.0
+    )
+    cfg = PipelineConfig(
+        seeds=(0,), sizes={f: [24, 8, 8] for f in ("REASONING", "INSTRUCTION", "ACOUSTIC")},
+        model=tiny_config, lambda_grid=(0.5,),
+        gap=GapConfig(batch_size=4, max_steps=1, check_every=1, acoustic_target=0.0,
+                      speech_subset_size=4, n_val=4),
+        xopd_steps=2, gkd_steps=3, batch_size=4, n_rollouts=2, max_new=5, n_eval=4,
+    )
+    seed_dir, config = tmp_path / "seed-0", tmp_path / "pipeline_config.json"
+    run_seed(cfg, 0, seed_dir, tiny_teacher, {})
+    config.write_text(json.dumps(asdict(cfg)))
+    for name, tc in _method_variants(cfg, 0):
+        out = tmp_path / "train" / name
+        code = main([
+            "train", "--method", tc.method, "--config", str(config), "--seed", "0",
+            "--data", str(seed_dir / "data"), "--teacher", str(seed_dir / "teacher.ckpt"),
+            "--student", str(seed_dir / "student_base.ckpt"), "--out", str(out),
+        ] + (["--lambda", str(tc.lam)] if tc.method == "xopd" else []))
+        assert code == 0, name
+        ran = seed_dir / "runs" / name
+        assert (out / "config.json").read_text() == (ran / "config.json").read_text(), name
+        hashes = [json.loads((d / "manifest.json").read_text())["final_params_hash"] for d in (ran, out)]
+        assert hashes[0] == hashes[1], name
 
 
 def test_missing_config_file_is_usage_error(tmp_path, data_dir):
@@ -360,13 +410,13 @@ def test_malformed_override_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("temperature", "0"), ("steps", "0"), ("max_new", "0"), ("learning_rate", "Infinity"),
+    ("temperature", "0"), ("xopd_steps", "0"), ("max_new", "0"), ("learning_rate", "Infinity"),
 ], ids=["temperature", "steps", "max_new", "learning_rate"])
 def test_train_bad_train_config_exits_2_before_writing(tmp_path, field, value, capsys):
     data, out = tmp_path / "data", tmp_path / "run"
     code = main([
         "train", "--method", "xopd", "--data", str(data), "--out", str(out), "--auto",
-        "--set", f"train.{field}={value}",
+        "--set", f"{field}={value}",
     ])
     assert code == 2
     assert field in capsys.readouterr().err
@@ -374,13 +424,13 @@ def test_train_bad_train_config_exits_2_before_writing(tmp_path, field, value, c
     assert not data.exists() and not out.exists()
 
 
+# A given --lambda counts, even at 0; a top-level recipe field the method
+# does not read is ignored, as in the pipeline's runs.
 @pytest.mark.parametrize("method,extra,unread", [
-    ("sft", ["--steps", "2"], "steps"),
-    ("offline_kd", ["--set", "train.steps=2"], "steps"),
-    ("sft", ["--lambda", "0.3", "--rollouts", "7"], "lam, n_rollouts"),
+    ("sft", ["--lambda", "0.3"], "lam"),
+    ("offline_kd", ["--lambda", "0.3"], "lam"),
+    ("sft", ["--lambda", "0"], "lam"),
     ("gkd", ["--lambda", "0.3"], "lam"),
-    ("gkd", ["--set", "train.n_rollouts=7"], "n_rollouts"),
-    ("sft", ["--set", "train.max_new=5"], "max_new"),
 ])
 def test_train_flag_the_method_does_not_read_exits_2_before_writing(
     tmp_path, data_dir, ckpts, method, extra, unread, capsys
@@ -485,7 +535,7 @@ def test_train_offline_kd_with_a_mismatched_teacher_vocab_exits_2_before_trainin
 
 
 @pytest.mark.parametrize("argv,unknown", [
-    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.foo=1"], "foo"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "foo=1"], "foo"),
     (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "model.foo=1"], "foo"),
     (["reproduce-paper-trends", "--set", "pipeline.seeds=[0]"], "pipeline"),
     (["gen-data", "--set", "foo=3"], "foo"),
@@ -496,6 +546,13 @@ def test_train_offline_kd_with_a_mismatched_teacher_vocab_exits_2_before_trainin
     (["reproduce-paper-trends", "--set", "xopd_steps=0"], "xopd_steps"),
     (["reproduce-paper-trends", "--set", "lambda_grid=[2.0]"], "lambda_grid"),
     (["reproduce-paper-trends", "--set", "learning_rate=-1"], "learning_rate"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "checkpoint_interval=-1"],
+     "checkpoint_interval"),
+    # A repeated seed would rerun one seed directory; a repeated lambda label
+    # would train twice into one run directory.
+    (["reproduce-paper-trends", "--seeds", "0,0"], "seeds"),
+    (["ablation", "--data", "{data}", "--teacher", "t.ckpt", "--student", "s.ckpt",
+      "--lambdas", "0.5,0.5"], "lambda_grid"),
     (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "pretrain.max_steps=0"],
      "max_steps"),
     (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "pretrain.batch_size=0"],
@@ -510,33 +567,43 @@ def test_train_offline_kd_with_a_mismatched_teacher_vocab_exits_2_before_trainin
      "learning_rate"),
     (["train", "--method", "sft", "--data", "{data}", "--auto", "--set",
       "gap.speech_subset_size=4"], "speech_subset_size"),
-    # Flags set to 0 reach the TrainConfig checks instead of falling back to defaults.
-    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--steps", "0"], "steps"),
-    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--rollouts", "0"], "n_rollouts"),
-    # A section that is not an object is rejected before it is merged.
+    # The train command reads the pipeline's recipe fields.
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "xopd_steps=0"],
+     "xopd_steps"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "n_rollouts=0"],
+     "n_rollouts"),
+    # The deleted train section is an unknown key, whatever it holds.
     (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train=3"], "train"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.foo=1"], "train"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.steps=1.5"],
+     "train"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.lam=true"], "train"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "train.epochs=2"], "train"),
     # An integer field takes no float, and a number field takes no bool.
     (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "pretrain.max_steps=1.5"],
      "max_steps"),
     (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "model.n_layers=1.5"],
      "n_layers"),
-    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.steps=1.5"],
-     "steps"),
-    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "train.lam=true"], "lam"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "xopd_steps=1.5"],
+     "xopd_steps"),
+    (["train", "--method", "xopd", "--data", "{data}", "--auto", "--set", "learning_rate=true"],
+     "learning_rate"),
     # Deleted keys stay unknown; the decode budget of scoring comes from the references.
-    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "train.epochs=2"], "epochs"),
+    (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "epochs=2"], "epochs"),
     (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "pretrain.max_new=12"],
      "max_new"),
     (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "gap.max_new=12"], "max_new"),
     # The model must embed every corpus token id.
     (["gen-data", "--set", "model.text_vocab_size=32"], "text_vocab_size"),
-], ids=["train.foo", "model.foo", "pipeline.seeds", "foo", "sizes=3", "noise_rate=x",
+], ids=["train-foo", "model.foo", "pipeline.seeds", "foo", "sizes=3", "noise_rate=x",
         "model.frames_per_token=4", "xopd_steps=0", "lambda_grid=[2.0]", "learning_rate=-1",
+        "checkpoint_interval=-1", "seeds-repeat", "lambdas-repeat-label",
         "pretrain.max_steps=0", "pretrain.batch_size=0", "pretrain.min_learning_rate=0.01",
         "gap.batch_size=1", "gap.acoustic_target=1.5", "gap.learning_rate=-1",
-        "gap.speech_subset_size=4", "steps=0", "rollouts=0", "train=3",
-        "pretrain.max_steps=1.5", "model.n_layers=1.5", "train.steps=1.5", "train.lam=true",
-        "train.epochs", "pretrain.max_new", "gap.max_new", "model.text_vocab_size=32"])
+        "gap.speech_subset_size=4", "steps=0", "rollouts=0", "train=3", "train.foo", "train.steps=1.5",
+        "train.lam=true", "train.epochs", "pretrain.max_steps=1.5", "model.n_layers=1.5",
+        "train-xopd_steps=1.5", "train-learning_rate=true", "train-epochs", "pretrain.max_new",
+        "gap.max_new", "model.text_vocab_size=32"])
 def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, capsys):
     data, out = tmp_path / "data", tmp_path / "out"
     code = main([a.format(data=data) for a in argv] + ["--out", str(out)])
@@ -649,5 +716,4 @@ def test_readme_cli_examples_parse():
     assert len(overrides) >= 3
     for kv in overrides:
         cfg = _load_config(None, [kv])
-        _pipeline_config(cfg, own=("train",))
-        _build(TrainConfig, cfg.get("train", {}), "train")
+        _pipeline_config(cfg)

@@ -22,6 +22,8 @@
 * Every option of every CLI subcommand is read as ``args.<dest>`` by that
   subcommand's ``cmd_*`` function, so the CLI offers no option that does
   nothing.
+* Only ``pipeline.method_config`` builds a ``TrainConfig``, so the trend
+  seeds, the ablation grid and the ``train`` command run one recipe.
 """
 
 import argparse
@@ -176,3 +178,19 @@ def test_every_cli_option_is_read_by_its_command():
         if missing:
             unread[name] = missing
     assert unread == {}, unread
+
+
+def test_only_method_config_builds_a_train_config():
+    builders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                built = node.args[0] if name == "_build" and node.args else f
+                if getattr(built, "id", getattr(built, "attr", None)) == "TrainConfig":
+                    builders.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert builders == {"pipeline.method_config"}, sorted(builders)

@@ -14,10 +14,12 @@ from xopd_lab.pipeline import (
     PipelineConfig,
     _method_variants,
     _trend_checks,
+    method_config,
     run_ablation,
     run_seed,
 )
-from xopd_lab.trainer import GapConfig, TrainConfig, clone_student
+from xopd_lab.errors import ConfigurationError
+from xopd_lab.trainer import METHODS, GapConfig, TrainConfig, clone_student
 
 
 def _result(base_ds=40.0, base_dt=1.0, x_ds=10.0, x_dt=1.5,
@@ -95,6 +97,23 @@ def test_method_variants_set_no_field_their_method_ignores():
     for name, tc in _method_variants(PipelineConfig(gkd_steps=7, xopd_steps=9, max_new=5), 0):
         unread = set(asdict(tc)) - set(tc.read_fields())
         assert {k: getattr(tc, k) for k in unread} == {k: getattr(default, k) for k in unread}, name
+
+
+def test_method_config_takes_each_methods_step_count_and_the_checkpoint_interval():
+    cfg = PipelineConfig(xopd_steps=9, gkd_steps=7, checkpoint_interval=3)
+    assert [method_config(cfg, m, 0).steps for m in ("xopd", "gkd")] == [9, 7]
+    assert {method_config(cfg, m, 0).checkpoint_interval for m in METHODS} == {3}
+
+
+@pytest.mark.parametrize("values,named", [
+    ({"seeds": (0, 0)}, "seeds"),
+    ({"lambda_grid": (0.5, 0.5)}, "lambda_grid"),
+    ({"lambda_grid": (0.1234567, 0.1234568)}, "lambda_grid"),  # both label l0.123457
+    ({"checkpoint_interval": -1}, "checkpoint_interval"),
+], ids=["repeated-seed", "repeated-lambda", "repeated-lambda-label", "negative-interval"])
+def test_pipeline_config_refuses_repeats_and_a_negative_interval(values, named):
+    with pytest.raises(ConfigurationError, match=named):
+        PipelineConfig(**values)
 
 
 def test_run_seed_scores_the_base_student_and_every_variant(tiny_teacher, tiny_config, tmp_path,

@@ -90,6 +90,9 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigurationError, match="workers"):
         TrainConfig(workers=2)
+    # step % -3 == 0 would checkpoint every third step.
+    with pytest.raises(ConfigurationError, match="checkpoint_interval"):
+        TrainConfig(checkpoint_interval=-3)
     assert TrainConfig().method == "xopd"
     assert PretrainConfig().target_accuracy == 0.98
     assert GapConfig().acoustic_target == 0.90
