@@ -20,11 +20,11 @@ from .errors import DataError
 from .model import (
     SPEECH,
     TEXT,
-    Prompt,
     Trajectory,
     batched_completion_logps,
     completion_log_probs,
     greedy_decode_batch,
+    prompt_for,
 )
 
 
@@ -38,8 +38,7 @@ def sft_batch_loss(model, examples: list[PairedExample]) -> Tensor:
         if not ex.reference_answer:
             raise DataError(f"example {ex.example_id} has no reference answer")
         tokens = list(ex.reference_answer) + [EOS]
-        prompt_tokens = ex.speech_prompt if modality == SPEECH else ex.text_prompt
-        items.append((Prompt(modality, prompt_tokens), tokens))
+        items.append((prompt_for(ex, modality), tokens))
         weights.append(np.full(len(tokens), -1.0 / (len(tokens) * len(examples))))
     lp = batched_completion_logps(model, items)
     return ad.sum_all(ad.mul(lp, Tensor(np.concatenate(weights))))
@@ -47,7 +46,7 @@ def sft_batch_loss(model, examples: list[PairedExample]) -> Tensor:
 
 def offline_kd_build(teacher, examples: list[PairedExample], max_new: int) -> list[PairedExample]:
     """Distill: pair each speech prompt with the teacher's greedy text answer."""
-    answers = greedy_decode_batch(teacher, [Prompt(TEXT, ex.text_prompt) for ex in examples], max_new)
+    answers = greedy_decode_batch(teacher, [prompt_for(ex, TEXT) for ex in examples], max_new)
     return [dataclasses.replace(ex, reference_answer=ans) for ex, ans in zip(examples, answers)]
 
 
@@ -65,10 +64,10 @@ def gkd_batch_loss(
         raise DataError("GKD expects SPEECH-conditioned trajectories")
     with ad.no_grad():
         t_logp = completion_log_probs(
-            teacher, [(Prompt(TEXT, ex.text_prompt), traj.tokens) for ex, traj in pairs]
+            teacher, [(prompt_for(ex, TEXT), traj.tokens) for ex, traj in pairs]
         ).data
     s_logp = completion_log_probs(
-        student, [(Prompt(SPEECH, ex.speech_prompt), traj.tokens) for ex, traj in pairs]
+        student, [(prompt_for(ex, SPEECH), traj.tokens) for ex, traj in pairs]
     )
     # Both passes give one row per completion token, so the rows align.
     w = np.concatenate([np.full(len(t.tokens), 1.0 / (len(t.tokens) * len(pairs))) for _, t in pairs])

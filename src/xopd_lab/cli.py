@@ -2,9 +2,12 @@
 
 Subcommands: gen-data, train, eval, ablation, reproduce-paper-trends.
 Exit codes: 0 success, 1 runtime/training failure, 2 usage/config error.
-All randomness flows from --seed through derived per-component seeds, and
-the resolved configuration is serialized into the output directory before
-any work starts.
+All randomness flows from --seed through derived per-component seeds.
+
+Every command but eval builds its pipeline config from --config and --set
+alone, and writes it whole to --out as resolved_config.json after its input
+checks and before any work; passed back as --config with the same other
+options, that record reruns the command bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .corpus import VOCAB, Dataset, load_dataset, save_dataset
@@ -24,18 +27,20 @@ from .errors import (
     XopdError,
 )
 from .evaluation import avg_drop, comparison_table_csv, evaluate_model, write_report
-from .model import ModelConfig, StudentModel, load_model, save_model
+from .model import ModelConfig, StudentModel, check_backbone, load_model, save_model
 from .pipeline import (
     PipelineConfig,
     method_config,
     reproduce_paper_trends,
     run_ablation,
+    write_config,
 )
 from .trainer import (
     GapConfig,
     PretrainConfig,
     TrainConfig,
     build_gapped_student,
+    check_build_data,
     pretrain_teacher,
     run_method,
 )
@@ -82,13 +87,6 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
                 raise ConfigurationError(f"--set {key}: {part!r} is not a config section")
         node[leaf] = val
     return cfg
-
-
-def _write_resolved(out_dir: Path, resolved: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True, default=str)
-    )
 
 
 def _require(path: str | Path, what: str) -> Path:
@@ -162,7 +160,7 @@ def _pipeline_config(cfg: dict) -> PipelineConfig:
 def cmd_gen_data(args) -> int:
     pc = _pipeline_config(_load_config(args.config, args.set or []))
     out = Path(args.out)
-    _write_resolved(out, {"seed": args.seed, "noise_rate": pc.noise_rate, "sizes": pc.sizes})
+    write_config(pc, out)
     manifest = save_dataset(pc.dataset(args.seed), out)
     print(json.dumps({k: manifest[k] for k in ("counts", "rejection_rate", "seed")}, indent=2))
     return 0
@@ -189,20 +187,20 @@ def cmd_train(args) -> int:
     )
     if student is not None and not isinstance(student, StudentModel):
         raise ConfigurationError(f"{args.student} is not a student checkpoint")
+    for model, role, path in ((teacher, "teacher", args.teacher), (student, "student", args.student)):
+        if model is None and not args.auto:
+            raise UsageError(f"missing {role} checkpoint: {path} (pass --auto to build)")
+    if teacher is not None and student is None:
+        check_backbone(teacher, pc.model)
+    check_build_data(dataset, teacher=teacher is None, student=student is None)
 
+    write_config(pc, out)
     if teacher is None:
-        if not args.auto:
-            raise UsageError(f"missing teacher checkpoint: {args.teacher} (pass --auto to build)")
         teacher, _ = pretrain_teacher(dataset, pc.model, pc.pretrain, args.seed)
         save_model(teacher, out / "teacher.ckpt")
-
     if student is None:
-        if not args.auto:
-            raise UsageError(f"missing student checkpoint: {args.student} (pass --auto to build)")
         student, _ = build_gapped_student(teacher, dataset, pc.model, pc.gap, args.seed)
         save_model(student, out / "student_base.ckpt")
-
-    _write_resolved(out, asdict(pc))
     run_method(tc, student, teacher, dataset, out_dir=out)
     print(f"run complete: {out / 'metrics.jsonl'}")
     return 0
@@ -243,10 +241,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    cfg = _load_config(args.config, args.set or [])
-    if args.lambdas is not None:
-        cfg["lambda_grid"] = _flag_list(args.lambdas, float, "--lambdas")
-    pc = _pipeline_config(cfg)
+    pc = _pipeline_config(_load_config(args.config, args.set or []))
     dataset = load_dataset(_require(args.data, "dataset directory"))
     teacher = _load_model_for(_require(args.teacher, "teacher checkpoint"), dataset)
     student = _load_model_for(_require(args.student, "student checkpoint"), dataset)
@@ -255,20 +250,15 @@ def cmd_ablation(args) -> int:
         teacher2 = _require(args.teacher2, "second teacher checkpoint")
         teachers["teacher_large"] = _load_model_for(teacher2, dataset)
     out = Path(args.out)
-    _write_resolved(out, {"lambdas": list(pc.lambda_grid), "teachers": list(teachers)})
+    write_config(pc, out)
     run_ablation(teachers, pc, dataset, student, args.seed, out)
     print(f"ablation grid written to {out / 'ablation_grid.json'}")
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    cfg = _load_config(args.config, args.set or [])
-    if args.seeds is not None:
-        cfg["seeds"] = _flag_list(args.seeds, int, "--seeds")
-    pc = _pipeline_config(cfg)
-    out = Path(args.out)
-    _write_resolved(out, asdict(pc))
-    report = reproduce_paper_trends(pc, out)
+    pc = _pipeline_config(_load_config(args.config, args.set or []))
+    report = reproduce_paper_trends(pc, Path(args.out))
     print(json.dumps(report["criteria"], indent=2, sort_keys=True))
     ok = all(c["ok"] for c in report["criteria"].values())
     return 0 if ok else FAILURE_EXIT
@@ -313,12 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--teacher2", default=None)
     p.add_argument("--student", required=True)
-    p.add_argument("--lambdas", default=None, help="comma-separated lambda grid")
 
-    p = command(
+    command(
         "reproduce-paper-trends", "full multi-seed trend pipeline", cmd_reproduce, config=True, seed=False
     )
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
     return parser
 
 

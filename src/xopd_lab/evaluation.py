@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import FAMILIES, Dataset, PairedExample
 from .errors import DataError
-from .model import SPEECH, TEXT, Prompt, greedy_decode_batch
+from .model import SPEECH, TEXT, greedy_decode_batch, prompt_for
 
 DROP_FAMILIES = ("REASONING", "INSTRUCTION")
 # An ACOUSTIC accuracy drop above this is flagged in the forgetting record.
@@ -44,10 +44,7 @@ def score_model(model, examples: list[PairedExample], modality: str) -> float:
     Decoding runs to one token past the longest reference, which shows
     whether a decode ends there; greedy tokens do not depend on the budget,
     so any larger one gives the same score."""
-    prompts = [
-        Prompt(modality, ex.text_prompt if modality == TEXT else ex.speech_prompt)
-        for ex in examples
-    ]
+    prompts = [prompt_for(ex, modality) for ex in examples]
     max_new = max(len(ex.reference_answer) for ex in examples) + 1
     outputs = greedy_decode_batch(model, prompts, max_new)
     correct = sum(1 for out, ex in zip(outputs, examples) if out == ex.reference_answer)

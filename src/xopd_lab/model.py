@@ -78,6 +78,12 @@ class Prompt:
     tokens: list[int]  # text-token ids, or speech-frame ids for SPEECH
 
 
+def prompt_for(ex, modality: str) -> Prompt:
+    """The prompt a model reading ``modality`` gets from paired example
+    ``ex``: its ``text_prompt`` for TEXT, its ``speech_prompt`` for SPEECH."""
+    return Prompt(modality, ex.text_prompt if modality == TEXT else ex.speech_prompt)
+
+
 @dataclass
 class Trajectory:
     """One sampled completion with log-probs recorded at sampling time."""
@@ -132,10 +138,11 @@ def backbone_logits(
 
     The package's one transformer forward. ``emb`` holds the rows of
     sequences of ``lengths`` back to back, and every row-wise layer runs on
-    those N rows only. They are padded to (B, Lmax, d) just around
-    ``causal_attention``, whose causal mask keeps a sequence's real rows from
-    seeing its padding at the end, and in the backward of ``matmul``, whose
-    results and gradients are bit for bit the padded batch's. With ``caches`` (one
+    those N rows only. They are padded to (B, Lmax, d) once per layer for
+    the q, k and v products and ``causal_attention``, whose causal mask keeps
+    a sequence's real rows from seeing its padding at the end, and in the
+    backward of ``matmul``, whose results and gradients are bit for bit the
+    padded batch's. With ``caches`` (one
     dict per layer, used by the decoder) ``emb`` holds only the newest
     positions, as many for every sequence: each layer's keys and values for
     the earlier ones come from its cache, which is extended in place.
@@ -148,11 +155,8 @@ def backbone_logits(
     x = ad.add(emb, pos)
     for i in range(cfg.n_layers):
         h = f"h{i}"
-        a = ad.layer_norm(x, params[f"{h}.ln1.g"], params[f"{h}.ln1.b"])
-        q, k, v = (
-            ad.pad_rows(ad.matmul(a, params[f"{h}.attn.{w}"], lengths), lengths)
-            for w in ("wq", "wk", "wv")
-        )
+        a = ad.pad_rows(ad.layer_norm(x, params[f"{h}.ln1.g"], params[f"{h}.ln1.b"]), lengths)
+        q, k, v = (ad.matmul(a, params[f"{h}.attn.{w}"]) for w in ("wq", "wk", "wv"))
         if caches is not None:
             c = caches[i]
             k = c["k"] = Tensor(np.concatenate([c["k"].data, k.data], 1)) if "k" in c else k
@@ -224,14 +228,19 @@ class StudentModel(TeacherModel):
         return emb, 1 + n_tok
 
 
-def init_student_from_teacher(teacher: TeacherModel, cfg: ModelConfig, seed: int) -> StudentModel:
-    """Copy the teacher backbone; draw tower/adapter from the seed. Every
-    backbone field of ``cfg`` must equal the teacher's, so the student's text
-    behaviour is the teacher's."""
+def check_backbone(teacher: TeacherModel, cfg: ModelConfig) -> None:
+    """Refuse a student ``cfg`` whose backbone fields differ from the
+    teacher's, so the student's text behaviour is the teacher's."""
     for name, value in asdict(cfg).items():
         theirs = getattr(teacher.cfg, name)
         if value != theirs and name not in ("speech_vocab_size", "frames_per_token", "speech_embed_dim"):
             raise ConfigurationError(f"student {name} {value} differs from the teacher backbone's {theirs}")
+
+
+def init_student_from_teacher(teacher: TeacherModel, cfg: ModelConfig, seed: int) -> StudentModel:
+    """Copy the teacher backbone; draw tower/adapter from the seed. Every
+    backbone field of ``cfg`` must equal the teacher's (``check_backbone``)."""
+    check_backbone(teacher, cfg)
     params = {
         name: Tensor(t.data.copy(), requires_grad=True) for name, t in teacher.params.items()
     }

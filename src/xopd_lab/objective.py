@@ -28,7 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import PairedExample
 from .errors import ConfigurationError, DataError, UsageError
-from .model import MODALITIES, SPEECH, TEXT, Prompt, Trajectory, batched_completion_logps
+from .model import MODALITIES, SPEECH, TEXT, Trajectory, batched_completion_logps, prompt_for
 
 
 @dataclass
@@ -73,13 +73,12 @@ def xopd_loss(
             if modality == SPEECH and not ex.text_prompt:
                 raise DataError(f"example {ex.example_id} has no paired text prompt")
         n = Counter(ex.example_id for ex, _ in mod_pairs)
-        lp_new = batched_completion_logps(student, [
-            (Prompt(modality, ex.text_prompt if modality == TEXT else ex.speech_prompt), t.tokens)
-            for ex, t in mod_pairs
-        ])
+        lp_new = batched_completion_logps(
+            student, [(prompt_for(ex, modality), t.tokens) for ex, t in mod_pairs]
+        )
         with ad.no_grad():
             t_lp = batched_completion_logps(
-                teacher, [(Prompt(TEXT, ex.text_prompt), t.tokens) for ex, t in mod_pairs]
+                teacher, [(prompt_for(ex, TEXT), t.tokens) for ex, t in mod_pairs]
             )
         adv = t_lp.data - lp_new.data
         r = ad.exp(ad.sub(lp_new, Tensor(np.concatenate([t.logp_old for _, t in mod_pairs]))))

@@ -136,6 +136,13 @@ class PipelineConfig:
         return build_dataset({k: tuple(v) for k, v in self.sizes.items()}, self.codec(), seed=seed)
 
 
+def write_config(cfg: PipelineConfig, out_dir: Path) -> None:
+    """Write ``cfg`` as ``out_dir/resolved_config.json``, the directory's one
+    record of its config; passed back as ``--config`` it reruns the command."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "resolved_config.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True))
+
+
 def method_config(cfg: PipelineConfig, method: str, seed: int, lam: float = TrainConfig.lam) -> TrainConfig:
     """The run of ``method`` under ``cfg``'s shared recipe. It sets only the
     fields the method reads (``READ_BY``); GKD steps ``gkd_steps`` times and
@@ -257,12 +264,10 @@ def _trend_checks(result: dict, lambda_grid: tuple[float, ...]) -> dict:
 
 
 def reproduce_paper_trends(cfg: PipelineConfig, out_root: str | Path) -> dict:
-    """Run every seed and aggregate the three directional criteria."""
+    """Record ``cfg`` in ``out_root``, then run every seed and aggregate the
+    three directional criteria."""
     out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "pipeline_config.json").write_text(
-        json.dumps(asdict(cfg), indent=2, sort_keys=True, default=list)
-    )
+    write_config(cfg, out_root)
     # One fixed teacher across seeds (as at paper scale, where the teacher
     # is a single pretrained model and seeds vary data and rollouts).
     teacher_seed = cfg.seeds[0]

@@ -16,7 +16,7 @@ from .corpus import PairedExample
 from .errors import UsageError
 # The shared types live in model; importing them here keeps them importable
 # from this module too.
-from .model import MODALITIES, SPEECH, TEXT, Prompt, Trajectory, sample_completions_batch
+from .model import MODALITIES, SPEECH, TEXT, Trajectory, prompt_for, sample_completions_batch
 
 
 @dataclass
@@ -52,9 +52,8 @@ def collect_rollouts(
     ]
     units = []
     for ex, modality, j in keys:
-        tokens = ex.text_prompt if modality == TEXT else ex.speech_prompt
         rng = np.random.default_rng(_unit_seed(seed, ex.example_id, modality, j))
-        units.append((Prompt(modality, tokens), rng))
+        units.append((prompt_for(ex, modality), rng))
     trajs = sample_completions_batch(student, units, max_new)
 
     nested: dict[str, dict[str, list[Trajectory]]] = {}

@@ -145,6 +145,16 @@ class GapConfig:
             )
 
 
+def check_build_data(dataset: Dataset, teacher: bool = False, student: bool = False) -> None:
+    """Refuse a dataset that ``pretrain_teacher`` (``teacher``) or
+    ``build_gapped_student`` (``student``) cannot validate on; both run this
+    before they train."""
+    if teacher and not dataset.split_family("val", "REASONING"):
+        raise UsageError("pretraining needs val REASONING data")
+    if student and not (dataset.split_family("val", "ACOUSTIC") and dataset.alignment_set("val")):
+        raise UsageError("gap construction needs val ACOUSTIC and alignment data")
+
+
 def _optimizer(model: TeacherModel, trained: dict[str, Tensor], lr: float) -> Adam:
     """Adam over exactly ``trained``; every other parameter of ``model``
     stops recording gradients, so backward skips its weight gradient."""
@@ -176,10 +186,9 @@ def pretrain_teacher(
     """Cross-entropy training on a streaming text (prompt -> answer) corpus
     until the validation ceiling target is met; raises TrainingFailure
     otherwise. Validation is the dataset's held-out REASONING split."""
+    check_build_data(dataset, teacher=True)
     teacher = TeacherModel.init(model_cfg, seed)
     val = dataset.split_family("val", "REASONING")[: cfg.n_val]
-    if not val:
-        raise UsageError("pretraining needs val REASONING data")
     opt = _optimizer(teacher, teacher.params, cfg.learning_rate)
     history = []
     for step in range(1, cfg.max_steps + 1):
@@ -225,13 +234,11 @@ def build_gapped_student(
     the target. The recipe is a controlled fixture: seeded, measured, and
     reported."""
     student = init_student_from_teacher(teacher, model_cfg, seed)
-
+    check_build_data(dataset, student=True)
     acoustic = dataset.split_family("train", "ACOUSTIC")
     speech_subset = dataset.alignment_set("train")[: cfg.speech_subset_size]
     val_acoustic = dataset.split_family("val", "ACOUSTIC")[: cfg.n_val]
     val_align = dataset.alignment_set("val")[: cfg.n_val]
-    if not val_acoustic or not val_align:
-        raise UsageError("gap construction needs val ACOUSTIC and alignment data")
     # Each batch draws without replacement from both pools.
     half = cfg.batch_size // 2
     for name, pool, need in (
@@ -351,9 +358,7 @@ def run_method(
 
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps({"train": cfg.read_fields(), "paper_provenance": PAPER_PROVENANCE}, indent=2, sort_keys=True)
-    )
+    (run_dir / "config.json").write_text(json.dumps({"train": cfg.read_fields()}, indent=2, sort_keys=True))
     (run_dir / "checkpoints").mkdir(exist_ok=True)
 
     if cfg.method == "offline_kd":

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xopd_lab.cli as cli_module
-from xopd_lab import trainer as trainer_mod
+from xopd_lab import pipeline as pipeline_mod, trainer as trainer_mod
 from xopd_lab.autodiff import Tensor
 from xopd_lab.checkpoint import save_checkpoint
 from xopd_lab.cli import _load_config, _pipeline_config, build_parser, main
 from xopd_lab.corpus import SpeechCodec, build_dataset, save_dataset
-from xopd_lab.errors import ConfigurationError, UsageError
+from xopd_lab.errors import ConfigurationError, TrainingFailure, UsageError
 from xopd_lab.model import TeacherModel, save_model
-from xopd_lab.pipeline import PipelineConfig, _method_variants, run_seed
+from xopd_lab.pipeline import PipelineConfig, _method_variants, run_seed, write_config
 from xopd_lab.trainer import GapConfig
 
 
@@ -217,6 +217,8 @@ def test_train_auto_on_a_small_acoustic_split_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "train ACOUSTIC split" in err[0] and "holds 6" in err[0]
+    # The record is written before --auto builds anything, so the failed run keeps it.
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json", "teacher.ckpt"]
 
 
 def test_eval_missing_checkpoint(tmp_path, data_dir):
@@ -316,9 +318,9 @@ def test_train_reruns_each_pipeline_run_from_its_config(tiny_teacher, tiny_confi
                       speech_subset_size=4, n_val=4),
         xopd_steps=2, gkd_steps=3, batch_size=4, n_rollouts=2, max_new=5, n_eval=4,
     )
-    seed_dir, config = tmp_path / "seed-0", tmp_path / "pipeline_config.json"
+    seed_dir, config = tmp_path / "seed-0", tmp_path / "resolved_config.json"
     run_seed(cfg, 0, seed_dir, tiny_teacher, {})
-    config.write_text(json.dumps(asdict(cfg)))
+    write_config(cfg, tmp_path)
     for name, tc in _method_variants(cfg, 0):
         out = tmp_path / "train" / name
         code = main([
@@ -550,9 +552,9 @@ def test_train_offline_kd_with_a_mismatched_teacher_vocab_exits_2_before_trainin
      "checkpoint_interval"),
     # A repeated seed would rerun one seed directory; a repeated lambda label
     # would train twice into one run directory.
-    (["reproduce-paper-trends", "--seeds", "0,0"], "seeds"),
+    (["reproduce-paper-trends", "--set", "seeds=[0,0]"], "seeds"),
     (["ablation", "--data", "{data}", "--teacher", "t.ckpt", "--student", "s.ckpt",
-      "--lambdas", "0.5,0.5"], "lambda_grid"),
+      "--set", "lambda_grid=[0.5,0.5]"], "lambda_grid"),
     (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "pretrain.max_steps=0"],
      "max_steps"),
     (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "pretrain.batch_size=0"],
@@ -613,16 +615,16 @@ def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, caps
     assert not data.exists() and not out.exists()
 
 
+# The seed and lambda lists come from the config; eval's --ablation is a flag.
 @pytest.mark.parametrize("argv,named", [
-    (["reproduce-paper-trends", "--seeds", "0,x"], "--seeds"),
+    (["reproduce-paper-trends", "--set", 'seeds=[0,"x"]'], "seeds"),
     (["ablation", "--data", "{data}", "--teacher", "t.ckpt", "--student", "s.ckpt",
-      "--lambdas", "0.5,x"], "--lambdas"),
+      "--set", 'lambda_grid=[0.5,"x"]'], "lambda_grid"),
     (["eval", "a.ckpt", "--data", "{data}", "--ablation", "lambda=x"], "--ablation"),
-    # A parsed value still goes through PipelineConfig's lambda_grid check.
     (["ablation", "--data", "{data}", "--teacher", "t.ckpt", "--student", "s.ckpt",
-      "--lambdas", "0,2"], "lambda_grid"),
+      "--set", "lambda_grid=[0,2]"], "lambda_grid"),
     # An empty value is given, not absent: it is refused, not replaced by the default.
-    (["reproduce-paper-trends", "--seeds", ""], "--seeds"),
+    (["reproduce-paper-trends", "--set", "seeds=[]"], "seeds"),
     (["eval", "a.ckpt", "--data", "{data}", "--ablation", ""], "--ablation"),
 ], ids=["seeds", "lambdas", "ablation", "lambdas-range", "seeds-empty", "ablation-empty"])
 def test_bad_list_flag_exits_2_before_work(tmp_path, argv, named, capsys, monkeypatch):
@@ -641,7 +643,7 @@ def test_bad_list_flag_exits_2_before_work(tmp_path, argv, named, capsys, monkey
 @pytest.mark.parametrize("argv", [
     ["eval", "a.ckpt", "--data", "d", "--set", "x=1"],
     ["eval", "a.ckpt", "--data", "d", "--config", "c.json"],
-    # Without allow_abbrev=False this would parse as --seeds 3.
+    # The trend run takes its seeds from the config's seeds list.
     ["reproduce-paper-trends", "--seed", "3"],
 ], ids=["eval-set", "eval-config", "reproduce-seed"])
 def test_an_option_the_command_does_not_read_is_refused(argv):
@@ -663,7 +665,26 @@ def test_train_refuses_a_student_backbone_unlike_the_teachers(
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0], err
-    assert not (out / "student_base.ckpt").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes,given_teacher,missing", [
+    ('{"REASONING":[6,0,2],"INSTRUCTION":[6,2,2],"ACOUSTIC":[6,4,2]}', False, "val REASONING"),
+    ('{"REASONING":[6,2,2],"INSTRUCTION":[6,2,2],"ACOUSTIC":[6,0,2]}', True, "val ACOUSTIC"),
+], ids=["teacher", "student"])
+def test_train_auto_without_the_val_split_it_builds_on_exits_2_before_writing(
+    tmp_path, ckpts, tiny_model_cfg_file, sizes, given_teacher, missing, capsys
+):
+    out = tmp_path / "run"
+    teacher = ["--teacher", str(ckpts / "teacher.ckpt")] if given_teacher else []
+    code = main([
+        "train", "--method", "sft", "--data", str(tmp_path / "data"), "--auto", "--out", str(out),
+        "--config", str(tiny_model_cfg_file), "--set", f"sizes={sizes}",
+    ] + teacher)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and missing in err[0], err
+    assert not out.exists()
 
 
 def test_ablation_keeps_the_config_lambda_grid_without_the_flag(tmp_path, data_dir, ckpts):
@@ -683,6 +704,54 @@ def test_pipeline_config_takes_every_pipeline_field():
                            "model": {"embed_dim": 32}})
     assert pc.seeds == (0, 1) and pc.lambda_grid == (0.5,) and pc.xopd_steps == 3
     assert pc.model.embed_dim == 32
+
+
+def _record(out: Path) -> dict:
+    return json.loads((out / "resolved_config.json").read_text())
+
+
+def test_gen_data_reruns_from_its_record(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([
+        "gen-data", "--out", str(first), "--seed", "3", "--set", 'sizes={"REASONING": [6, 2, 2]}',
+        "--set", "model.speech_vocab_size=128",
+    ]) == 0
+    assert _record(first) == json.loads(json.dumps(asdict(_pipeline_config(_record(first)))))
+    assert _record(first)["model"]["speech_vocab_size"] == 128
+    assert main([
+        "gen-data", "--out", str(second), "--seed", "3", "--config", str(first / "resolved_config.json"),
+    ]) == 0
+    assert (first / "resolved_config.json").read_text() == (second / "resolved_config.json").read_text()
+    hashes = [json.loads((d / "manifest.json").read_text())["file_hashes"] for d in (first, second)]
+    assert hashes[0] == hashes[1]
+
+
+def test_ablation_reruns_from_its_record(tmp_path, data_dir, ckpts, tiny_model_cfg_file):
+    argv = [
+        "ablation", "--data", str(data_dir),
+        "--teacher", str(ckpts / "teacher.ckpt"), "--student", str(ckpts / "student.ckpt"),
+    ]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(argv + [
+        "--out", str(first), "--config", str(tiny_model_cfg_file), "--set", "lambda_grid=[0,0.5]",
+        "--set", "xopd_steps=1", "--set", "batch_size=4", "--set", "n_rollouts=1",
+        "--set", "max_new=3", "--set", "n_eval=2",
+    ]) == 0
+    assert _record(first)["lambda_grid"] == [0, 0.5] and _record(first)["xopd_steps"] == 1
+    assert main(argv + ["--out", str(second), "--config", str(first / "resolved_config.json")]) == 0
+    for name in ("resolved_config.json", "ablation_grid.json"):
+        assert (first / name).read_text() == (second / name).read_text(), name
+
+
+def test_a_trend_directory_holds_one_config_record(tmp_path, monkeypatch, capsys):
+    def no_teacher(*args):
+        raise TrainingFailure("stop after the record")
+
+    monkeypatch.setattr(pipeline_mod, "pretrain_teacher", no_teacher)
+    out = tmp_path / "trends"
+    assert main(["reproduce-paper-trends", "--out", str(out), "--set", "seeds=[4,5]"]) == 1
+    assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
+    assert _record(out) == json.loads(json.dumps(asdict(PipelineConfig(seeds=(4, 5)))))
 
 
 def test_gen_data_codec_follows_model_overrides(tmp_path):

@@ -24,6 +24,9 @@
   nothing.
 * Only ``pipeline.method_config`` builds a ``TrainConfig``, so the trend
   seeds, the ablation grid and the ``train`` command run one recipe.
+* Exactly one package function names ``"resolved_config.json"``, and none
+  names ``"pipeline_config.json"``, so an output directory holds one config
+  record, written one way.
 """
 
 import argparse
@@ -194,3 +197,21 @@ def test_only_method_config_builds_a_train_config():
                 if getattr(built, "id", getattr(built, "attr", None)) == "TrainConfig":
                     builders.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert builders == {"pipeline.method_config"}, sorted(builders)
+
+
+def _functions_naming(text: str) -> set[str]:
+    """``module.function`` of each top-level package function or method
+    holding the string constant ``text``."""
+    namers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(n, ast.Constant) and n.value == text for n in ast.walk(fn)):
+                    namers.add(f"{path.stem}.{fn.name}")
+    return namers
+
+
+def test_one_function_writes_the_config_record():
+    assert len(_functions_naming("resolved_config.json")) == 1, _functions_naming("resolved_config.json")
+    assert _functions_naming("pipeline_config.json") == set()
