@@ -41,6 +41,7 @@ from .trainer import (
     TrainConfig,
     build_gapped_student,
     check_build_data,
+    check_text_vocab,
     pretrain_teacher,
     run_method,
 )
@@ -96,12 +97,14 @@ def _require(path: str | Path, what: str) -> Path:
     return p
 
 
-def _load_model_for(path: str | Path, dataset: Dataset):
+def _load_model_for(path: str | Path, dataset: Dataset, student: bool = False):
     """The model checkpointed at ``path``, refused with a config error unless
-    it can read ``dataset``: its text vocabulary covers the corpus's and, for
-    a student, its speech vocabulary covers the codec's and its frames per
-    token match."""
+    it is a student where ``student`` asks for one, and it can read
+    ``dataset``: its text vocabulary covers the corpus's and, for a student,
+    its speech vocabulary covers the codec's and its frames per token match."""
     model = load_model(path)
+    if student and not isinstance(model, StudentModel):
+        raise ConfigurationError(f"{path} is not a student checkpoint")
     codec, cfg = dataset.manifest["codec"], model.cfg
     if cfg.text_vocab_size < len(VOCAB):
         raise ConfigurationError(
@@ -133,14 +136,6 @@ def _build(cls, values, section: str):
         return cls(**values)
     except TypeError as e:
         raise ConfigurationError(f"bad {section} config value: {e}") from None
-
-
-def _flag_list(text: str, convert, flag: str) -> list:
-    """A comma-separated flag value as a list, or a usage error naming the flag."""
-    try:
-        return [convert(v) for v in text.split(",")]
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated {convert.__name__} values, got {text!r}") from None
 
 
 def _pipeline_config(cfg: dict) -> PipelineConfig:
@@ -182,17 +177,17 @@ def cmd_train(args) -> int:
 
     # Check the given checkpoints against the data before building any.
     teacher, student = (
-        _load_model_for(p, dataset) if p and Path(p).exists() else None
-        for p in (args.teacher, args.student)
+        _load_model_for(p, dataset, student=is_student) if p and Path(p).exists() else None
+        for p, is_student in ((args.teacher, False), (args.student, True))
     )
-    if student is not None and not isinstance(student, StudentModel):
-        raise ConfigurationError(f"{args.student} is not a student checkpoint")
     for model, role, path in ((teacher, "teacher", args.teacher), (student, "student", args.student)):
         if model is None and not args.auto:
             raise UsageError(f"missing {role} checkpoint: {path} (pass --auto to build)")
     if teacher is not None and student is None:
         check_backbone(teacher, pc.model)
     check_build_data(dataset, teacher=teacher is None, student=student is None)
+    # A model --auto builds has config pc.model.
+    check_text_vocab(tc, *(pc.model if m is None else m.cfg for m in (teacher, student)))
 
     write_config(pc, out)
     if teacher is None:
@@ -207,14 +202,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    lambdas = None
-    if args.ablation is not None:
-        key, _, vals = args.ablation.partition("=")
-        if key != "lambda":
-            raise UsageError(f"--ablation expects lambda=v1,v2,..., got {args.ablation!r}")
-        lambdas = _flag_list(vals, float, "--ablation")
-        if len(lambdas) != len(args.checkpoints):
-            raise UsageError("--ablation needs one lambda per checkpoint")
     if args.n_eval < 1:
         raise UsageError(f"--n-eval must be >= 1, got {args.n_eval}")
     dataset = load_dataset(_require(args.data, "dataset directory"))
@@ -228,14 +215,15 @@ def cmd_eval(args) -> int:
         write_report(base_report, out / "report_base.json")
     reports = []
     for i, (ckpt, model) in enumerate(zip(args.checkpoints, models)):
-        model_id = Path(ckpt).stem if lambdas is None else f"lambda={lambdas[i]:g}"
+        # Train runs all end in final.ckpt: the index keeps the row ids apart.
+        model_id = f"{i}_{Path(ckpt).stem}"
         rep = evaluate_model(model, dataset, model_id, args.seed, n_eval=args.n_eval)
         if base_report is not None:
             avg_drop(rep, base_report)
         reports.append(rep)
-        write_report(rep, out / f"report_{i}_{Path(ckpt).stem}.json")
+        write_report(rep, out / f"report_{model_id}.json")
     csv = comparison_table_csv(reports)
-    (out / ("ablation.csv" if lambdas else "comparison.csv")).write_text(csv)
+    (out / "comparison.csv").write_text(csv)
     print(csv, end="")
     return 0
 
@@ -244,7 +232,7 @@ def cmd_ablation(args) -> int:
     pc = _pipeline_config(_load_config(args.config, args.set or []))
     dataset = load_dataset(_require(args.data, "dataset directory"))
     teacher = _load_model_for(_require(args.teacher, "teacher checkpoint"), dataset)
-    student = _load_model_for(_require(args.student, "student checkpoint"), dataset)
+    student = _load_model_for(_require(args.student, "student checkpoint"), dataset, student=True)
     teachers = {"teacher": teacher}
     if args.teacher2:
         teacher2 = _require(args.teacher2, "second teacher checkpoint")
@@ -291,12 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--student", default=None)
     p.add_argument("--auto", action="store_true", help="build missing inputs")
 
-    p = command("eval", "score checkpoints and emit comparison tables", cmd_eval, config=False, seed=True)
+    p = command("eval", "score checkpoints into a comparison table", cmd_eval, config=False, seed=True)
     p.add_argument("checkpoints", nargs="+")
     p.add_argument("--data", required=True)
     p.add_argument("--base", default=None, help="base model for drop computation")
     p.add_argument("--n-eval", type=int, default=500)
-    p.add_argument("--ablation", default=None, metavar="lambda=V1,V2,...")
 
     p = command("ablation", "run the (teacher x lambda) grid", cmd_ablation, config=True, seed=True)
     p.add_argument("--data", required=True)

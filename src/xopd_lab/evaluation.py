@@ -124,7 +124,9 @@ def forgetting_eval(after_report: EvalReport, before_report: EvalReport) -> dict
 # ---------------------------------------------------------------------------
 
 def comparison_table_csv(reports: list[EvalReport]) -> str:
-    """Table-shaped CSV: S/T accuracy per family plus aggregate drops."""
+    """Table-shaped CSV, one row per report keyed by its ``model_id``: S/T
+    accuracy per family plus aggregate drops. Every table the lab writes
+    is one of these."""
     cols = ["model"]
     for fam in DROP_FAMILIES:
         cols += [f"{fam}_S", f"{fam}_T"]
@@ -148,13 +150,6 @@ def csv_cell(x: float | None) -> str:
 
 def write_report(report: EvalReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-
-
-def curve_csv(rows: list[dict], keys: list[str]) -> str:
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(csv_cell(float(row.get(k, 0.0))) for k in keys))
-    return "\n".join(lines) + "\n"
 
 
 def curve_svg(series: dict[str, list[tuple[float, float]]], title: str = "") -> str:

@@ -32,8 +32,6 @@ from .evaluation import (
     EvalReport,
     avg_drop,
     comparison_table_csv,
-    csv_cell,
-    curve_csv,
     curve_svg,
     evaluate_model,
     forgetting_eval,
@@ -303,21 +301,14 @@ def reproduce_paper_trends(cfg: PipelineConfig, out_root: str | Path) -> dict:
     }
     (out_root / "trends_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
 
-    # Lambda-ablation curve over the first seed's reports.
+    # Lambda-ablation curve over the first seed's reports; its numbers are
+    # the xopd_l* rows of that seed's comparison.csv.
     first = seed_results[0]["reports"]
-    rows = [
-        {
-            "lambda": lam,
-            "drop_speech": first[f"xopd_l{lam:g}"]["avg_drop_speech"],
-            "drop_text": first[f"xopd_l{lam:g}"]["avg_drop_text"],
-        }
-        for lam in cfg.lambda_grid
-    ]
-    series = {key: [(r["lambda"], r[key]) for r in rows] for key in ("drop_speech", "drop_text")}
+    series = {
+        key: [(lam, first[f"xopd_l{lam:g}"][f"avg_{key}"]) for lam in cfg.lambda_grid]
+        for key in ("drop_speech", "drop_text")
+    }
     (out_root / "lambda_ablation.svg").write_text(curve_svg(series, title="avg drop vs lambda"))
-    (out_root / "lambda_ablation.csv").write_text(
-        curve_csv(rows, ["lambda", "drop_speech", "drop_text"])
-    )
     return report
 
 
@@ -335,12 +326,14 @@ def run_ablation(
     Returns ``{"lambda_values": [...], "cells": {teacher id: {lambda label:
     EvalReport dict or {"error": message}}}}``, as written to
     ``ablation_grid.json``. A failed run is recorded in its cell and does not
-    stop the grid."""
+    stop the grid. The runs that ended are also written as the
+    ``comparison_table_csv`` ``ablation.csv``, one row per run name
+    ``<teacher id>_l<lambda>``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     reference_id, reference_teacher = next(iter(teachers.items()))
     reference = evaluate_model(reference_teacher, dataset, reference_id, seed, n_eval=cfg.n_eval)
     grid = {"lambda_values": list(cfg.lambda_grid), "cells": {}}
-    lines = ["teacher,lambda,drop_speech,drop_text"]
+    ran: list[EvalReport] = []
     for teacher_id, teacher in teachers.items():
         cells = grid["cells"][teacher_id] = {}
         for lam in cfg.lambda_grid:
@@ -355,9 +348,7 @@ def run_ablation(
                 cells[label] = {"error": str(e)}
                 continue
             cells[label] = rep.to_dict()
-            lines.append(",".join(
-                [teacher_id, label, csv_cell(rep.avg_drop_speech), csv_cell(rep.avg_drop_text)]
-            ))
+            ran.append(rep)
     (out_dir / "ablation_grid.json").write_text(json.dumps(grid, indent=2, sort_keys=True))
-    (out_dir / "ablation.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "ablation.csv").write_text(comparison_table_csv(ran))
     return grid

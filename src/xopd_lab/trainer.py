@@ -155,6 +155,16 @@ def check_build_data(dataset: Dataset, teacher: bool = False, student: bool = Fa
         raise UsageError("gap construction needs val ACOUSTIC and alignment data")
 
 
+def check_text_vocab(cfg: TrainConfig, teacher: ModelConfig, student: ModelConfig) -> None:
+    """Refuse a run whose teacher and student configs differ in text
+    vocabulary: every method but SFT reads the teacher's distribution over
+    the student's vocabulary."""
+    if cfg.method != "sft" and teacher.text_vocab_size != student.text_vocab_size:
+        raise ConfigurationError(
+            f"teacher/student vocab mismatch: {teacher.text_vocab_size} vs {student.text_vocab_size}"
+        )
+
+
 def _optimizer(model: TeacherModel, trained: dict[str, Tensor], lr: float) -> Adam:
     """Adam over exactly ``trained``; every other parameter of ``model``
     stops recording gradients, so backward skips its weight gradient."""
@@ -342,13 +352,7 @@ def run_method(
     (tower and adapter) is frozen, as in the paper, and asserted
     byte-for-byte after every step.
     """
-    # Every method but SFT reads the teacher's distribution over the
-    # student's vocabulary: refuse a mismatch before anything is written.
-    if cfg.method != "sft" and teacher.cfg.text_vocab_size != student.cfg.text_vocab_size:
-        raise ConfigurationError(
-            f"teacher/student vocab mismatch: {teacher.cfg.text_vocab_size} vs "
-            f"{student.cfg.text_vocab_size}"
-        )
+    check_text_vocab(cfg, teacher.cfg, student.cfg)
     train_data = dataset.alignment_set("train")
     if not train_data:
         raise UsageError("alignment dataset is empty")

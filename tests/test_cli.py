@@ -19,7 +19,7 @@ from xopd_lab.checkpoint import save_checkpoint
 from xopd_lab.cli import _load_config, _pipeline_config, build_parser, main
 from xopd_lab.corpus import SpeechCodec, build_dataset, save_dataset
 from xopd_lab.errors import ConfigurationError, TrainingFailure, UsageError
-from xopd_lab.model import TeacherModel, save_model
+from xopd_lab.model import TeacherModel, init_student_from_teacher, save_model
 from xopd_lab.pipeline import PipelineConfig, _method_variants, run_seed, write_config
 from xopd_lab.trainer import GapConfig
 
@@ -120,36 +120,18 @@ def test_train_each_method_smoke(method, extra, tmp_path, data_dir, ckpts, capsy
 def test_eval_comparison_table(tmp_path, data_dir, ckpts, capsys):
     out = tmp_path / "eval"
     code = main([
-        "eval", str(ckpts / "student.ckpt"),
+        "eval", str(ckpts / "student.ckpt"), str(ckpts / "student.ckpt"),
         "--data", str(data_dir), "--base", str(ckpts / "teacher.ckpt"),
         "--out", str(out), "--n-eval", "4",
     ])
     assert code == 0
-    table = (out / "comparison.csv").read_text()
-    header = table.splitlines()[0]
-    assert header.startswith("model,REASONING_S,REASONING_T")
-    assert (out / "report_base.json").exists()
-
-
-def test_eval_ablation_table(tmp_path, data_dir, ckpts):
-    out = tmp_path / "abl"
-    code = main([
-        "eval", str(ckpts / "student.ckpt"), str(ckpts / "student.ckpt"),
-        "--data", str(data_dir), "--out", str(out), "--n-eval", "2",
-        "--ablation", "lambda=0,1",
-    ])
-    assert code == 0
-    csv = (out / "ablation.csv").read_text()
-    assert "lambda=0" in csv and "lambda=1" in csv
-
-
-def test_eval_ablation_arity_mismatch(tmp_path, data_dir, ckpts):
-    code = main([
-        "eval", str(ckpts / "student.ckpt"),
-        "--data", str(data_dir), "--out", str(tmp_path / "x"), "--n-eval", "2",
-        "--ablation", "lambda=0,0.5,1",
-    ])
-    assert code == 2
+    table = (out / "comparison.csv").read_text().splitlines()
+    assert table[0].startswith("model,REASONING_S,REASONING_T")
+    # Each row is named after its report, so two checkpoints of one stem stay apart.
+    assert [row.split(",")[0] for row in table[1:]] == ["0_student", "1_student"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "comparison.csv", "report_0_student.json", "report_1_student.json", "report_base.json"
+    ]
 
 
 @pytest.mark.parametrize("n_eval", ["0", "-1"])
@@ -521,19 +503,35 @@ def test_eval_example_with_an_unknown_text_id_exits_1_without_traceback(
 
 
 def test_train_offline_kd_with_a_mismatched_teacher_vocab_exits_2_before_training(
-    tmp_path, data_dir, ckpts, tiny_config, capsys
+    tmp_path, data_dir, ckpts, tiny_config, capsys, monkeypatch
 ):
-    teacher = tmp_path / "teacher80.ckpt"
-    save_model(TeacherModel.init(replace(tiny_config, text_vocab_size=80), 3), teacher)
+    teacher80 = TeacherModel.init(replace(tiny_config, text_vocab_size=80), 3)
+    save_model(teacher80, tmp_path / "teacher80.ckpt")
     out = tmp_path / "run"
     code = main([
         "train", "--method", "offline_kd", "--data", str(data_dir), "--out", str(out),
-        "--teacher", str(teacher), "--student", str(ckpts / "student.ckpt"),
+        "--teacher", str(tmp_path / "teacher80.ckpt"), "--student", str(ckpts / "student.ckpt"),
     ])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0] == "error: teacher/student vocab mismatch: 80 vs 64", err
-    assert not (out / "metrics.jsonl").exists() and not (out / "distilled.jsonl").exists()
+    assert not out.exists()
+
+    # The teacher --auto would build has the config's 64 ids: refused before pretraining.
+    def pretrain(*args):
+        raise AssertionError("the teacher was pretrained")
+
+    monkeypatch.setattr(cli_module, "pretrain_teacher", pretrain)
+    student80 = init_student_from_teacher(teacher80, replace(tiny_config, text_vocab_size=80), 4)
+    save_model(student80, tmp_path / "student80.ckpt")
+    code = main([
+        "train", "--method", "xopd", "--data", str(data_dir), "--out", str(out), "--auto",
+        "--teacher", str(tmp_path / "missing.ckpt"), "--student", str(tmp_path / "student80.ckpt"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "error: teacher/student vocab mismatch: 64 vs 80", err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,unknown", [
@@ -597,6 +595,9 @@ def test_train_offline_kd_with_a_mismatched_teacher_vocab_exits_2_before_trainin
     (["train", "--method", "sft", "--data", "{data}", "--auto", "--set", "gap.max_new=12"], "max_new"),
     # The model must embed every corpus token id.
     (["gen-data", "--set", "model.text_vocab_size=32"], "text_vocab_size"),
+    # A checkpoint of the wrong kind is refused at the same point.
+    (["ablation", "--data", "{data_dir}", "--teacher", "{ckpts}/teacher.ckpt",
+      "--student", "{ckpts}/teacher.ckpt"], "teacher.ckpt is not a student checkpoint"),
 ], ids=["train-foo", "model.foo", "pipeline.seeds", "foo", "sizes=3", "noise_rate=x",
         "model.frames_per_token=4", "xopd_steps=0", "lambda_grid=[2.0]", "learning_rate=-1",
         "checkpoint_interval=-1", "seeds-repeat", "lambdas-repeat-label",
@@ -605,28 +606,26 @@ def test_train_offline_kd_with_a_mismatched_teacher_vocab_exits_2_before_trainin
         "gap.speech_subset_size=4", "steps=0", "rollouts=0", "train=3", "train.foo", "train.steps=1.5",
         "train.lam=true", "train.epochs", "pretrain.max_steps=1.5", "model.n_layers=1.5",
         "train-xopd_steps=1.5", "train-learning_rate=true", "train-epochs", "pretrain.max_new",
-        "gap.max_new", "model.text_vocab_size=32"])
-def test_unknown_config_key_exits_2_before_writing(tmp_path, argv, unknown, capsys):
+        "gap.max_new", "model.text_vocab_size=32", "ablation-student-is-a-teacher"])
+def test_unknown_config_key_exits_2_before_writing(tmp_path, data_dir, ckpts, argv, unknown, capsys):
     data, out = tmp_path / "data", tmp_path / "out"
-    code = main([a.format(data=data) for a in argv] + ["--out", str(out)])
+    code = main([a.format(data=data, data_dir=data_dir, ckpts=ckpts) for a in argv] + ["--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and unknown in err[0]
     assert not data.exists() and not out.exists()
 
 
-# The seed and lambda lists come from the config; eval's --ablation is a flag.
+# The seed and lambda lists come from the config.
 @pytest.mark.parametrize("argv,named", [
     (["reproduce-paper-trends", "--set", 'seeds=[0,"x"]'], "seeds"),
     (["ablation", "--data", "{data}", "--teacher", "t.ckpt", "--student", "s.ckpt",
       "--set", 'lambda_grid=[0.5,"x"]'], "lambda_grid"),
-    (["eval", "a.ckpt", "--data", "{data}", "--ablation", "lambda=x"], "--ablation"),
     (["ablation", "--data", "{data}", "--teacher", "t.ckpt", "--student", "s.ckpt",
       "--set", "lambda_grid=[0,2]"], "lambda_grid"),
     # An empty value is given, not absent: it is refused, not replaced by the default.
     (["reproduce-paper-trends", "--set", "seeds=[]"], "seeds"),
-    (["eval", "a.ckpt", "--data", "{data}", "--ablation", ""], "--ablation"),
-], ids=["seeds", "lambdas", "ablation", "lambdas-range", "seeds-empty", "ablation-empty"])
+], ids=["seeds", "lambdas", "lambdas-range", "seeds-empty"])
 def test_bad_list_flag_exits_2_before_work(tmp_path, argv, named, capsys, monkeypatch):
     def trend_run(*args):
         raise AssertionError("the trend run started")
@@ -643,9 +642,11 @@ def test_bad_list_flag_exits_2_before_work(tmp_path, argv, named, capsys, monkey
 @pytest.mark.parametrize("argv", [
     ["eval", "a.ckpt", "--data", "d", "--set", "x=1"],
     ["eval", "a.ckpt", "--data", "d", "--config", "c.json"],
+    # Every eval row is named after its report; the ablation table is the ablation command's.
+    ["eval", "a.ckpt", "--data", "d", "--ablation", "lambda=0"],
     # The trend run takes its seeds from the config's seeds list.
     ["reproduce-paper-trends", "--seed", "3"],
-], ids=["eval-set", "eval-config", "reproduce-seed"])
+], ids=["eval-set", "eval-config", "eval-ablation", "reproduce-seed"])
 def test_an_option_the_command_does_not_read_is_refused(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

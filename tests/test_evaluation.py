@@ -12,7 +12,6 @@ from xopd_lab.evaluation import (
     EvalReport,
     avg_drop,
     comparison_table_csv,
-    curve_csv,
     curve_svg,
     evaluate_model,
     forgetting_eval,
@@ -150,10 +149,6 @@ def test_write_report_round_trips(tmp_path):
 
 
 def test_curve_outputs():
-    rows = [{"step": 1, "loss": 0.5}, {"step": 2, "loss": 0.25}]
-    csv = curve_csv(rows, ["step", "loss"])
-    assert csv.splitlines()[0] == "step,loss"
-    assert len(csv.strip().splitlines()) == 3
     svg = curve_svg({"loss": [(1, 0.5), (2, 0.25)]}, title="loss")
     assert svg.startswith("<svg") and "polyline" in svg and "</svg>" in svg
     assert curve_svg({}).startswith("<svg")

@@ -27,6 +27,8 @@
 * Exactly one package function names ``"resolved_config.json"``, and none
   names ``"pipeline_config.json"``, so an output directory holds one config
   record, written one way.
+* Only ``evaluation.comparison_table_csv`` joins CSV cells, so every table
+  the lab writes has one format.
 """
 
 import argparse
@@ -215,3 +217,15 @@ def _functions_naming(text: str) -> set[str]:
 def test_one_function_writes_the_config_record():
     assert len(_functions_naming("resolved_config.json")) == 1, _functions_naming("resolved_config.json")
     assert _functions_naming("pipeline_config.json") == set()
+
+
+def test_only_the_comparison_table_joins_csv_cells():
+    joiners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                f = getattr(node, "func", None)
+                if isinstance(f, ast.Attribute) and f.attr == "join" and getattr(f.value, "value", None) == ",":
+                    joiners.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert joiners == {"evaluation.comparison_table_csv"}, sorted(joiners)

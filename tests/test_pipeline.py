@@ -8,6 +8,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from xopd_lab import trainer as trainer_mod
+from xopd_lab.evaluation import EvalReport, comparison_table_csv
 from xopd_lab.model import TeacherModel
 from xopd_lab.pipeline import (
     BASELINE_METHODS,
@@ -170,8 +171,9 @@ def test_run_ablation_grid(tiny_teacher, tiny_student, tiny_config, small_datase
             assert cell["base_model_id"] == "teacher"
     data = json.loads((tmp_path / "ablation_grid.json").read_text())
     assert data == grid
-    csv = (tmp_path / "ablation.csv").read_text().splitlines()
-    assert csv[0] == "teacher,lambda,drop_speech,drop_text"
-    assert [row.split(",")[:2] for row in csv[1:]] == [
-        ["teacher", "l0"], ["teacher", "l1"], ["teacher_b", "l0"], ["teacher_b", "l1"]
-    ]
+    # The cells that ran, as a comparison table keyed by run name, in grid order.
+    ran = [grid["cells"][t][label] for t in ("teacher", "teacher_b") for label in ("l0", "l1")]
+    assert (tmp_path / "ablation.csv").read_text() == comparison_table_csv(
+        [EvalReport(**cell) for cell in ran]
+    )
+    assert [cell["model_id"] for cell in ran] == ["teacher_l0", "teacher_l1", "teacher_b_l0", "teacher_b_l1"]
