@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "no_grad",
+    "grad_enabled",
     "add",
     "sub",
     "mul",
@@ -45,6 +46,11 @@ __all__ = [
 # Grad mode is per thread (per context): no_grad() in one thread never changes
 # what another thread sees.
 _GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+
+
+def grad_enabled() -> bool:
+    """Whether ops record a graph here (outside every ``no_grad`` block)."""
+    return _GRAD_ENABLED.get()
 
 
 @contextmanager
@@ -212,11 +218,11 @@ def exp(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor, lengths=None, bias: Tensor | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, rows: "RowIndex | None" = None, bias: Tensor | None = None) -> Tensor:
     """``a @ b``, plus ``bias`` if given.
 
-    With ``lengths``, ``a`` holds packed rows (N, d) of sequences with those
-    lengths, and results and gradients are bit for bit those of the padded
+    With ``rows``, ``a`` holds the packed rows (N, d) that ``rows`` lays out,
+    and results and gradients are bit for bit those of the padded
     (B, Lmax, d) batch. The forward computes the N rows only: a plain
     product's rows round alike whatever the row count, except that a one-row
     product takes matmul's vector path, so one-row sequences (decoding steps)
@@ -226,14 +232,12 @@ def matmul(a: Tensor, b: Tensor, lengths=None, bias: Tensor | None = None) -> Te
     """
     if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    if lengths is None:
-        idx, layout = None, lambda x: x
+    if rows is None:
+        layout = lambda x: x
         data = np.matmul(a.data, b.data)
     else:
-        idx = packed_index(lengths)
-        layout = lambda x: _padded(x, lengths, idx)
-        one_row = max(lengths) == 1
-        data = np.matmul(a.data[:, None], b.data)[:, 0] if one_row else a.data @ b.data
+        layout = rows.padded
+        data = np.matmul(a.data[:, None], b.data)[:, 0] if rows.one_row else a.data @ b.data
     if bias is not None:
         data = data + bias.data
 
@@ -241,7 +245,7 @@ def matmul(a: Tensor, b: Tensor, lengths=None, bias: Tensor | None = None) -> Te
         g = layout(g)
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.shape) if idx is None else ga[idx])
+            a.accumulate_grad(_unbroadcast(ga, a.shape) if rows is None else rows.packed(ga))
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(layout(a.data), -1, -2), g)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
@@ -277,45 +281,119 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _make(data, tuple(parts), backward)
 
 
-def packed_index(lengths) -> tuple[np.ndarray, np.ndarray]:
-    """(sequence, position) of each packed row of sequences with ``lengths``,
-    stored back to back."""
+class _Batch(NamedTuple):
+    """One attention batch of a ``RowIndex``."""
+
+    shape: tuple[int, int]  # (B, L)
+    slot: np.ndarray  # flat (sequence, position) slot of each real entry
+    row: np.ndarray  # the packed row of each slot
+    first: np.ndarray  # each of the batch's rows' first slot, in row order
+
+
+class RowIndex:
+    """Where the packed rows (N, d) of one forward sit in its attention
+    batches; built once per forward and handed to every layout op.
+
+    ``rows`` holds one (B, L) int array per attention batch: entry [s, l] is
+    the packed row that holds sequence s's position ``start + l``, where
+    ``start`` is the batch's cached length, and -1 marks padding after a
+    sequence's end. Rows are numbered batch by batch, in the order of their
+    first use. A row may stand for one position of several sequences of its
+    batch (a prefix they share) only where no graph is recorded: a recorded
+    graph runs through one attention batch of distinct rows, whose gradients
+    are then bit for bit those of the padded batch (see ``matmul``).
+    """
+
+    def __init__(self, rows, starts):
+        self.batches: list[_Batch] = []
+        position, n = [], 0
+        for r, start in zip(rows, starts):
+            r = np.asarray(r, dtype=np.int64)
+            real = r >= 0
+            slot = np.flatnonzero(real)
+            row = r.reshape(-1)[slot]
+            ids, first = np.unique(row, return_index=True)
+            first = slot[first]
+            if (
+                (real[:, 1:] & ~real[:, :-1]).any()
+                or not np.array_equal(ids, np.arange(n, n + ids.size))
+                or (np.diff(first) < 0).any()
+                or not np.array_equal((first % r.shape[1])[row - n], slot % r.shape[1])
+            ):
+                raise ValueError(
+                    "row index: padding only at a sequence's end, rows numbered batch by "
+                    "batch in order of first use, each at one position"
+                )
+            self.batches.append(_Batch(r.shape, slot, row, first))
+            position.append(start + first % r.shape[1])
+            n += ids.size
+        self.position = np.concatenate(position)  # of each packed row
+        self.one_row = all(b.shape[1] == 1 for b in self.batches)
+        shared = n < sum(b.slot.size for b in self.batches)
+        if (shared or len(self.batches) > 1) and grad_enabled():
+            raise ValueError("shared rows or several attention batches need no_grad()")
+
+    def spread(self, b: int, x: np.ndarray) -> np.ndarray:
+        """Packed rows ``x`` laid out as batch ``b``'s (B, L, .): each
+        position holds its row, zero rows after each sequence's end."""
+        (B, L), slot, row, _ = self.batches[b]
+        out = np.zeros((B * L, x.shape[-1]))
+        out[slot] = x[row]
+        return out.reshape(B, L, -1)
+
+    def padded(self, x: np.ndarray) -> np.ndarray:
+        """The one batch's packed rows ``x`` as (B, L, .), each at its first
+        position, zero rows elsewhere."""
+        ((B, L), _, _, first), = self.batches
+        out = np.zeros((B * L, x.shape[-1]))
+        out[first] = x
+        return out.reshape(B, L, -1)
+
+    def packed(self, x: np.ndarray) -> np.ndarray:
+        """The one batch's (B, L, .) layout ``x`` back to its packed rows."""
+        (batch,) = self.batches
+        return x.reshape(-1, x.shape[-1])[batch.first]
+
+
+def packed_rows(lengths) -> np.ndarray:
+    """The (B, Lmax) rows of sequences with ``lengths`` stored back to back,
+    for ``RowIndex``: every row distinct, -1 past each sequence's end."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    seq = np.repeat(np.arange(len(lengths)), lengths)
-    return seq, np.arange(len(seq)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    pos = np.arange(lengths.max())
+    return np.where(pos < lengths[:, None], (np.cumsum(lengths) - lengths)[:, None] + pos, -1)
 
 
-def _padded(a: np.ndarray, lengths, idx) -> np.ndarray:
-    """Packed rows ``a`` laid out as (B, Lmax, .), zero rows at each sequence's end."""
-    out = np.zeros((len(lengths), max(lengths), a.shape[-1]))
-    out[idx] = a
-    return out
-
-
-def pad_rows(x: Tensor, lengths) -> Tensor:
-    """Packed rows (N, d) of sequences with ``lengths`` -> (B, Lmax, d),
-    zero-padding each sequence at its end. ``unpad_rows`` inverts it."""
-    idx = packed_index(lengths)
+def pad_rows(x: Tensor, rows: RowIndex, b: int) -> Tensor:
+    """Packed rows (N, d) -> attention batch ``b``'s (B, L, d), each sequence
+    zero-padded at its end. ``unpad_rows`` inverts it."""
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g[idx])
+            x.accumulate_grad(rows.packed(g))
 
-    return _make(_padded(x.data, lengths, idx), (x,), backward)
+    return _make(rows.spread(b, x.data), (x,), backward)
 
 
-def unpad_rows(x: Tensor, lengths) -> Tensor:
-    """(B, Lmax, d) -> the packed (N, d) rows of sequences with ``lengths``."""
-    idx = packed_index(lengths)
+def unpad_rows(xs: Sequence[Tensor], rows: RowIndex) -> Tensor:
+    """One (B, L, d) tensor per attention batch -> the packed (N, d) rows,
+    each read from the first position that uses it."""
+    d = xs[0].data.shape[-1]
+    data = np.empty((rows.position.size, d))
+    ends = np.cumsum([b.first.size for b in rows.batches])
+    for x, b, end in zip(xs, rows.batches, ends):
+        # The indices are in range; mode="clip" lets take fill its out unbuffered.
+        out = data[end - b.first.size : end]
+        np.take(x.data.reshape(-1, d), b.first, axis=0, out=out, mode="clip")
 
     def backward(g):
-        if x.requires_grad:
-            # Each packed row has its own slot: a plain copy, no np.add.at.
-            full = np.zeros_like(x.data)
-            full[idx] = g
-            x.accumulate_grad(full)
+        for x, b, end in zip(xs, rows.batches, ends):
+            if x.requires_grad:
+                # Each packed row has its own slot: a plain copy, no np.add.at.
+                full = np.zeros((x.data.size // d, d))
+                full[b.first] = g[end - b.first.size : end]
+                x.accumulate_grad(full.reshape(x.shape))
 
-    return _make(x.data[idx], (x,), backward)
+    return _make(data, tuple(xs), backward)
 
 
 def gather(x: Tensor, idx: tuple) -> Tensor:

@@ -237,9 +237,16 @@ def cmd_ablation(args) -> int:
     if args.teacher2:
         teacher2 = _require(args.teacher2, "second teacher checkpoint")
         teachers["teacher_large"] = _load_model_for(teacher2, dataset)
+    # Every cell is an X-OPD run, so every teacher must score the student's vocabulary.
+    tc = method_config(pc, "xopd", args.seed)
+    for teacher in teachers.values():
+        check_text_vocab(tc, teacher.cfg, student.cfg)
     out = Path(args.out)
     write_config(pc, out)
-    run_ablation(teachers, pc, dataset, student, args.seed, out)
+    grid = run_ablation(teachers, pc, dataset, student, args.seed, out)
+    cells = [cell for row in grid["cells"].values() for cell in row.values()]
+    if all("error" in cell for cell in cells):
+        raise XopdError(f"no cell of the ablation grid ran; the first failed with: {cells[0]['error']}")
     print(f"ablation grid written to {out / 'ablation_grid.json'}")
     return 0
 

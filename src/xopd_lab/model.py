@@ -131,43 +131,50 @@ def backbone_logits(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     emb: Tensor,
-    lengths,
-    caches: list[dict[str, Tensor]] | None = None,
+    rows: list[np.ndarray],
+    caches: list[list[dict[str, Tensor]]] | None = None,
 ) -> Tensor:
     """Run the transformer over packed embedded rows (N, d) -> logits (N, V).
 
-    The package's one transformer forward. ``emb`` holds the rows of
-    sequences of ``lengths`` back to back, and every row-wise layer runs on
-    those N rows only. They are padded to (B, Lmax, d) once per layer for
-    the q, k and v products and ``causal_attention``, whose causal mask keeps
-    a sequence's real rows from seeing its padding at the end, and in the
-    backward of ``matmul``, whose results and gradients are bit for bit the
-    padded batch's. With ``caches`` (one
-    dict per layer, used by the decoder) ``emb`` holds only the newest
-    positions, as many for every sequence: each layer's keys and values for
-    the earlier ones come from its cache, which is extended in place.
+    The package's one transformer forward. ``rows`` holds one (B, L) row
+    index per attention batch (see ``autodiff.RowIndex``): entry [s, l] is
+    the row of ``emb`` at sequence s's position l, -1 past its end, and one
+    call may carry several batches. The embeddings, layer norms, GELU and
+    the wo, MLP and head products run once per row, however many positions
+    share it. Each batch is padded to its (B, L, d) once per layer for the
+    q, k and v products and ``causal_attention``, whose causal mask keeps a
+    sequence's real rows from seeing its padding at the end; ``matmul``'s
+    backward runs on the padded layout, so results and gradients are bit
+    for bit the padded batch's. With ``caches`` (one list of per-layer dicts
+    per batch, used by the decoder) a batch's rows are its newest positions:
+    each layer's keys and values for the earlier ones come from its cache,
+    which is extended in place.
     """
-    start = caches[0]["k"].shape[1] if caches and caches[0] else 0
-    L = start + max(lengths)
+    caches = caches or [None] * len(rows)
+    starts = [c[0]["k"].shape[1] if c and c[0] else 0 for c in caches]
+    L = max(start + r.shape[1] for start, r in zip(starts, rows))
     if L > cfg.max_seq_len:
         raise LengthError(f"sequence length {L} exceeds max_seq_len {cfg.max_seq_len}")
-    pos = ad.embedding(params["pos_emb"], start + ad.packed_index(lengths)[1])
-    x = ad.add(emb, pos)
+    idx = ad.RowIndex(rows, starts)
+    x = ad.add(emb, ad.embedding(params["pos_emb"], idx.position))
     for i in range(cfg.n_layers):
         h = f"h{i}"
-        a = ad.pad_rows(ad.layer_norm(x, params[f"{h}.ln1.g"], params[f"{h}.ln1.b"]), lengths)
-        q, k, v = (ad.matmul(a, params[f"{h}.attn.{w}"]) for w in ("wq", "wk", "wv"))
-        if caches is not None:
-            c = caches[i]
-            k = c["k"] = Tensor(np.concatenate([c["k"].data, k.data], 1)) if "k" in c else k
-            v = c["v"] = Tensor(np.concatenate([c["v"].data, v.data], 1)) if "v" in c else v
-        attn = ad.unpad_rows(ad.causal_attention(q, k, v, cfg.n_heads), lengths)
-        x = ad.add(x, ad.matmul(attn, params[f"{h}.attn.wo"], lengths))
+        a = ad.layer_norm(x, params[f"{h}.ln1.g"], params[f"{h}.ln1.b"])
+        attn = []
+        for b, cache in enumerate(caches):
+            ab = ad.pad_rows(a, idx, b)
+            q, k, v = (ad.matmul(ab, params[f"{h}.attn.{w}"]) for w in ("wq", "wk", "wv"))
+            if cache is not None:
+                c = cache[i]
+                k = c["k"] = Tensor(np.concatenate([c["k"].data, k.data], 1)) if "k" in c else k
+                v = c["v"] = Tensor(np.concatenate([c["v"].data, v.data], 1)) if "v" in c else v
+            attn.append(ad.causal_attention(q, k, v, cfg.n_heads))
+        x = ad.add(x, ad.matmul(ad.unpad_rows(attn, idx), params[f"{h}.attn.wo"], idx))
         m = ad.layer_norm(x, params[f"{h}.ln2.g"], params[f"{h}.ln2.b"])
-        m = ad.gelu(ad.matmul(m, params[f"{h}.mlp.w1"], lengths, params[f"{h}.mlp.b1"]))
-        x = ad.add(x, ad.matmul(m, params[f"{h}.mlp.w2"], lengths, params[f"{h}.mlp.b2"]))
+        m = ad.gelu(ad.matmul(m, params[f"{h}.mlp.w1"], idx, params[f"{h}.mlp.b1"]))
+        x = ad.add(x, ad.matmul(m, params[f"{h}.mlp.w2"], idx, params[f"{h}.mlp.b2"]))
     x = ad.layer_norm(x, params["lnf.g"], params["lnf.b"])
-    return ad.matmul(x, params["head.w"], lengths)
+    return ad.matmul(x, params["head.w"], idx)
 
 
 class TeacherModel:
@@ -271,9 +278,12 @@ def _decode(
 ) -> list[tuple[list[int], bool, list[float]]]:
     """Incremental decoding: ``backbone_logits`` with per-layer key/value caches.
 
-    Prompts of one (modality, length) decode as one batch of packed rows.
+    Prompts of one (modality, length) form one attention batch with its own
+    caches, and every batch steps in lockstep: one ``backbone_logits`` call
+    per step. The first call prefills each batch's distinct prompts once,
+    and every copy of a prompt starts from its keys, values and logits.
     After each step the rows that emitted <eos> retire: they leave the next
-    input and every layer's cached keys and values, so no step computes a
+    input and their batch's cached keys and values, so no step computes a
     finished row. With no ``rngs`` every live row takes the argmax; with one
     rng per prompt, all live rows are drawn at once at temperature 1 (see
     ``_draw``). A non-finite logit raises ``FloatingPointError``. Returns
@@ -283,42 +293,54 @@ def _decode(
     """
     if max_new < 1:
         raise ConfigurationError("max_new must be >= 1")
-    groups: dict[tuple[str, int], list[int]] = {}
+    groups: dict[tuple[str, int], dict[tuple[int, ...], list[int]]] = {}
     for i, p in enumerate(prompts):
-        groups.setdefault((p.modality, len(p.tokens)), []).append(i)
-    results: list = [None] * len(prompts)
+        groups.setdefault((p.modality, len(p.tokens)), {}).setdefault(tuple(p.tokens), []).append(i)
+    outs: list[list[int]] = [[] for _ in prompts]
+    logps: list[list[float]] = [[] for _ in prompts]
     with ad.no_grad():
-        for idxs in groups.values():
-            embs = [model.embed_sequence(prompts[i], [])[0].data for i in idxs]
-            emb, lengths = Tensor(np.concatenate(embs)), [len(embs[0])] * len(idxs)
-            caches: list[dict[str, Tensor]] = [{} for _ in range(model.cfg.n_layers)]
-            outs: list[list[int]] = [[] for _ in idxs]
-            logps: list[list[float]] = [[] for _ in idxs]
-            live = np.arange(len(idxs))  # positions in idxs still decoding
-            for step in range(max_new):
-                logits = backbone_logits(model.params, model.cfg, emb, lengths, caches).data
-                logits = logits[np.cumsum(lengths) - 1]  # each sequence's newest row
-                if not np.isfinite(logits).all():
-                    raise FloatingPointError("decoder logits contain non-finite values")
-                if rngs is None:
-                    nxt = logits.argmax(axis=1)
-                else:
-                    nxt = _draw(logits, [rngs[idxs[b]] for b in live])
-                lp = ad.np_log_softmax(logits)[np.arange(live.size), nxt]
-                for b, t, logp in zip(live, nxt, lp):
-                    outs[b].append(int(t))
-                    logps[b].append(float(logp))
-                keep = nxt != EOS
-                live, nxt = live[keep], nxt[keep]
-                if not live.size or step == max_new - 1:
-                    break
+        # Per batch: row j decodes prompts[live[j]], a copy of distinct prompt src[j].
+        embs, rows, srcs, live, n = [], [], [], [], 0
+        for copies in groups.values():
+            e = [model.embed_sequence(prompts[c[0]], [])[0].data for c in copies.values()]
+            rows.append(n + np.arange(len(e) * len(e[0])).reshape(len(e), -1))
+            srcs.append(np.repeat(np.arange(len(copies)), [len(c) for c in copies.values()]))
+            live.append(np.concatenate(list(copies.values())))
+            embs += e
+            n += rows[-1].size
+        caches = [[{} for _ in range(model.cfg.n_layers)] for _ in rows]
+        logits = backbone_logits(model.params, model.cfg, Tensor(np.concatenate(embs)), rows, caches).data
+        logits = logits[np.concatenate([r[src, -1] for r, src in zip(rows, srcs)])]
+        for cache, src in zip(caches, srcs):
+            for c in cache:
+                c["k"], c["v"] = Tensor(c["k"].data[src]), Tensor(c["v"].data[src])
+        for step in range(max_new):
+            if not np.isfinite(logits).all():
+                raise FloatingPointError("decoder logits contain non-finite values")
+            order = np.concatenate(live)
+            if rngs is None:
+                nxt = logits.argmax(axis=1)
+            else:
+                nxt = _draw(logits, [rngs[i] for i in order])
+            lp = ad.np_log_softmax(logits)[np.arange(order.size), nxt]
+            for i, t, logp in zip(order, nxt, lp):
+                outs[i].append(int(t))
+                logps[i].append(float(logp))
+            going = nxt != EOS
+            if step == max_new - 1 or not going.any():
+                break
+            for b, keep in enumerate(np.split(going, np.cumsum([x.size for x in live])[:-1])):
                 if not keep.all():
-                    for c in caches:
+                    live[b] = live[b][keep]
+                    for c in caches[b]:
                         c["k"], c["v"] = Tensor(c["k"].data[keep]), Tensor(c["v"].data[keep])
-                emb, lengths = ad.embedding(model.params["tok_emb"], nxt), [1] * live.size
-            for b, i in enumerate(idxs):
-                results[i] = (outs[b], outs[b][-1] == EOS, logps[b])
-    return results
+            caches = [c for c, x in zip(caches, live) if x.size]
+            live = [x for x in live if x.size]
+            sizes = np.array([x.size for x in live])
+            rows = [(off + np.arange(k))[:, None] for off, k in zip(np.cumsum(sizes) - sizes, sizes)]
+            emb = ad.embedding(model.params["tok_emb"], nxt[going])
+            logits = backbone_logits(model.params, model.cfg, emb, rows, caches).data
+    return [(tokens, tokens[-1] == EOS, lp) for tokens, lp in zip(outs, logps)]
 
 
 def sample_completions_batch(
@@ -334,8 +356,9 @@ def sample_completions_batch(
     which units share a batch. Tokens are drawn at temperature 1,
     so each token's sampling log-prob (logp_old, defining pi_old) is its
     log-prob under the model, read from the decode logits it was drawn from.
-    A teacher-forced recomputation, or a call with other units in the batch,
-    agrees with it to rounding (within 1e-12), not bit for bit.
+    A batched call equals one-unit calls bit for bit (tokens, logp_old and
+    rng states); only a teacher-forced recomputation differs, to rounding
+    (within 1e-12).
     """
     decoded = _decode(model, [p for p, _ in units], max_new, [rng for _, rng in units])
     return [
@@ -356,24 +379,69 @@ def greedy_decode_batch(
     return [tokens[:-1] if finished else tokens for tokens, finished, _ in decoded]
 
 
+def _prefix_rows(
+    model: TeacherModel, items: list[tuple[Prompt, list[int]]]
+) -> tuple[Tensor, np.ndarray, list[int]]:
+    """Each distinct prefix of ``items`` as one embedded row: items with one
+    prompt share its <bos> prompt <sep> rows, embedded once, and completions
+    that begin alike share the rows of the tokens they share (a completion
+    row is its text token's embedding). Returns the rows (N, d), the (B, L)
+    row index for ``backbone_logits`` and each item's <sep> position."""
+    prompts: dict[tuple[str, tuple[int, ...]], tuple[int, int]] = {}  # -> (first row, sep)
+    after: dict[tuple[int, int], int] = {}  # (row, next token) -> the next token's row
+    blocks: dict[int, np.ndarray] = {}  # first row -> a prompt's embedded rows
+    token_rows, tokens, index, seps = [], [], [], []
+    n = 0
+    for prompt, completion in items:
+        key = (prompt.modality, tuple(prompt.tokens))
+        if key not in prompts:
+            e, sep = model.embed_sequence(prompt, [])
+            prompts[key], blocks[n] = (n, sep), e.data
+            n += sep + 1
+        start, sep = prompts[key]
+        seq = list(range(start, start + sep + 1))
+        for token in completion:
+            seq.append(after.setdefault((seq[-1], token), n))
+            if seq[-1] == n:
+                token_rows.append(n)
+                tokens.append(token)
+                n += 1
+        index.append(seq)
+        seps.append(sep)
+    emb = np.empty((n, model.cfg.embed_dim))
+    for start, block in blocks.items():
+        emb[start : start + len(block)] = block
+    emb[token_rows] = ad.embedding(model.params["tok_emb"], tokens).data
+    rows = np.full((len(index), max(map(len, index))), -1)
+    for b, seq in enumerate(index):
+        rows[b, : len(seq)] = seq
+    return Tensor(emb), rows, seps
+
+
 def completion_log_probs(model: TeacherModel, items: list[tuple[Prompt, list[int]]]) -> Tensor:
     """The package's one teacher-forced pass: one backbone pass over the
     packed rows of many (prompt, completion) pairs, with no padding outside
-    attention. Returns one log-softmax row per completion token, shape
-    (T, V), ordered by item and then position, so passes over the same
-    completions align whatever their prompts."""
+    attention. Where no graph is recorded (a pass under ``no_grad``), each
+    distinct prefix is one row (``_prefix_rows``); otherwise every position
+    of every pair is its own row, as a shared row would sum its gradients
+    in another order. Returns one log-softmax row per completion token,
+    shape (T, V), ordered by item and then position, so passes over the
+    same completions align whatever their prompts."""
     if not items:
         raise ModalityError("completion_log_probs given no items")
-    embs, rows, off = [], [], 0
-    for prompt, completion in items:
-        e, sep = model.embed_sequence(prompt, completion)
-        embs.append(e)
-        # Packed row off + sep + t predicts completion token t.
-        rows += range(off + sep, off + sep + len(completion))
-        off += e.shape[0]
-    lengths = [e.shape[0] for e in embs]
-    logits = backbone_logits(model.params, model.cfg, ad.concat_rows(embs), lengths)
-    return ad.log_softmax(ad.gather(logits, (rows,)))
+    if ad.grad_enabled():
+        embedded = [model.embed_sequence(prompt, completion) for prompt, completion in items]
+        emb = ad.concat_rows([e for e, _ in embedded])
+        rows = ad.packed_rows([e.shape[0] for e, _ in embedded])
+        seps = [sep for _, sep in embedded]
+    else:
+        emb, rows, seps = _prefix_rows(model, items)
+    logits = backbone_logits(model.params, model.cfg, emb, [rows])
+    # Row [b, sep + t] predicts completion token t of item b.
+    clens = [len(completion) for _, completion in items]
+    b = np.repeat(np.arange(len(items)), clens)
+    t = np.arange(len(b)) - np.repeat(np.cumsum(clens) - clens, clens)
+    return ad.log_softmax(ad.gather(logits, (rows[b, np.repeat(seps, clens) + t],)))
 
 
 def batched_completion_logps(model: TeacherModel, items: list[tuple[Prompt, list[int]]]) -> Tensor:

@@ -66,6 +66,12 @@ def _single(rng):
     return [tuple(int(rng.integers(2, 5)) for _ in range(2))]
 
 
+def one_batch(lengths) -> ad.RowIndex:
+    """The row index of one attention batch of sequences with ``lengths``
+    stored back to back, with nothing cached."""
+    return ad.RowIndex([ad.packed_rows(lengths)], [0])
+
+
 def _attention_shapes(n_heads: int, fewer_queries: int):
     """q, k, v shapes with q holding the last L - fewer_queries positions."""
 
@@ -122,12 +128,12 @@ def op_cases():
          lambda rng: [(2, 3), (4, 3)]),
         # The backbone's layout ops: packed rows of sequences of lengths 2
         # and 4 to (2, 4, d), and back.
-        ("pad_rows", lambda a, rng: ad.pad_rows(a, [2, 4]), 1, lambda rng: [(6, 3)]),
-        ("unpad_rows", lambda a, rng: ad.unpad_rows(a, [2, 4]), 1, lambda rng: [(2, 4, 3)]),
-        ("matmul_packed", lambda x, w, b, rng: ad.matmul(x, w, [2, 4], b), 3,
+        ("pad_rows", lambda a, rng: ad.pad_rows(a, one_batch([2, 4]), 0), 1, lambda rng: [(6, 3)]),
+        ("unpad_rows", lambda a, rng: ad.unpad_rows([a], one_batch([2, 4])), 1, lambda rng: [(2, 4, 3)]),
+        ("matmul_packed", lambda x, w, b, rng: ad.matmul(x, w, one_batch([2, 4]), b), 3,
          lambda rng: [(6, 3), (3, 5), (5,)]),
-        ("matmul_packed_one_row_sequences", lambda x, w, rng: ad.matmul(x, w, [1, 1, 1]), 2,
-         lambda rng: [(3, 4), (4, 2)]),
+        ("matmul_packed_one_row_sequences",
+         lambda x, w, rng: ad.matmul(x, w, one_batch([1, 1, 1])), 2, lambda rng: [(3, 4), (4, 2)]),
         ("gather", gather, 1, lambda rng: [(2, 3, 5)]),
         ("embedding", emb, 1, lambda rng: [(6, 3)]),
         ("log_softmax", lambda a, rng: ad.log_softmax(a), 1, _single),

@@ -8,7 +8,7 @@ import pytest
 import xopd_lab.autodiff as ad
 from xopd_lab.autodiff import Tensor
 
-from gradcheck import check_op, op_cases
+from gradcheck import check_op, one_batch, op_cases
 from oracles import naive_causal_attention, naive_softmax, rel_error
 
 
@@ -156,12 +156,42 @@ def test_pad_rows_forward_layout():
     a = np.arange(6.0).reshape(2, 3)
     b = np.arange(12.0).reshape(4, 3)
     packed = np.concatenate([a, b])
-    out = ad.pad_rows(Tensor(packed), [2, 4]).data
+    rows = one_batch([2, 4])
+    out = ad.pad_rows(Tensor(packed), rows, 0).data
     assert out.shape == (2, 4, 3)
     np.testing.assert_array_equal(out[0, :2], a)
     np.testing.assert_array_equal(out[0, 2:], 0.0)
     np.testing.assert_array_equal(out[1], b)
-    np.testing.assert_array_equal(ad.unpad_rows(Tensor(out), [2, 4]).data, packed)
+    np.testing.assert_array_equal(ad.unpad_rows([Tensor(out)], rows).data, packed)
+
+
+def test_a_shared_row_fills_every_position_that_uses_it():
+    # Two batches: sequences 0 and 1 share their first two rows; the second
+    # batch holds one sequence, two positions after its one cached position.
+    index = [np.array([[0, 1, 2], [0, 1, 3]]), np.array([[4, 5]])]
+    x = np.arange(12.0).reshape(6, 2)
+    with ad.no_grad():
+        rows = ad.RowIndex(index, [0, 1])
+        first, second = (ad.pad_rows(Tensor(x), rows, b).data for b in (0, 1))
+        back = ad.unpad_rows([Tensor(first), Tensor(second)], rows).data
+    np.testing.assert_array_equal(first, x[index[0]])
+    np.testing.assert_array_equal(second, x[index[1]])
+    np.testing.assert_array_equal(back, x)
+    np.testing.assert_array_equal(rows.position, [0, 1, 2, 2, 1, 2])
+    # A recorded graph has no rule for a shared row.
+    with pytest.raises(ValueError, match="no_grad"):
+        ad.RowIndex(index, [0, 1])
+
+
+@pytest.mark.parametrize("index", [
+    [[0, -1, 1]],  # padding inside a sequence
+    [[1, 0]],  # rows not in order of first use
+    [[0, 1], [1, 0]],  # one row at two positions
+    [[0, 2]],  # a row left out
+])
+def test_a_malformed_row_index_is_refused(index):
+    with ad.no_grad(), pytest.raises(ValueError, match="row index"):
+        ad.RowIndex([np.array(index)], [0])
 
 
 # At these sizes one 2-D product, or 2-D sums, would round differently.
@@ -169,11 +199,10 @@ def test_pad_rows_forward_layout():
 def test_packed_matmul_equals_the_padded_batch_bit_for_bit(lengths):
     rng = np.random.default_rng(0)
     d, k = 64, 64
-    B, Lmax = len(lengths), max(lengths)
     x, w, b = (rng.normal(0, 1, s) for s in ((sum(lengths), d), (d, k), (k,)))
     coeff = rng.normal(0, 1, (sum(lengths), k))
-    idx = ad.packed_index(lengths)
-    pad = lambda a: ad.pad_rows(Tensor(a), lengths).data
+    rows = one_batch(lengths)
+    pad = lambda a: ad.pad_rows(Tensor(a), rows, 0).data
 
     def grads(run):
         ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
@@ -181,11 +210,11 @@ def test_packed_matmul_equals_the_padded_batch_bit_for_bit(lengths):
         ad.sum_all(ad.mul(out, Tensor(coeff if out.data.ndim == 2 else pad(coeff)))).backward()
         return out.data, [t.grad for t in ts]
 
-    packed, (gx, gw, gb) = grads(lambda x, w, b: ad.matmul(x, w, lengths, b))
+    packed, (gx, gw, gb) = grads(lambda x, w, b: ad.matmul(x, w, rows, b))
     padded, (gxp, gwp, gbp) = grads(
-        lambda x, w, b: ad.add(ad.matmul(ad.pad_rows(x, lengths), w), b)
+        lambda x, w, b: ad.add(ad.matmul(ad.pad_rows(x, rows, 0), w), b)
     )
-    np.testing.assert_array_equal(packed, padded[idx])
+    np.testing.assert_array_equal(packed, ad.unpad_rows([Tensor(padded)], rows).data)
     np.testing.assert_array_equal(gx, gxp)
     np.testing.assert_array_equal(gw, gwp)
     np.testing.assert_array_equal(gb, gbp)

@@ -700,6 +700,42 @@ def test_ablation_keeps_the_config_lambda_grid_without_the_flag(tmp_path, data_d
     assert json.loads((out / "ablation_grid.json").read_text())["lambda_values"] == [0.5]
 
 
+def test_ablation_with_a_mismatched_teacher_vocab_exits_2_before_writing(
+    tmp_path, data_dir, ckpts, tiny_config, capsys
+):
+    teacher80 = tmp_path / "teacher80.ckpt"
+    save_model(TeacherModel.init(replace(tiny_config, text_vocab_size=80), 3), teacher80)
+    out = tmp_path / "ablation"
+    code = main([
+        "ablation", "--data", str(data_dir), "--out", str(out),
+        "--teacher", str(teacher80), "--student", str(ckpts / "student.ckpt"),
+        "--set", "lambda_grid=[0,1]",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "error: teacher/student vocab mismatch: 80 vs 64", err
+    assert not out.exists()
+
+
+def test_an_ablation_whose_every_cell_fails_exits_1(tmp_path, data_dir, ckpts, capsys, monkeypatch):
+    def diverge(*args):
+        raise TrainingFailure("non-finite loss at step 1")
+
+    monkeypatch.setattr(pipeline_mod, "_train_and_score", diverge)
+    out = tmp_path / "ablation"
+    code = main([
+        "ablation", "--data", str(data_dir), "--out", str(out),
+        "--teacher", str(ckpts / "teacher.ckpt"), "--student", str(ckpts / "student.ckpt"),
+        "--set", "lambda_grid=[0,1]", "--set", "n_eval=2",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no cell of the ablation grid ran"), err
+    assert "non-finite loss at step 1" in err[0]
+    cells = json.loads((out / "ablation_grid.json").read_text())["cells"]["teacher"]
+    assert set(cells) == {"l0", "l1"} and all("error" in c for c in cells.values())
+
+
 def test_pipeline_config_takes_every_pipeline_field():
     pc = _pipeline_config({"seeds": [0, 1], "lambda_grid": [0.5], "xopd_steps": 3,
                            "model": {"embed_dim": 32}})

@@ -40,7 +40,7 @@ def _logits(model, prompt, completion):
     """Every row of the backbone's logits, prompt rows included."""
     with ad.no_grad():
         emb = model.embed_sequence(prompt, completion)[0].data
-        return backbone_logits(model.params, model.cfg, ad.Tensor(emb), [len(emb)]).data
+        return backbone_logits(model.params, model.cfg, ad.Tensor(emb), [ad.packed_rows([len(emb)])]).data
 
 
 def _log_probs(model, items):
@@ -147,21 +147,52 @@ def test_sampled_logp_old_matches_teacher_forced_recomputation(tiny_student, mod
         )
 
 
-def test_batched_sampling_matches_single(tiny_student):
-    prompts = [Prompt(TEXT, [4 + i, 5, 6]) for i in range(6)]
-    # One call spanning several shape groups: a speech prompt and another length.
-    prompts += [Prompt(SPEECH, [1, 2, 3, 4, 5, 6]), Prompt(TEXT, [9, 10, 11, 12, 13])]
+def _assert_batched_sampling_matches_single(model, prompts):
     units = [(p, np.random.default_rng([7, i])) for i, p in enumerate(prompts)]
-    batched = sample_completions_batch(tiny_student, units, max_new=5)
+    batched = sample_completions_batch(model, units, max_new=5)
     for i, p in enumerate(prompts):
-        single = sample_completions_batch(
-            tiny_student, [(p, np.random.default_rng([7, i]))], 5
-        )[0]
+        rng = np.random.default_rng([7, i])
+        single = sample_completions_batch(model, [(p, rng)], 5)[0]
         assert batched[i].conditioning_modality == p.modality
         assert batched[i].tokens == single.tokens
         assert batched[i].finished == single.finished
-        # Batched decode logits may differ from one-row logits in the last bits.
-        np.testing.assert_allclose(batched[i].logp_old, single.logp_old, rtol=0, atol=1e-12)
+        assert batched[i].logp_old == single.logp_old
+        assert units[i][1].bit_generator.state == rng.bit_generator.state
+
+
+# One call spanning several shape groups: a speech prompt and another length.
+SHAPE_GROUPS = [Prompt(TEXT, [4 + i, 5, 6]) for i in range(6)] + [
+    Prompt(SPEECH, [1, 2, 3, 4, 5, 6]), Prompt(TEXT, [9, 10, 11, 12, 13]),
+]
+
+
+def test_batched_sampling_matches_single(tiny_student):
+    _assert_batched_sampling_matches_single(tiny_student, SHAPE_GROUPS)
+
+
+def test_batched_sampling_of_n_copies_matches_single(tiny_student):
+    # Each prompt sampled 4 times, the shape collect_rollouts sends.
+    _assert_batched_sampling_matches_single(tiny_student, [p for p in SHAPE_GROUPS for _ in range(4)])
+
+
+def test_a_pass_under_no_grad_shares_prefixes_bit_for_bit(tiny_student):
+    # Repeated prompts, and completions that begin alike, share rows under no_grad.
+    items = [
+        (Prompt(TEXT, [5, 6, 7]), [8, 9, 2]),
+        (Prompt(TEXT, [5, 6, 7]), [8, 9, 2]),
+        (Prompt(TEXT, [5, 6, 7]), [8, 4]),
+        (Prompt(SPEECH, [1, 2, 3, 4, 5, 6]), [13, 2]),
+        (Prompt(TEXT, [10, 11]), [12, 2]),
+        (Prompt(SPEECH, [1, 2, 3, 4, 5, 6]), [13, 2, 7, 7]),
+    ]
+    shared = _log_probs(tiny_student, items)
+    recorded = completion_log_probs(tiny_student, items).data
+    np.testing.assert_array_equal(shared, recorded)
+    # 43 positions in all; the shared pass computes 23 distinct rows.
+    with ad.no_grad():
+        emb, rows, _ = model_mod._prefix_rows(tiny_student, items)
+    assert (rows >= 0).sum() == 43
+    assert emb.shape[0] == rows.max() + 1 == 23
 
 
 def test_batched_sampling_order_invariant(tiny_teacher):
@@ -209,9 +240,26 @@ def test_no_decode_step_feeds_a_finished_row(tiny_student, monkeypatch):
     lengths = [len(t.tokens) for t in trajs]
     assert min(lengths) < 11, "no row finished early enough to retire"
     # Step s feeds the rows that choose a token at step s; the first feeds
-    # every prompt row.
+    # the one distinct prompt's 5 rows, whose keys and values every copy takes.
     live = [sum(n > s for n in lengths) for s in range(max(lengths))]
-    assert fed == [live[0] * 5] + live[1:]
+    assert fed == [5] + live[1:]
+
+
+def test_every_shape_group_steps_in_one_call(tiny_student, monkeypatch):
+    batches = []
+    backbone = model_mod.backbone_logits
+
+    def counting(params, cfg, emb, rows, *rest):
+        batches.append(len(rows))
+        return backbone(params, cfg, emb, rows, *rest)
+
+    monkeypatch.setattr(model_mod, "backbone_logits", counting)
+    prompts = [Prompt(TEXT, [5, 6]), Prompt(TEXT, [5, 6, 7]), Prompt(SPEECH, [1, 2, 3])]
+    units = [(p, np.random.default_rng([17, i])) for i, p in enumerate(prompts * 3)]
+    trajs = sample_completions_batch(tiny_student, units, max_new=6)
+    # One call per step for all three (modality, length) groups, until each finishes.
+    assert len(batches) == max(len(t.tokens) for t in trajs)
+    assert batches[0] == 3
 
 
 def test_a_non_finite_head_stops_both_decoders(tiny_teacher):
@@ -241,7 +289,7 @@ def test_cached_forward_equals_the_full_pass(tiny_teacher, tiny_student, kind, p
     # The decoder's use: a prefill chunk, then one new row at a time.
     model = tiny_teacher if kind == "teacher" else tiny_student
     run = lambda x, caches=None: backbone_logits(
-        model.params, model.cfg, ad.Tensor(x[0]), [x.shape[1]], caches
+        model.params, model.cfg, ad.Tensor(x[0]), [ad.packed_rows([x.shape[1]])], caches and [caches]
     ).data[None]
     with ad.no_grad():
         emb = model.embed_sequence(prompt, [9, 10, 11, 2])[0].data[None]
@@ -259,9 +307,9 @@ def test_cached_forward_rejects_positions_beyond_max_seq_len(tiny_teacher):
     rows = lambda n: ad.Tensor(np.zeros((n, cfg.embed_dim)))
     with ad.no_grad():
         n = cfg.max_seq_len - 1
-        backbone_logits(tiny_teacher.params, cfg, rows(n), [n], caches)
+        backbone_logits(tiny_teacher.params, cfg, rows(n), [ad.packed_rows([n])], [caches])
         with pytest.raises(LengthError):
-            backbone_logits(tiny_teacher.params, cfg, rows(2), [2], caches)
+            backbone_logits(tiny_teacher.params, cfg, rows(2), [ad.packed_rows([2])], [caches])
     # The decoder meets the same rule: <bos> prompt <sep> is one row too long.
     with pytest.raises(LengthError):
         greedy_decode_batch(tiny_teacher, [Prompt(TEXT, [5] * (cfg.max_seq_len - 1))], 1)
