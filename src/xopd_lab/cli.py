@@ -36,6 +36,7 @@ from .pipeline import (
     write_config,
 )
 from .trainer import (
+    METHODS,
     GapConfig,
     PretrainConfig,
     TrainConfig,
@@ -211,13 +212,13 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     base_report = None
     if base is not None:
-        base_report = evaluate_model(base, dataset, "base", args.seed, n_eval=args.n_eval)
+        base_report = evaluate_model(base, dataset, "base", n_eval=args.n_eval)
         write_report(base_report, out / "report_base.json")
     reports = []
     for i, (ckpt, model) in enumerate(zip(args.checkpoints, models)):
         # Train runs all end in final.ckpt: the index keeps the row ids apart.
         model_id = f"{i}_{Path(ckpt).stem}"
-        rep = evaluate_model(model, dataset, model_id, args.seed, n_eval=args.n_eval)
+        rep = evaluate_model(model, dataset, model_id, n_eval=args.n_eval)
         if base_report is not None:
             avg_drop(rep, base_report)
         reports.append(rep)
@@ -279,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     command("gen-data", "generate the paired dataset", cmd_gen_data, config=True, seed=True)
 
     p = command("train", "train one method run", cmd_train, config=True, seed=True)
-    p.add_argument("--method", required=True, choices=["xopd", "sft", "offline_kd", "gkd"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--teacher", default=None)
     p.add_argument("--student", default=None)
     p.add_argument("--auto", action="store_true", help="build missing inputs")
 
-    p = command("eval", "score checkpoints into a comparison table", cmd_eval, config=False, seed=True)
+    p = command("eval", "score checkpoints into a comparison table", cmd_eval, config=False, seed=False)
     p.add_argument("checkpoints", nargs="+")
     p.add_argument("--data", required=True)
     p.add_argument("--base", default=None, help="base model for drop computation")

@@ -108,8 +108,10 @@ class SpeechCodec:
             raise ConfigurationError(
                 f"frames_per_token must be in [1, {len(MULTIPLIERS)}], got {F}"
             )
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ConfigurationError(f"noise_rate must be in [0,1], got {self.noise_rate}")
+        # At 1.0 every frame is redrawn at random, so the round-trip filter
+        # rejects nearly every example.
+        if not 0.0 <= self.noise_rate < 1.0:
+            raise ConfigurationError(f"noise_rate must be in [0, 1), got {self.noise_rate!r}")
         if S < V:
             raise ConfigurationError("speech vocab must cover the text vocab for injective frames")
         self.multipliers, self.offsets, self.n_labels = MULTIPLIERS[:F], OFFSETS[:F], N_LABELS
@@ -351,6 +353,22 @@ class Dataset:
         return [e for e in self.splits[split] if e.family != "ACOUSTIC"]
 
 
+def check_sizes(sizes) -> None:
+    """Raise ConfigurationError unless ``sizes`` maps known families to 3
+    non-negative integer (train, val, test) counts with a positive sum."""
+    if not isinstance(sizes, dict) or not set(sizes) <= set(FAMILIES):
+        raise ConfigurationError(f"sizes must map families {FAMILIES} to counts, got {sizes!r}")
+    for fam, counts in sizes.items():
+        if not (
+            isinstance(counts, (list, tuple)) and len(counts) == 3
+            and all(is_int(c) and c >= 0 for c in counts) and sum(counts) >= 1
+        ):
+            raise ConfigurationError(
+                f"sizes[{fam!r}] must be 3 non-negative (train, val, test) counts "
+                f"with a positive sum, got {counts!r}"
+            )
+
+
 def build_dataset(sizes: dict[str, tuple[int, int, int]], codec: SpeechCodec, seed: int) -> Dataset:
     """Generate deterministic train/val/test splits with the round-trip filter.
 
@@ -358,12 +376,7 @@ def build_dataset(sizes: dict[str, tuple[int, int, int]], codec: SpeechCodec, se
     generation order and parallel schedule cannot change the content. Splits
     are disjoint by text-prompt identity.
     """
-    for fam, counts in sizes.items():
-        if fam not in FAMILIES:
-            raise ConfigurationError(f"unknown family {fam!r}")
-        if any(c < 0 for c in counts) or sum(counts) < 1:
-            raise ConfigurationError(f"sizes for {fam} must be >= 1 in total")
-
+    check_sizes(sizes)
     splits: dict[str, list[PairedExample]] = {"train": [], "val": [], "test": []}
     seen_prompts: set[tuple[int, ...]] = set()
     attempts = 0

@@ -19,8 +19,6 @@ from .errors import DataError
 from .model import SPEECH, TEXT, greedy_decode_batch, prompt_for
 
 DROP_FAMILIES = ("REASONING", "INSTRUCTION")
-# An ACOUSTIC accuracy drop above this is flagged in the forgetting record.
-FORGETTING_THRESHOLD = 0.05
 
 
 @dataclass
@@ -28,7 +26,6 @@ class EvalReport:
     model_id: str
     base_model_id: str | None
     n_eval: int
-    seed: int
     # family -> modality -> accuracy
     scores: dict[str, dict[str, float]] = field(default_factory=dict)
     avg_drop_speech: float | None = None
@@ -55,7 +52,6 @@ def evaluate_model(
     model,
     dataset: Dataset,
     model_id: str,
-    seed: int,
     n_eval: int | None = None,
 ) -> EvalReport:
     """Per-(family, modality) accuracies on the test split, for each family
@@ -69,7 +65,7 @@ def evaluate_model(
             continue
         n_used = max(n_used, len(examples))
         scores[fam] = {m: score_model(model, examples, m) for m in modalities}
-    return EvalReport(model_id=model_id, base_model_id=None, n_eval=n_used, seed=seed, scores=scores)
+    return EvalReport(model_id=model_id, base_model_id=None, n_eval=n_used, scores=scores)
 
 
 def avg_drop(model_report: EvalReport, base_report: EvalReport) -> tuple[float, float]:
@@ -108,14 +104,11 @@ def forgetting_eval(after_report: EvalReport, before_report: EvalReport) -> dict
         after = after_report.scores["ACOUSTIC"][SPEECH]
     except KeyError as e:
         raise DataError("both reports need a speech-modality ACOUSTIC score") from e
-    drop = before - after
     return {
         "model_id": after_report.model_id,
         "acoustic_before": before,
         "acoustic_after": after,
-        "drop": drop,
-        "exceeds_threshold": drop > FORGETTING_THRESHOLD,
-        "threshold": FORGETTING_THRESHOLD,
+        "drop": before - after,
     }
 
 

@@ -91,11 +91,15 @@ class Trajectory:
     conditioning_modality: str
     tokens: list[int]
     logp_old: list[float]  # sampling log pi_old(y_t | ., y_<t)
-    finished: bool
 
     def __post_init__(self) -> None:
         if len(self.tokens) != len(self.logp_old) or not self.tokens:
             raise UsageError("trajectory needs >= 1 token with matching logp_old")
+
+    @property
+    def finished(self) -> bool:
+        """Whether sampling ended at <eos> rather than at the token budget."""
+        return self.tokens[-1] == EOS
 
 
 def _normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> Tensor:
@@ -275,7 +279,7 @@ def _decode(
     prompts: list[Prompt],
     max_new: int,
     rngs: list[np.random.Generator] | None = None,
-) -> list[tuple[list[int], bool, list[float]]]:
+) -> list[tuple[list[int], list[float]]]:
     """Incremental decoding: ``backbone_logits`` with per-layer key/value caches.
 
     Prompts of one (modality, length) form one attention batch with its own
@@ -287,9 +291,9 @@ def _decode(
     finished row. With no ``rngs`` every live row takes the argmax; with one
     rng per prompt, all live rows are drawn at once at temperature 1 (see
     ``_draw``). A non-finite logit raises ``FloatingPointError``. Returns
-    (tokens, finished, logps) per prompt, in prompt order: tokens keep the
-    terminating <eos> when emitted, finished says which did, and logps holds
-    each chosen token's log-prob under the logits it was chosen from.
+    (tokens, logps) per prompt, in prompt order: tokens keep the
+    terminating <eos> when emitted, and logps holds each chosen token's
+    log-prob under the logits it was chosen from.
     """
     if max_new < 1:
         raise ConfigurationError("max_new must be >= 1")
@@ -340,7 +344,7 @@ def _decode(
             rows = [(off + np.arange(k))[:, None] for off, k in zip(np.cumsum(sizes) - sizes, sizes)]
             emb = ad.embedding(model.params["tok_emb"], nxt[going])
             logits = backbone_logits(model.params, model.cfg, emb, rows, caches).data
-    return [(tokens, tokens[-1] == EOS, lp) for tokens, lp in zip(outs, logps)]
+    return list(zip(outs, logps))
 
 
 def sample_completions_batch(
@@ -362,8 +366,7 @@ def sample_completions_batch(
     """
     decoded = _decode(model, [p for p, _ in units], max_new, [rng for _, rng in units])
     return [
-        Trajectory(prompt.modality, tokens, logps, finished)
-        for (prompt, _), (tokens, finished, logps) in zip(units, decoded)
+        Trajectory(prompt.modality, tokens, logps) for (prompt, _), (tokens, logps) in zip(units, decoded)
     ]
 
 
@@ -376,7 +379,7 @@ def greedy_decode_batch(
     tokens without the terminating <eos>.
     """
     decoded = _decode(model, prompts, max_new)
-    return [tokens[:-1] if finished else tokens for tokens, finished, _ in decoded]
+    return [tokens[:-1] if tokens[-1] == EOS else tokens for tokens, _ in decoded]
 
 
 def _prefix_rows(

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .corpus import FAMILIES, VOCAB, SpeechCodec, build_dataset, save_dataset, Dataset
+from .corpus import VOCAB, SpeechCodec, build_dataset, check_sizes, save_dataset, Dataset
 from .errors import ConfigurationError, XopdError, check_field_types, is_int, is_number
 from .evaluation import (
     EvalReport,
@@ -81,24 +81,12 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         """Check every value before any work, so a bad one writes nothing."""
         check_field_types(self)
-        if not isinstance(self.sizes, dict) or not set(self.sizes) <= set(FAMILIES):
-            raise ConfigurationError(f"sizes must map families {FAMILIES} to counts, got {self.sizes!r}")
-        for fam, counts in self.sizes.items():
-            if not (
-                isinstance(counts, (list, tuple)) and len(counts) == 3
-                and all(is_int(c) and c >= 0 for c in counts) and sum(counts) >= 1
-            ):
-                raise ConfigurationError(
-                    f"sizes[{fam!r}] must be 3 non-negative (train, val, test) counts "
-                    f"with a positive sum, got {counts!r}"
-                )
+        check_sizes(self.sizes)
         if self.model.text_vocab_size < len(VOCAB):
             raise ConfigurationError(
                 f"model.text_vocab_size must cover the corpus vocabulary of {len(VOCAB)} ids, "
                 f"got {self.model.text_vocab_size!r}"
             )
-        if not 0.0 <= self.noise_rate < 1.0:
-            raise ConfigurationError(f"noise_rate must be in [0, 1), got {self.noise_rate!r}")
         for name in ("xopd_steps", "gkd_steps", "batch_size", "n_rollouts", "max_new", "n_eval"):
             value = getattr(self, name)
             if value < 1:
@@ -119,7 +107,7 @@ class PipelineConfig:
         try:
             self.codec()
         except ConfigurationError as e:
-            raise ConfigurationError(f"no speech codec for these model.* values: {e}") from None
+            raise ConfigurationError(f"no speech codec for this config: {e}") from None
 
     def codec(self) -> SpeechCodec:
         """The speech codec this config's data is built with."""
@@ -173,29 +161,23 @@ def _train_and_score(
     against the ``reference`` teacher report."""
     student = clone_student(base_student)
     run_method(tc, student, teacher, dataset, out_dir=out_dir)
-    report = evaluate_model(student, dataset, name, tc.seed, n_eval=cfg.n_eval)
+    report = evaluate_model(student, dataset, name, n_eval=cfg.n_eval)
     avg_drop(report, reference)
     return report
 
 
-def run_seed(
-    cfg: PipelineConfig,
-    seed: int,
-    out_dir: Path,
-    teacher: TeacherModel,
-    pretrain_report: dict,
-) -> dict:
+def run_seed(cfg: PipelineConfig, seed: int, out_dir: Path, teacher: TeacherModel) -> dict:
     """Run the pipeline for one seed with the shared pretrained teacher;
     returns the seed's result record."""
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = cfg.dataset(seed)
     save_dataset(dataset, out_dir / "data")
     save_model(teacher, out_dir / "teacher.ckpt")
-    teacher_report = evaluate_model(teacher, dataset, "teacher", seed, n_eval=cfg.n_eval)
+    teacher_report = evaluate_model(teacher, dataset, "teacher", n_eval=cfg.n_eval)
 
     base_student, gap_report = build_gapped_student(teacher, dataset, cfg.model, cfg.gap, seed)
     save_model(base_student, out_dir / "student_base.ckpt")
-    base_report = evaluate_model(base_student, dataset, "base_student", seed, n_eval=cfg.n_eval)
+    base_report = evaluate_model(base_student, dataset, "base_student", n_eval=cfg.n_eval)
     avg_drop(base_report, teacher_report)
 
     reports: dict[str, EvalReport] = {"teacher": teacher_report, "base_student": base_report}
@@ -210,7 +192,6 @@ def run_seed(
     (out_dir / "comparison.csv").write_text(table)
     result = {
         "seed": seed,
-        "pretrain": {k: v for k, v in pretrain_report.items() if k != "history"},
         "gap_construction": gap_report,
         "reports": {k: r.to_dict() for k, r in reports.items()},
         "forgetting": forgetting,
@@ -262,8 +243,10 @@ def _trend_checks(result: dict, lambda_grid: tuple[float, ...]) -> dict:
 
 
 def reproduce_paper_trends(cfg: PipelineConfig, out_root: str | Path) -> dict:
-    """Record ``cfg`` in ``out_root``, then run every seed and aggregate the
-    three directional criteria."""
+    """Record ``cfg`` in ``out_root``, pretrain the one teacher every seed
+    shares and write its report, history included, as
+    ``pretrain_report.json``; then run every seed and aggregate the three
+    directional criteria."""
     out_root = Path(out_root)
     write_config(cfg, out_root)
     # One fixed teacher across seeds (as at paper scale, where the teacher
@@ -272,12 +255,11 @@ def reproduce_paper_trends(cfg: PipelineConfig, out_root: str | Path) -> dict:
     teacher, pretrain_report = pretrain_teacher(
         cfg.dataset(teacher_seed), cfg.model, cfg.pretrain, teacher_seed
     )
+    (out_root / "pretrain_report.json").write_text(json.dumps(pretrain_report, indent=2, sort_keys=True))
     seed_results = []
     checks = []
     for seed in cfg.seeds:
-        result = run_seed(
-            cfg, seed, out_root / f"seed-{seed}", teacher=teacher, pretrain_report=pretrain_report
-        )
+        result = run_seed(cfg, seed, out_root / f"seed-{seed}", teacher)
         seed_results.append(result)
         checks.append(_trend_checks(result, cfg.lambda_grid))
 
@@ -331,7 +313,7 @@ def run_ablation(
     ``<teacher id>_l<lambda>``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     reference_id, reference_teacher = next(iter(teachers.items()))
-    reference = evaluate_model(reference_teacher, dataset, reference_id, seed, n_eval=cfg.n_eval)
+    reference = evaluate_model(reference_teacher, dataset, reference_id, n_eval=cfg.n_eval)
     grid = {"lambda_values": list(cfg.lambda_grid), "cells": {}}
     ran: list[EvalReport] = []
     for teacher_id, teacher in teachers.items():

@@ -46,17 +46,6 @@ METHODS = ("xopd", "sft", "offline_kd", "gkd")
 READ_BY = {"steps": ("gkd", "xopd"), "lam": ("xopd",), "n_rollouts": ("xopd",),
            "max_new": ("gkd", "offline_kd", "xopd")}
 
-# Values used at paper scale; recorded as provenance in every run manifest,
-# not used by the desk-scale models.
-PAPER_PROVENANCE = {
-    "learning_rate": 2e-6,
-    "batch_size": 256,
-    "n_rollouts": 4,
-    "lambda": 0.5,
-    "baseline_epochs": 1,
-    "frozen_modules": ["audio tower", "modal adapter"],
-}
-
 
 def _check_config(cfg, counts: tuple[str, ...], unit: str) -> None:
     """Checks shared by the training, pretraining and gap configs: the
@@ -397,7 +386,6 @@ def run_method(
         "steps": len(metrics),
         "dataset_manifest": dataset.manifest,
         "final_params_hash": params_hash(student.params),
-        "paper_provenance": PAPER_PROVENANCE,
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return student, metrics

@@ -181,7 +181,7 @@ def test_criterion_2d_expected_gradient_matches_exact_reverse_kl_gradient():
         lp_old = _seq_logp(student, prompt, y)
         p_y = float(np.exp(lp_old.sum()))
 
-        traj = Trajectory(TEXT, y, list(lp_old), True)
+        traj = Trajectory(TEXT, y, list(lp_old))
         _, total = xopd_loss([(ex, traj)], teacher, student, 1.0)
         for p in student.params.values():
             p.zero_grad()

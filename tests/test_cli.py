@@ -132,6 +132,9 @@ def test_eval_comparison_table(tmp_path, data_dir, ckpts, capsys):
     assert sorted(p.name for p in out.iterdir()) == [
         "comparison.csv", "report_0_student.json", "report_1_student.json", "report_base.json"
     ]
+    # Greedy scoring draws nothing, so a report records no seed.
+    for report in out.glob("report_*.json"):
+        assert "seed" not in json.loads(report.read_text())
 
 
 @pytest.mark.parametrize("n_eval", ["0", "-1"])
@@ -301,7 +304,7 @@ def test_train_reruns_each_pipeline_run_from_its_config(tiny_teacher, tiny_confi
         xopd_steps=2, gkd_steps=3, batch_size=4, n_rollouts=2, max_new=5, n_eval=4,
     )
     seed_dir, config = tmp_path / "seed-0", tmp_path / "resolved_config.json"
-    run_seed(cfg, 0, seed_dir, tiny_teacher, {})
+    run_seed(cfg, 0, seed_dir, tiny_teacher)
     write_config(cfg, tmp_path)
     for name, tc in _method_variants(cfg, 0):
         out = tmp_path / "train" / name
@@ -644,9 +647,11 @@ def test_bad_list_flag_exits_2_before_work(tmp_path, argv, named, capsys, monkey
     ["eval", "a.ckpt", "--data", "d", "--config", "c.json"],
     # Every eval row is named after its report; the ablation table is the ablation command's.
     ["eval", "a.ckpt", "--data", "d", "--ablation", "lambda=0"],
+    # Greedy scoring draws nothing; a trained model's seed is in its run's manifest.
+    ["eval", "a.ckpt", "--data", "d", "--seed", "1"],
     # The trend run takes its seeds from the config's seeds list.
     ["reproduce-paper-trends", "--seed", "3"],
-], ids=["eval-set", "eval-config", "eval-ablation", "reproduce-seed"])
+], ids=["eval-set", "eval-config", "eval-ablation", "eval-seed", "reproduce-seed"])
 def test_an_option_the_command_does_not_read_is_refused(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

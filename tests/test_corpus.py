@@ -108,6 +108,9 @@ def test_decode_rejects_partial_frame_groups(codec):
 def test_codec_validates_noise_rate_and_multipliers():
     with pytest.raises(ConfigurationError):
         SpeechCodec(noise_rate=1.5)
+    # Every frame redrawn at random: the round-trip filter rejects nearly every example.
+    with pytest.raises(ConfigurationError, match="noise_rate"):
+        SpeechCodec(noise_rate=1.0)
     with pytest.raises(ConfigurationError, match="multiplier 5"):
         SpeechCodec(speech_vocab_size=65)  # 5 not invertible mod 65
     with pytest.raises(ConfigurationError, match="frames_per_token"):
@@ -436,3 +439,14 @@ def test_save_is_byte_stable(codec, tmp_path):
 def test_build_dataset_rejects_unknown_family(codec):
     with pytest.raises(ConfigurationError):
         build_dataset({"POETRY": (1, 1, 1)}, codec, seed=0)
+
+
+# build_dataset and PipelineConfig share one sizes rule, corpus.check_sizes.
+@pytest.mark.parametrize("sizes", [
+    {"REASONING": (2,)},
+    {"REASONING": (2, 1, 1, 5)},
+    {"REASONING": (1.5, 0, 0)},
+], ids=["one-count", "four-counts", "float-count"])
+def test_build_dataset_refuses_malformed_counts(codec, sizes):
+    with pytest.raises(ConfigurationError, match="sizes"):
+        build_dataset(sizes, codec, seed=0)

@@ -23,7 +23,7 @@ from xopd_lab.rollout import SPEECH, TEXT
 
 
 def _report(model_id, scores):
-    return EvalReport(model_id=model_id, base_model_id=None, n_eval=10, seed=0, scores=scores)
+    return EvalReport(model_id=model_id, base_model_id=None, n_eval=10, scores=scores)
 
 
 def test_score_model_range_and_determinism(tiny_student, small_dataset):
@@ -64,14 +64,14 @@ def test_teacher_cannot_be_scored_on_speech(tiny_teacher, small_dataset):
 
 
 def test_evaluate_model_shape(tiny_student, small_dataset):
-    report = evaluate_model(tiny_student, small_dataset, "student", seed=0, n_eval=6)
+    report = evaluate_model(tiny_student, small_dataset, "student", n_eval=6)
     assert set(report.scores) == {"REASONING", "INSTRUCTION", "ACOUSTIC"}
     for fam in report.scores:
         assert set(report.scores[fam]) == {SPEECH, TEXT}
 
 
 def test_evaluate_teacher_skips_speech(tiny_teacher, small_dataset):
-    report = evaluate_model(tiny_teacher, small_dataset, "teacher", seed=0, n_eval=4)
+    report = evaluate_model(tiny_teacher, small_dataset, "teacher", n_eval=4)
     for fam in report.scores:
         assert TEXT in report.scores[fam]
         assert SPEECH not in report.scores[fam]
@@ -117,10 +117,9 @@ def test_forgetting_eval():
     before = _report("base", {"ACOUSTIC": {SPEECH: 0.9}})
     after = _report("m", {"ACOUSTIC": {SPEECH: 0.8}})
     rec = forgetting_eval(after, before)
+    assert set(rec) == {"model_id", "acoustic_before", "acoustic_after", "drop"}
     assert rec["drop"] == pytest.approx(0.1)
-    assert rec["exceeds_threshold"] is True
-    rec2 = forgetting_eval(before, before)
-    assert rec2["drop"] == 0.0 and rec2["exceeds_threshold"] is False
+    assert forgetting_eval(before, before)["drop"] == 0.0
     with pytest.raises(DataError):
         forgetting_eval(_report("m", {}), before)
 

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from xopd_lab import trainer as trainer_mod
+from xopd_lab import pipeline as pipeline_mod, trainer as trainer_mod
 from xopd_lab.evaluation import EvalReport, comparison_table_csv
 from xopd_lab.model import TeacherModel
 from xopd_lab.pipeline import (
@@ -16,11 +16,12 @@ from xopd_lab.pipeline import (
     _method_variants,
     _trend_checks,
     method_config,
+    reproduce_paper_trends,
     run_ablation,
     run_seed,
 )
 from xopd_lab.errors import ConfigurationError
-from xopd_lab.trainer import METHODS, GapConfig, TrainConfig, clone_student
+from xopd_lab.trainer import METHODS, GapConfig, PretrainConfig, TrainConfig, clone_student
 
 
 def _result(base_ds=40.0, base_dt=1.0, x_ds=10.0, x_dt=1.5,
@@ -131,18 +132,45 @@ def test_run_seed_scores_the_base_student_and_every_variant(tiny_teacher, tiny_c
                       speech_subset_size=4, n_val=4),
         xopd_steps=1, gkd_steps=1, batch_size=4, n_rollouts=2, max_new=5, n_eval=4,
     )
-    result = run_seed(cfg, 0, tmp_path, tiny_teacher, {"steps": 7, "history": [1, 2]})
+    result = run_seed(cfg, 0, tmp_path, tiny_teacher)
     names = [name for name, _ in _method_variants(cfg, 0)]
     rows = (tmp_path / "comparison.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["base_student"] + names
     saved = json.loads((tmp_path / "seed_result.json").read_text())
     assert saved == json.loads(json.dumps(result))
-    assert saved["pretrain"] == {"steps": 7}
+    # The shared teacher's pretraining report is the trend root's, not each seed's.
+    assert set(saved) == {"seed", "gap_construction", "reports", "forgetting"}
     assert set(saved["forgetting"]) == set(names)
     for name in names:
+        assert set(saved["forgetting"][name]) == {"model_id", "acoustic_before", "acoustic_after", "drop"}
         assert saved["forgetting"][name]["model_id"] == name
         assert saved["reports"][name]["base_model_id"] == "teacher"
+    assert not any("seed" in report for report in saved["reports"].values())
     assert set(saved["reports"]["teacher"]["scores"]["REASONING"]) == {"TEXT"}
+
+
+def test_a_trend_root_holds_the_whole_pretrain_report(tiny_config, tmp_path, monkeypatch):
+    reports = []
+
+    def pretrain(*args):
+        teacher, report = trainer_mod.pretrain_teacher(*args)
+        reports.append(report)
+        return teacher, report
+
+    monkeypatch.setattr(pipeline_mod, "pretrain_teacher", pretrain)
+    monkeypatch.setattr(pipeline_mod, "run_seed", lambda cfg, seed, out_dir, teacher: _result())
+    cfg = PipelineConfig(
+        seeds=(0,), sizes={f: [24, 8, 8] for f in ("REASONING", "INSTRUCTION", "ACOUSTIC")},
+        model=tiny_config,
+        pretrain=PretrainConfig(batch_size=4, max_steps=2, eval_every=1, target_accuracy=0.0, n_val=4),
+    )
+    reproduce_paper_trends(cfg, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "lambda_ablation.svg", "pretrain_report.json", "resolved_config.json", "trends_report.json"
+    ]
+    saved = json.loads((tmp_path / "pretrain_report.json").read_text())
+    assert saved == json.loads(json.dumps(reports[0]))
+    assert [set(row) for row in saved["history"]] == [{"step", "loss", "val_accuracy"}]
 
 
 def test_run_ablation_grid(tiny_teacher, tiny_student, tiny_config, small_dataset, tmp_path):
@@ -166,7 +194,7 @@ def test_run_ablation_grid(tiny_teacher, tiny_student, tiny_config, small_datase
     for teacher_id in ("teacher", "teacher_b"):
         assert set(grid["cells"][teacher_id]) == {"l0", "l1"}
         for cell in grid["cells"][teacher_id].values():
-            assert "error" not in cell
+            assert "error" not in cell and "seed" not in cell
             assert "avg_drop_speech" in cell
             assert cell["base_model_id"] == "teacher"
     data = json.loads((tmp_path / "ablation_grid.json").read_text())

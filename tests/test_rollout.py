@@ -31,9 +31,9 @@ def _flat(rollouts):
 
 def test_trajectory_validates_shape():
     with pytest.raises(UsageError):
-        Trajectory(TEXT, [], [], True)
+        Trajectory(TEXT, [], [])
     with pytest.raises(UsageError):
-        Trajectory(TEXT, [1, 2], [0.0], True)
+        Trajectory(TEXT, [1, 2], [0.0])
 
 
 def test_collect_rollouts_shape(tiny_student, small_dataset):

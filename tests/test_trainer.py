@@ -247,7 +247,7 @@ def test_run_method_writes_artifacts(trainable_student, tiny_teacher, small_data
     assert (out / "checkpoints" / "final.ckpt").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["method"] == "xopd"
-    assert "final_params_hash" in manifest
+    assert set(manifest) == {"seed", "method", "steps", "dataset_manifest", "final_params_hash"}
     cfgj = json.loads((out / "config.json").read_text())
     assert cfgj["train"]["method"] == "xopd"
 
