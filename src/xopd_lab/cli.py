@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -49,10 +48,6 @@ from .trainer import (
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
-
-
-def _default_out() -> str:
-    return os.environ.get("XOPD_LAB_OUT", "xopd-out")
 
 
 def _load_config(path: str | None, overrides: list[str]) -> dict:
@@ -183,7 +178,8 @@ def cmd_train(args) -> int:
     )
     for model, role, path in ((teacher, "teacher", args.teacher), (student, "student", args.student)):
         if model is None and not args.auto:
-            raise UsageError(f"missing {role} checkpoint: {path} (pass --auto to build)")
+            missing = f"missing {role} checkpoint: {path}" if path else f"no --{role} given"
+            raise UsageError(f"{missing} (pass --auto to build)")
     if teacher is not None and student is None:
         check_backbone(teacher, pc.model)
     check_build_data(dataset, teacher=teacher is None, student=student is None)
@@ -273,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=_default_out())
+        p.add_argument("--out", default="xopd-out")
         p.set_defaults(func=func)
         return p
 

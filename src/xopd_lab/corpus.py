@@ -14,9 +14,9 @@ frame of every token. Decoding is majority vote against the pattern table,
 so the round trip is exactly checkable and the single-corrupted-frame case
 always recovers.
 
-Admission mirrors a WER filter: an example enters the dataset only if its
-round-trip token error rate is at or below the threshold and the answer
-recomputed from the decoded prompt matches the reference answer.
+Admission has one rule: an example enters the dataset only if its speech
+decodes to exactly its text prompt. Each task computes its reference answer
+from the values it draws.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
     VocabError,
     check_field_types,
     is_int,
-    is_number,
 )
 
 FAMILIES = ("REASONING", "INSTRUCTION", "ACOUSTIC")
@@ -69,10 +68,6 @@ def encode_text(tokens: list[str]) -> list[int]:
         return [TOKEN_TO_ID[t] for t in tokens]
     except KeyError as e:
         raise VocabError(f"unknown token {e.args[0]!r}") from e
-
-
-def decode_text(ids: list[int]) -> list[str]:
-    return [VOCAB[i] for i in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -189,72 +184,22 @@ def generate_task(
         pool = _MODULI[difficulty]
         m = int(pool[rng.integers(0, len(pool))])
         a, b = (int(rng.integers(0, _OPERAND_MAX[difficulty] + 1)) for _ in range(2))
-        prompt = encode_text(["(", str(a), rng.choice(["+", "-"]), str(b), ")", "mod", str(m), "="])
-        answer = reasoning_answer(prompt)
-        assert answer is not None
-        return prompt, answer, None
+        op = rng.choice(["+", "-"])
+        prompt = encode_text(["(", str(a), op, str(b), ")", "mod", str(m), "="])
+        return prompt, encode_text(list(str((a + b if op == "+" else a - b) % m))), None
     if family == "INSTRUCTION":
         form = rng.choice(["sort", "rev", "repeat"], p=[0.45, 0.45, 0.1])
         if form == "repeat":
             item = rng.choice(_ITEMS)
             count = int(rng.integers(2, 5))
-            prompt = encode_text(["repeat", item, str(count)])
-        else:
-            k = difficulty + 2
-            digits = [str(int(d)) for d in rng.integers(0, 10, size=k)]
-            prompt = encode_text([form] + digits)
-        answer = instruction_answer(prompt)
-        assert answer is not None
-        return prompt, answer, None
+            return encode_text(["repeat", item, str(count)]), encode_text([item] * count), None
+        digits = [str(int(d)) for d in rng.integers(0, 10, size=difficulty + 2)]
+        # Single-character digits: a string sort is a numeric sort.
+        answer = sorted(digits) if form == "sort" else digits[::-1]
+        return encode_text([form] + digits), encode_text(answer), None
     label = int(rng.integers(0, N_LABELS))
     prompt = encode_text(["label", "?"] + _draw_carriers(rng, difficulty + 3))
     return prompt, [LABEL_IDS[label]], label
-
-
-def reasoning_answer(prompt: list[int]) -> list[int] | None:
-    """Evaluate a '( a op b ) mod m =' prompt; None if malformed."""
-    toks = decode_text(prompt)
-    if len(toks) != 8 or toks[0::4] != ["(", ")"] or toks[5::2] != ["mod", "="]:
-        return None
-    try:
-        a, b, m = int(toks[1]), int(toks[3]), int(toks[6])
-    except ValueError:
-        return None
-    if m < 1 or toks[2] not in ("+", "-"):
-        return None
-    return encode_text(list(str((a + b if toks[2] == "+" else a - b) % m)))
-
-
-def instruction_answer(prompt: list[int]) -> list[int] | None:
-    toks = decode_text(prompt)
-    try:
-        cmd, rest = toks[0], toks[1:]
-        if cmd == "sort":
-            return encode_text(sorted(rest, key=int)) if rest else None
-        if cmd == "rev":
-            return encode_text(list(reversed(rest))) if rest else None
-        if cmd == "repeat":
-            item, count = rest
-            if item not in _ITEMS:
-                return None
-            return encode_text([item] * int(count))
-        return None
-    except (ValueError, IndexError):
-        return None
-
-
-def answer_for_prompt(family: str, prompt: list[int], label: int | None) -> list[int] | None:
-    """Canonical answer implied by a (possibly decoded) prompt."""
-    if family == "REASONING":
-        return reasoning_answer(prompt)
-    if family == "INSTRUCTION":
-        return instruction_answer(prompt)
-    if family == "ACOUSTIC":
-        # The answer rides the speech label channel, not the token content.
-        if label is None or not 0 <= label < N_LABELS:
-            return None
-        return [LABEL_IDS[label]]
-    raise ConfigurationError(f"unknown task family {family!r}")
 
 
 def _label_echo_task(rng: np.random.Generator) -> tuple[list[int], list[int], int]:
@@ -307,7 +252,6 @@ def pretraining_batch(seed: int, step: int, size: int) -> list["PairedExample"]:
                 speech_prompt=[],
                 reference_answer=answer,
                 label=label,
-                round_trip_error_rate=0.0,
             )
         )
     return out
@@ -326,7 +270,6 @@ class PairedExample:
     speech_prompt: list[int]
     reference_answer: list[int]
     label: int | None
-    round_trip_error_rate: float
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -334,10 +277,6 @@ class PairedExample:
     @classmethod
     def from_json(cls, line: str) -> "PairedExample":
         return cls(**json.loads(line))
-
-
-# Largest share of prompt tokens an admitted example's speech may misdecode.
-FILTER_THRESHOLD = 0.05
 
 
 @dataclass
@@ -370,7 +309,8 @@ def check_sizes(sizes) -> None:
 
 
 def build_dataset(sizes: dict[str, tuple[int, int, int]], codec: SpeechCodec, seed: int) -> Dataset:
-    """Generate deterministic train/val/test splits with the round-trip filter.
+    """Generate deterministic train/val/test splits, admitting an example
+    only if its speech decodes to exactly its text prompt.
 
     Per-example seeds derive from (seed, family index, candidate index), so
     generation order and parallel schedule cannot change the content. Splits
@@ -381,7 +321,6 @@ def build_dataset(sizes: dict[str, tuple[int, int, int]], codec: SpeechCodec, se
     seen_prompts: set[tuple[int, ...]] = set()
     attempts = 0
     rejected = 0
-    invariance_failures = 0
 
     for fam_idx, fam in enumerate(FAMILIES):
         if fam not in sizes:
@@ -402,14 +341,7 @@ def build_dataset(sizes: dict[str, tuple[int, int, int]], codec: SpeechCodec, se
                 continue
             attempts += 1
             frames = encode_speech(codec, prompt, label=label, rng=rng)
-            decoded = decode_speech(codec, frames)
-            mismatches = sum(1 for a, b in zip(decoded, prompt) if a != b)
-            rtr = mismatches / len(prompt)
-            if rtr > FILTER_THRESHOLD:
-                rejected += 1
-                continue
-            if answer_for_prompt(fam, decoded, label) != answer:
-                invariance_failures += 1
+            if decode_speech(codec, frames) != prompt:
                 rejected += 1
                 continue
             seen_prompts.add(key)
@@ -422,7 +354,6 @@ def build_dataset(sizes: dict[str, tuple[int, int, int]], codec: SpeechCodec, se
                 speech_prompt=frames,
                 reference_answer=answer,
                 label=label,
-                round_trip_error_rate=rtr,
             )
             splits[split].append(ex)
             quota[split] -= 1
@@ -438,7 +369,6 @@ def build_dataset(sizes: dict[str, tuple[int, int, int]], codec: SpeechCodec, se
         "seed": seed,
         "sizes": {k: list(v) for k, v in sizes.items()},
         "difficulty_ranges": {k: list(v) for k, v in DEFAULT_DIFFICULTY.items()},
-        "filter_threshold": FILTER_THRESHOLD,
         "codec": {
             "frames_per_token": codec.frames_per_token,
             "speech_vocab_size": codec.speech_vocab_size,
@@ -452,7 +382,6 @@ def build_dataset(sizes: dict[str, tuple[int, int, int]], codec: SpeechCodec, se
         "attempts": attempts,
         "rejected": rejected,
         "rejection_rate": rejection_rate,
-        "invariance_failures": invariance_failures,
         "vocab_size": len(VOCAB),
     }
     return Dataset(splits=splits, manifest=manifest)
@@ -494,7 +423,6 @@ def _checked_example(line: str, speech_vocab_size: int) -> PairedExample:
         "speech_prompt": ids(ex.speech_prompt),
         "reference_answer": ids(ex.reference_answer),
         "label": ex.label is None or is_int(ex.label),
-        "round_trip_error_rate": is_number(ex.round_trip_error_rate),
     }
     wrong = [name for name, ok in typed.items() if not ok]
     if wrong:

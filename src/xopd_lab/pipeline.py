@@ -58,6 +58,9 @@ DEFAULT_SIZES = {
 
 BASELINE_METHODS = ("sft", "offline_kd", "gkd")
 
+# The X-OPD variant the gap-narrowing criterion judges.
+GAP_LAMBDA = 0.5
+
 
 @dataclass
 class PipelineConfig:
@@ -172,7 +175,6 @@ def run_seed(cfg: PipelineConfig, seed: int, out_dir: Path, teacher: TeacherMode
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = cfg.dataset(seed)
     save_dataset(dataset, out_dir / "data")
-    save_model(teacher, out_dir / "teacher.ckpt")
     teacher_report = evaluate_model(teacher, dataset, "teacher", n_eval=cfg.n_eval)
 
     base_student, gap_report = build_gapped_student(teacher, dataset, cfg.model, cfg.gap, seed)
@@ -202,7 +204,7 @@ def run_seed(cfg: PipelineConfig, seed: int, out_dir: Path, teacher: TeacherMode
 
 def _trend_checks(result: dict, lambda_grid: tuple[float, ...]) -> dict:
     reps = result["reports"]
-    xopd_name = "xopd_l0.5"
+    xopd_name = f"xopd_l{GAP_LAMBDA:g}"
     base_ds = reps["base_student"]["avg_drop_speech"]
     base_dt = reps["base_student"]["avg_drop_text"]
     x_ds = reps[xopd_name]["avg_drop_speech"]
@@ -244,9 +246,14 @@ def _trend_checks(result: dict, lambda_grid: tuple[float, ...]) -> dict:
 
 def reproduce_paper_trends(cfg: PipelineConfig, out_root: str | Path) -> dict:
     """Record ``cfg`` in ``out_root``, pretrain the one teacher every seed
-    shares and write its report, history included, as
-    ``pretrain_report.json``; then run every seed and aggregate the three
-    directional criteria."""
+    shares and write it as ``teacher.ckpt`` and its report, history
+    included, as ``pretrain_report.json``; then run every seed and aggregate
+    the three directional criteria. A ``lambda_grid`` without ``GAP_LAMBDA``
+    is refused before anything is written."""
+    if GAP_LAMBDA not in cfg.lambda_grid:
+        raise ConfigurationError(
+            f"lambda_grid must hold {GAP_LAMBDA:g}, the gap criterion's lambda, got {cfg.lambda_grid!r}"
+        )
     out_root = Path(out_root)
     write_config(cfg, out_root)
     # One fixed teacher across seeds (as at paper scale, where the teacher
@@ -255,6 +262,7 @@ def reproduce_paper_trends(cfg: PipelineConfig, out_root: str | Path) -> dict:
     teacher, pretrain_report = pretrain_teacher(
         cfg.dataset(teacher_seed), cfg.model, cfg.pretrain, teacher_seed
     )
+    save_model(teacher, out_root / "teacher.ckpt")
     (out_root / "pretrain_report.json").write_text(json.dumps(pretrain_report, indent=2, sort_keys=True))
     seed_results = []
     checks = []

@@ -219,6 +219,36 @@ def naive_decode_speech(codec, frames: list[int]) -> list[int]:
     return tokens
 
 
+# ---------------------------------------------------------------------------
+# Task answers
+# ---------------------------------------------------------------------------
+
+
+def naive_answer(tokens: list[str], label: int | None) -> list[str]:
+    """The answer a task prompt asks for, as token strings.
+
+    ``( a op b ) mod m =`` asks for the digits of ``(a op b) mod m`` (Python's
+    non-negative modulo); ``sort``/``rev`` followed by digits asks for them
+    in ascending numeric or reversed order; ``repeat item count`` asks for
+    ``item`` written ``count`` times; and ``label ? ...`` asks for the token
+    ``L<label>`` of the prosody label only the speech carries.
+    """
+    head, rest = tokens[0], tokens[1:]
+    if head == "(":
+        a, op, b, m = int(rest[0]), rest[1], int(rest[2]), int(rest[5])
+        value = a + b if op == "+" else a - b
+        return list(str(value % m))
+    if head == "sort":
+        return [str(d) for d in range(10) for t in rest if int(t) == d]
+    if head == "rev":
+        return [rest[i] for i in range(len(rest) - 1, -1, -1)]
+    if head == "repeat":
+        return [rest[0]] * int(rest[1])
+    if head == "label":
+        return [f"L{label}"]
+    raise ValueError(f"not a task prompt: {tokens}")
+
+
 def trajectories_of(rollouts, modality: str) -> list:
     """Every trajectory of one conditioning modality in a rollout batch,
     in example order."""

@@ -88,6 +88,12 @@ def test_train_missing_teacher_without_auto(tmp_path, data_dir, capsys):
     ])
     assert code == 2
     assert "no-teacher.ckpt" in capsys.readouterr().err
+    # Without --teacher, --student or --auto the message names the flag.
+    code = main(["train", "--method", "sft", "--data", str(data_dir), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no --teacher given (pass --auto to build)" in err and "None" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_unknown_method_is_usage_error(tmp_path, data_dir):
@@ -305,12 +311,14 @@ def test_train_reruns_each_pipeline_run_from_its_config(tiny_teacher, tiny_confi
     )
     seed_dir, config = tmp_path / "seed-0", tmp_path / "resolved_config.json"
     run_seed(cfg, 0, seed_dir, tiny_teacher)
+    # The trend root, not the seed directory, holds the shared teacher.
     write_config(cfg, tmp_path)
+    save_model(tiny_teacher, tmp_path / "teacher.ckpt")
     for name, tc in _method_variants(cfg, 0):
         out = tmp_path / "train" / name
         code = main([
             "train", "--method", tc.method, "--config", str(config), "--seed", "0",
-            "--data", str(seed_dir / "data"), "--teacher", str(seed_dir / "teacher.ckpt"),
+            "--data", str(seed_dir / "data"), "--teacher", str(tmp_path / "teacher.ckpt"),
             "--student", str(seed_dir / "student_base.ckpt"), "--out", str(out),
         ] + (["--lambda", str(tc.lam)] if tc.method == "xopd" else []))
         assert code == 0, name
@@ -794,6 +802,17 @@ def test_a_trend_directory_holds_one_config_record(tmp_path, monkeypatch, capsys
     assert main(["reproduce-paper-trends", "--out", str(out), "--set", "seeds=[4,5]"]) == 1
     assert [p.name for p in out.iterdir()] == ["resolved_config.json"]
     assert _record(out) == json.loads(json.dumps(asdict(PipelineConfig(seeds=(4, 5)))))
+
+
+def test_a_trend_grid_without_the_gap_lambda_exits_2_before_writing(tmp_path, monkeypatch, capsys):
+    def no_teacher(*args):
+        raise TrainingFailure("pretraining started")
+
+    monkeypatch.setattr(pipeline_mod, "pretrain_teacher", no_teacher)
+    out = tmp_path / "trends"
+    assert main(["reproduce-paper-trends", "--out", str(out), "--set", "lambda_grid=[0,1]"]) == 2
+    assert "lambda_grid must hold 0.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_data_codec_follows_model_overrides(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from xopd_lab import pipeline as pipeline_mod, trainer as trainer_mod
 from xopd_lab.evaluation import EvalReport, comparison_table_csv
-from xopd_lab.model import TeacherModel
+from xopd_lab.model import TeacherModel, load_model
 from xopd_lab.pipeline import (
     BASELINE_METHODS,
     PipelineConfig,
@@ -133,6 +133,8 @@ def test_run_seed_scores_the_base_student_and_every_variant(tiny_teacher, tiny_c
         xopd_steps=1, gkd_steps=1, batch_size=4, n_rollouts=2, max_new=5, n_eval=4,
     )
     result = run_seed(cfg, 0, tmp_path, tiny_teacher)
+    # The shared teacher is written once, to the trend root.
+    assert not (tmp_path / "teacher.ckpt").exists()
     names = [name for name, _ in _method_variants(cfg, 0)]
     rows = (tmp_path / "comparison.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["base_student"] + names
@@ -150,11 +152,12 @@ def test_run_seed_scores_the_base_student_and_every_variant(tiny_teacher, tiny_c
 
 
 def test_a_trend_root_holds_the_whole_pretrain_report(tiny_config, tmp_path, monkeypatch):
-    reports = []
+    reports, teachers = [], []
 
     def pretrain(*args):
         teacher, report = trainer_mod.pretrain_teacher(*args)
         reports.append(report)
+        teachers.append(teacher)
         return teacher, report
 
     monkeypatch.setattr(pipeline_mod, "pretrain_teacher", pretrain)
@@ -166,8 +169,13 @@ def test_a_trend_root_holds_the_whole_pretrain_report(tiny_config, tmp_path, mon
     )
     reproduce_paper_trends(cfg, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "lambda_ablation.svg", "pretrain_report.json", "resolved_config.json", "trends_report.json"
+        "lambda_ablation.svg", "pretrain_report.json", "resolved_config.json", "teacher.ckpt",
+        "trends_report.json",
     ]
+    saved_teacher = load_model(tmp_path / "teacher.ckpt")
+    assert {k: v.data.tobytes() for k, v in saved_teacher.params.items()} == {
+        k: v.data.tobytes() for k, v in teachers[0].params.items()
+    }
     saved = json.loads((tmp_path / "pretrain_report.json").read_text())
     assert saved == json.loads(json.dumps(reports[0]))
     assert [set(row) for row in saved["history"]] == [{"step", "loss", "val_accuracy"}]
