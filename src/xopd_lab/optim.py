@@ -32,9 +32,21 @@ class Adam:
             p = self.params[name]
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1**self.t)
-            vhat = self.v[name] / (1 - b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and the update
+            # lr * mhat / (sqrt(vhat) + EPS), in place with two temporaries:
+            # the same operations in the same order, so the same bits.
+            step = (1 - b1) * g
+            m *= b1
+            m += step
+            np.multiply(1 - b2, g, out=step)
+            step *= g
+            v *= b2
+            v += step
+            np.divide(m, 1 - b1**self.t, out=step)
+            step *= self.lr
+            denom = v / (1 - b2**self.t)
+            np.sqrt(denom, out=denom)
+            denom += self.EPS
+            step /= denom
+            p.data -= step

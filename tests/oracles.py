@@ -69,6 +69,22 @@ def softmax_kl_gradient(theta: np.ndarray, target_logp: np.ndarray) -> np.ndarra
     return p * (diff - (p * diff).sum(axis=-1, keepdims=True))
 
 
+def adam_step(data: dict, grads: dict, m: dict, v: dict, t: int, lr: float,
+              b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8) -> None:
+    """Step ``t`` of Adam with bias correction, as plain expressions: updates
+    the arrays in ``data`` and the moments in ``m`` and ``v`` (dicts by
+    name) in sorted-name order, skipping names whose gradient is None."""
+    for name in sorted(data):
+        g = grads[name]
+        if g is None:
+            continue
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * g * g
+        mhat = m[name] / (1 - b1**t)
+        vhat = v[name] / (1 - b2**t)
+        data[name] -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
 def binomial_tail(n: int, p: float, k: int) -> float:
     """P(Binom(n, p) > k) computed by direct summation."""
     total = 0.0

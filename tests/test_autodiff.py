@@ -7,6 +7,7 @@ import pytest
 
 import xopd_lab.autodiff as ad
 from xopd_lab.autodiff import Tensor
+from xopd_lab.baselines import sft_batch_loss
 
 from gradcheck import check_op, one_batch, op_cases
 from oracles import naive_causal_attention, naive_softmax, rel_error
@@ -100,6 +101,60 @@ def test_backward_twice_without_zero_grad_adds():
     np.testing.assert_allclose(x.grad, 2 * g1)
     x.zero_grad()
     assert x.grad is None or not np.any(x.grad)
+
+
+def _graph(root: Tensor) -> list[Tensor]:
+    """Every node reachable from ``root`` through parent links."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_frees_each_used_node_and_keeps_leaf_grads(tiny_teacher, small_dataset):
+    batch = small_dataset.alignment_set("train")[:3]
+    trained = [p for p in tiny_teacher.params.values() if p.requires_grad]
+    for p in trained:
+        p.zero_grad()
+    loss = sft_batch_loss(tiny_teacher, batch)
+    loss.backward()
+    nodes = _graph(loss)
+    inner = [n for n in nodes if n._parents]
+    assert len(inner) > 20
+    assert all(n.grad is None and n._backward is None and n.data is not None for n in inner)
+    assert trained and all(p.grad is not None and np.all(np.isfinite(p.grad)) for p in trained)
+    first = [p.grad.copy() for p in trained]
+
+    with pytest.raises(ValueError, match="already run backward"):
+        loss.backward()
+    for p, g in zip(trained, first):
+        np.testing.assert_array_equal(p.grad, g)
+
+    # A fresh graph over the same leaves runs, and its gradients add on
+    # (one contribution at a time, so equal to 2g up to rounding).
+    sft_batch_loss(tiny_teacher, batch).backward()
+    for p, g in zip(trained, first):
+        np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-9, atol=1e-12)
+        p.zero_grad()
+
+
+def test_a_graph_sharing_a_used_node_refuses_backward():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    h = ad.gelu(x)
+    ad.sum_all(h).backward()
+    g = x.grad.copy()
+    with pytest.raises(ValueError, match="already run backward"):
+        ad.sum_all(ad.mul(h, h)).backward()
+    np.testing.assert_array_equal(x.grad, g)
+    # A scalar leaf as root is no used graph: it accumulates as before.
+    s = Tensor(np.array(2.0), requires_grad=True)
+    s.backward()
+    s.backward()
+    assert s.grad == 2.0
 
 
 def test_no_grad_blocks_graph_construction():

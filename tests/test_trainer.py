@@ -25,6 +25,8 @@ from xopd_lab.trainer import (
     run_method,
 )
 
+from oracles import adam_step
+
 
 # ---------------------------------------------------------------------------
 # Adam
@@ -68,6 +70,27 @@ def test_adam_skips_params_without_grad():
     opt.step()
     assert x.data[0] != 1.0
     assert y.data[0] == 2.0
+
+
+def test_adam_steps_are_bit_for_bit_the_plain_expressions():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 5), "b": (5,), "frozen": (3,)}
+    params = {k: Tensor(rng.normal(0, 1, s), requires_grad=True) for k, s in shapes.items()}
+    data = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = Adam(params, lr=3e-3)
+    assert (opt.BETA1, opt.BETA2, opt.EPS) == (0.9, 0.999, 1e-8)
+    for t in range(1, 6):
+        for k, p in params.items():
+            p.grad = None if k == "frozen" else rng.normal(0, 10.0**-t, shapes[k])
+        adam_step(data, {k: p.grad for k, p in params.items()}, m, v, t, 3e-3)
+        opt.step()
+        for k in shapes:
+            np.testing.assert_array_equal(params[k].data, data[k])
+            np.testing.assert_array_equal(opt.m[k], m[k])
+            np.testing.assert_array_equal(opt.v[k], v[k])
+    assert not np.any(opt.m["frozen"]) and not np.any(opt.v["frozen"])
 
 
 def test_adam_rejects_negative_lr():
