@@ -7,6 +7,15 @@ order. Leaf gradients accumulate (never overwrite) across calls; a recorded
 graph runs backward once, and each node's gradient and closure go once
 they have been used.
 
+Each backward closure captures, when its op is recorded, every array and
+shape it will read, so it never reads an input node's ``data`` at backward
+time. An op marks the inputs whose values its backward reads, and
+``release`` drops the value of every node below a root that no backward
+reads (the q/k/v projections, residual sums and logits of a transformer
+pass). A marked node keeps its value, the same array its consumer's closure
+holds, until the caller drops the root: that keeps the heap warm between
+training steps (see ``release``).
+
 No views or strides are exposed: ops copy freely. This keeps backward
 rules simple and makes exact, bit-reproducible gradient checking cheap
 at desk scale.
@@ -92,7 +101,7 @@ def np_log_softmax(z: np.ndarray) -> np.ndarray:
 class Tensor:
     """Dense float64 tensor with an optional gradient accumulator."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_read")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -101,6 +110,8 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        # Whether a recorded backward reads this node's value (see ``release``).
+        self._read = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,35 +138,25 @@ class Tensor:
         ``ValueError``. Leaves (the parameters) keep their gradients, which
         accumulate across calls until ``zero_grad``.
 
-        Every node keeps its ``data`` and its ``_parents``, so a step's
-        forward values live as long as the caller holds the root, as they
-        did before. That is deliberate: dropping them too (or the caller
-        dropping its root before the next forward) empties the heap between
-        training steps, the allocator hands the pages back, and every step
-        faults them in again. On a 2-core machine a pretraining step then
-        took about 3,100 minor page faults against under 200, an X-OPD step
-        about 9,400 against 1,100, and pretraining steps ran 18-37% slower
-        in three benchmark pairs.
+        Closures read only what they captured when their op was recorded,
+        so backward needs no node's ``data`` but the root's. Once
+        ``release`` has run, a recorded node keeps its ``data`` only if a
+        backward reads it; every node keeps its ``_parents``, so the values
+        that remain live as long as the caller holds the root. That is
+        deliberate: dropping the links too (or the caller dropping its root
+        before the next forward), or releasing the values that backward
+        reads, empties the heap between training steps, the allocator hands
+        the pages back, and every step faults them in again. On a 2-core
+        machine, dropping the links made a pretraining step take about
+        3,100 minor page faults against under 200, an X-OPD step about
+        9,400 against 1,100, and pretraining steps ran 18-37% slower in
+        three benchmark pairs; for releasing every value, see ``release``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar root, got shape {self.shape}")
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            if node._parents and node._backward is None:
-                raise ValueError("backward() through a graph that has already run backward")
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+        topo = _topo(self)
+        if any(node._parents and node._backward is None for node in topo):
+            raise ValueError("backward() through a graph that has already run backward")
         self.accumulate_grad(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
@@ -165,15 +166,62 @@ class Tensor:
                 node._backward = None
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        shape = "released" if self.data is None else f"shape={self.shape}"
+        return f"Tensor({shape}, requires_grad={self.requires_grad})"
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+def _topo(root: Tensor) -> list[Tensor]:
+    """Every node below ``root`` and ``root`` itself, each after its parents
+    (so ``root`` comes last)."""
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    return topo
+
+
+def release(root: Tensor) -> None:
+    """Drop the value (``data = None``) of every recorded node below ``root``
+    that no recorded backward reads; ``root``, the leaves and the marked
+    nodes keep theirs. Backward is unchanged bit for bit, since each closure
+    holds what it reads.
+
+    The mark is what keeps the heap warm: a marked node's value is the
+    array its consumer's closure holds, and it stays on the node after
+    backward has dropped the closure, until the caller drops the root.
+    Releasing every interior value instead (closures own what they read)
+    lets backward empty the heap, and every step faults its pages in
+    again: on a 2-core machine a pretraining step then took about 1,900
+    minor page faults against about 160, and an X-OPD step about 5,700
+    against about 750.
+    """
+    for node in _topo(root)[:-1]:
+        if node._parents and not node._read:
+            node.data = None
+
+
+def _make(data: np.ndarray, parents: Sequence[Tensor], backward, reads: Sequence[Tensor] = ()) -> Tensor:
+    """The op's output; where a graph is recorded, its parents and backward
+    closure, and a mark on each input in ``reads``, whose value the closure
+    reads (see ``release``)."""
     out = Tensor(data)
     if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
+        for r in reads:
+            r._read = True
     return out
 
 
@@ -189,12 +237,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
+            a.accumulate_grad(_unbroadcast(g, sa))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+            b.accumulate_grad(_unbroadcast(g, sb))
 
     return _make(data, (a, b), backward)
 
@@ -212,15 +261,16 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    ad, bd = a.data, b.data
+    data = ad * bd
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
+            a.accumulate_grad(_unbroadcast(g * bd, ad.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+            b.accumulate_grad(_unbroadcast(g * ad, bd.shape))
 
-    return _make(data, (a, b), backward)
+    return _make(data, (a, b), backward, reads=(a, b))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -255,29 +305,31 @@ def matmul(a: Tensor, b: Tensor, rows: "RowIndex | None" = None, bias: Tensor | 
     padding, because the transposed products and the sums over rows and then
     sequences round with the shape they are given.
     """
-    if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    ad, bd = a.data, b.data
+    if ad.ndim < 1 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
+        raise ValueError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
     if rows is None:
         layout = lambda x: x
-        data = np.matmul(a.data, b.data)
+        data = np.matmul(ad, bd)
     else:
         layout = rows.padded
-        data = np.matmul(a.data[:, None], b.data)[:, 0] if rows.one_row else a.data @ b.data
+        data = np.matmul(ad[:, None], bd)[:, 0] if rows.one_row else ad @ bd
+    sbias = None if bias is None else bias.shape
     if bias is not None:
         data = data + bias.data
 
     def backward(g):
         g = layout(g)
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.shape) if rows is None else rows.packed(ga))
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+            a.accumulate_grad(_unbroadcast(ga, ad.shape) if rows is None else rows.packed(ga))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(layout(a.data), -1, -2), g)
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
+            gb = np.matmul(np.swapaxes(layout(ad), -1, -2), g)
+            b.accumulate_grad(_unbroadcast(gb, bd.shape))
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.shape))
+            bias.accumulate_grad(_unbroadcast(g, sbias))
 
-    return _make(data, (a, b) if bias is None else (a, b, bias), backward)
+    return _make(data, (a, b) if bias is None else (a, b, bias), backward, reads=(a, b))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -403,6 +455,7 @@ def unpad_rows(xs: Sequence[Tensor], rows: RowIndex) -> Tensor:
     """One (B, L, d) tensor per attention batch -> the packed (N, d) rows,
     each read from the first position that uses it."""
     d = xs[0].data.shape[-1]
+    shapes = [x.shape for x in xs]
     data = np.empty((rows.position.size, d))
     ends = np.cumsum([b.first.size for b in rows.batches])
     for x, b, end in zip(xs, rows.batches, ends):
@@ -411,12 +464,12 @@ def unpad_rows(xs: Sequence[Tensor], rows: RowIndex) -> Tensor:
         np.take(x.data.reshape(-1, d), b.first, axis=0, out=out, mode="clip")
 
     def backward(g):
-        for x, b, end in zip(xs, rows.batches, ends):
+        for x, shape, b, end in zip(xs, shapes, rows.batches, ends):
             if x.requires_grad:
                 # Each packed row has its own slot: a plain copy, no np.add.at.
-                full = np.zeros((x.data.size // d, d))
-                full[b.first] = g[end - b.first.size : end]
-                x.accumulate_grad(full.reshape(x.shape))
+                full = np.zeros(shape)
+                full.reshape(-1, d)[b.first] = g[end - b.first.size : end]
+                x.accumulate_grad(full)
 
     return _make(data, tuple(xs), backward)
 
@@ -425,10 +478,11 @@ def gather(x: Tensor, idx: tuple) -> Tensor:
     """Pick ``x.data[idx]`` for a tuple of integer index arrays."""
     idx = tuple(np.asarray(i, dtype=np.int64) for i in idx)
     data = x.data[idx]
+    shape = x.shape
 
     def backward(g):
         if x.requires_grad:
-            full = np.zeros_like(x.data)
+            full = np.zeros(shape)
             np.add.at(full, idx, g)
             x.accumulate_grad(full)
 
@@ -442,11 +496,12 @@ def embedding(table: Tensor, ids) -> Tensor:
         bad = int(np.argmax((ids < 0) | (ids >= table.data.shape[0])))
         raise IndexError(f"embedding id out of range at flat position {bad}")
     data = table.data[ids]
+    shape = table.shape
 
     def backward(g):
         if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+            gt = np.zeros(shape)
+            np.add.at(gt, ids.reshape(-1), g.reshape(-1, shape[1]))
             table.accumulate_grad(gt)
 
     return _make(data, (table,), backward)
@@ -473,37 +528,40 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
     xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    gd = gain.data
+    sbias = bias.shape
+    data = xhat * gd + bias.data
 
     def backward(g):
         if gain.requires_grad:
             gg = (g * xhat).reshape(-1, n).sum(axis=0)
-            gain.accumulate_grad(_unbroadcast(gg, gain.shape))
+            gain.accumulate_grad(_unbroadcast(gg, gd.shape))
         if bias.requires_grad:
             gb = g.reshape(-1, n).sum(axis=0)
-            bias.accumulate_grad(_unbroadcast(gb, bias.shape))
+            bias.accumulate_grad(_unbroadcast(gb, sbias))
         if x.requires_grad:
-            gx_hat = g * gain.data
+            gx_hat = g * gd
             s1 = gx_hat.sum(axis=-1, keepdims=True)
             s2 = (gx_hat * xhat).sum(axis=-1, keepdims=True)
             gx = inv * (gx_hat - s1 / n - xhat * s2 / n)
             x.accumulate_grad(gx)
 
-    return _make(data, (x, gain, bias), backward)
+    return _make(data, (x, gain, bias), backward, reads=(gain,))
 
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximate GELU."""
-    t = np.tanh(_GELU_C * (x.data + 0.044715 * ((x.data * x.data) * x.data)))
-    data = 0.5 * x.data * (1.0 + t)
+    xd = x.data
+    t = np.tanh(_GELU_C * (xd + 0.044715 * ((xd * xd) * xd)))
+    data = 0.5 * xd * (1.0 + t)
 
     def backward(g):
         if x.requires_grad:
-            du = _GELU_C * (1.0 + 3 * 0.044715 * (x.data * x.data))
+            du = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
             dt = (1.0 - t**2) * du
-            x.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x.data * dt))
+            x.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * xd * dt))
 
-    return _make(data, (x,), backward)
+    return _make(data, (x,), backward, reads=(x,))
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -545,9 +603,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum())
+    shape = a.shape
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, float(g)))
+            a.accumulate_grad(np.full(shape, float(g)))
 
     return _make(data, (a,), backward)

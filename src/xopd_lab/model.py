@@ -429,7 +429,8 @@ def completion_log_probs(model: TeacherModel, items: list[tuple[Prompt, list[int
     of every pair is its own row, as a shared row would sum its gradients
     in another order. Returns one log-softmax row per completion token,
     shape (T, V), ordered by item and then position, so passes over the
-    same completions align whatever their prompts."""
+    same completions align whatever their prompts. A recorded pass keeps
+    only the values its backward reads (``autodiff.release``)."""
     if not items:
         raise ModalityError("completion_log_probs given no items")
     if ad.grad_enabled():
@@ -444,7 +445,9 @@ def completion_log_probs(model: TeacherModel, items: list[tuple[Prompt, list[int
     clens = [len(completion) for _, completion in items]
     b = np.repeat(np.arange(len(items)), clens)
     t = np.arange(len(b)) - np.repeat(np.cumsum(clens) - clens, clens)
-    return ad.log_softmax(ad.gather(logits, (rows[b, np.repeat(seps, clens) + t],)))
+    out = ad.log_softmax(ad.gather(logits, (rows[b, np.repeat(seps, clens) + t],)))
+    ad.release(out)
+    return out
 
 
 def batched_completion_logps(model: TeacherModel, items: list[tuple[Prompt, list[int]]]) -> Tensor:

@@ -8,6 +8,8 @@ import pytest
 import xopd_lab.autodiff as ad
 from xopd_lab.autodiff import Tensor
 from xopd_lab.baselines import sft_batch_loss
+from xopd_lab.objective import xopd_loss
+from xopd_lab.rollout import collect_rollouts, rollout_pairs
 
 from gradcheck import check_op, one_batch, op_cases
 from oracles import naive_causal_attention, naive_softmax, rel_error
@@ -115,17 +117,53 @@ def _graph(root: Tensor) -> list[Tensor]:
     return nodes
 
 
-def test_backward_frees_each_used_node_and_keeps_leaf_grads(tiny_teacher, small_dataset):
+def _read_by_a_backward(nodes: list[Tensor]) -> list[bool]:
+    """For each node, whether the backward closure of a node among ``nodes``
+    that consumes it holds its value (the very array) when recorded."""
+    held = {
+        id(cell.cell_contents)
+        for n in nodes
+        if n._backward is not None
+        for cell in n._backward.__closure__ or ()
+    }
+    consumed = {id(p) for n in nodes for p in n._parents}
+    return [id(n) in consumed and id(n.data) in held for n in nodes]
+
+
+def _pass(monkeypatch, loss_fn, release):
+    """``loss_fn()`` with ``ad.release`` run as ``release``; returns the loss
+    and every node of the released root's graph (root last), in walk order."""
+    roots = []
+
+    def spy(root):
+        roots.append(root)
+        release(root)
+
+    monkeypatch.setattr(ad, "release", spy)
+    loss = loss_fn()
+    monkeypatch.undo()
+    (root,) = roots
+    return loss, [n for n in _graph(root) if n is not root] + [root]
+
+
+def test_backward_frees_each_used_node_and_keeps_leaf_grads(tiny_teacher, small_dataset, monkeypatch):
     batch = small_dataset.alignment_set("train")[:3]
     trained = [p for p in tiny_teacher.params.values() if p.requires_grad]
     for p in trained:
         p.zero_grad()
-    loss = sft_batch_loss(tiny_teacher, batch)
+    # The same pass twice: kept whole, it shows which values a recorded
+    # backward reads; released, exactly those stay.
+    _, whole = _pass(monkeypatch, lambda: sft_batch_loss(tiny_teacher, batch), lambda root: None)
+    read = _read_by_a_backward(whole)
+    loss, nodes = _pass(monkeypatch, lambda: sft_batch_loss(tiny_teacher, batch), ad.release)
+    below = [i for i, n in enumerate(nodes[:-1]) if n._parents]
+    assert len(below) > 20 and len(nodes) == len(whole)
+    assert any(read[i] for i in below) and not all(read[i] for i in below)
+    assert all((nodes[i].data is not None) == read[i] for i in below)
     loss.backward()
-    nodes = _graph(loss)
-    inner = [n for n in nodes if n._parents]
-    assert len(inner) > 20
-    assert all(n.grad is None and n._backward is None and n.data is not None for n in inner)
+    assert all((nodes[i].data is not None) == read[i] for i in below)
+    inner = [n for n in _graph(loss) if n._parents]
+    assert all(n.grad is None and n._backward is None for n in inner)
     assert trained and all(p.grad is not None and np.all(np.isfinite(p.grad)) for p in trained)
     first = [p.grad.copy() for p in trained]
 
@@ -140,6 +178,69 @@ def test_backward_frees_each_used_node_and_keeps_leaf_grads(tiny_teacher, small_
     for p, g in zip(trained, first):
         np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-9, atol=1e-12)
         p.zero_grad()
+
+
+def _every_op_loss() -> tuple[Tensor, list[Tensor]]:
+    """A scalar loss through every recording op, and its leaves."""
+    rng = np.random.default_rng(3)
+    leaf = lambda *shape: Tensor(rng.normal(0.0, 0.5, shape), requires_grad=True)
+    emb, g, b, w, c, wq, wk, wv, w2, bias = (
+        leaf(6, 4), leaf(4), leaf(4), leaf(4, 4), leaf(4), leaf(4, 4), leaf(4, 4), leaf(4, 4),
+        leaf(4, 3), leaf(3),
+    )
+    rows = ad.RowIndex([ad.packed_rows([3, 2])], [0])
+    x = ad.layer_norm(ad.embedding(emb, [0, 2, 1, 5, 0]), g, b)
+    h = ad.gelu(ad.matmul(x, w, rows, c))
+    ab = ad.pad_rows(h, rows, 0)
+    q, k, v = (ad.matmul(ab, m) for m in (wq, wk, wv))
+    u = ad.unpad_rows([ad.causal_attention(q, k, v, 2)], rows)
+    e = ad.reshape(ad.exp(ad.scale(h, 0.5)), (4, 5))
+    y = ad.concat_rows([u, ad.reshape(e, (5, 4))])
+    y = ad.sub(ad.mul(y, y), ad.neg(y))
+    lp = ad.log_softmax(ad.add(ad.matmul(y, w2), bias))
+    loss = ad.sum_all(ad.gather(lp, (np.arange(10), np.arange(10) % 3)))
+    return loss, [emb, g, b, w, c, wq, wk, wv, w2, bias]
+
+
+def test_closures_read_only_what_they_captured():
+    loss, leaves = _every_op_loss()
+    loss.backward()
+    want = [p.grad for p in leaves]
+    loss, leaves = _every_op_loss()
+    inner = [n for n in _graph(loss) if n._parents and n is not loss]
+    assert any(n._read for n in inner) and len(inner) > 20
+    for n in inner:
+        n.data = None
+    loss.backward()
+    for p, g in zip(leaves, want):
+        np.testing.assert_array_equal(p.grad, g)
+
+
+def test_release_moves_no_bit(tiny_teacher, tiny_student, small_dataset, monkeypatch):
+    batch = small_dataset.alignment_set("train")[:3]
+    pairs = rollout_pairs(collect_rollouts(tiny_student, batch, n=2, seed=5, max_new=5), batch)
+    runs = (
+        (tiny_teacher, lambda: sft_batch_loss(tiny_teacher, batch)),
+        (tiny_student, lambda: xopd_loss(pairs, tiny_teacher, tiny_student, 0.5)[1]),
+    )
+    for model, loss_fn in runs:
+        grads = []
+        for release in (lambda root: None, ad.release):
+            monkeypatch.setattr(ad, "release", release)
+            loss_fn().backward()
+            monkeypatch.undo()
+            grads.append({k: p.grad for k, p in model.params.items() if p.grad is not None})
+            for p in model.params.values():
+                p.zero_grad()
+        assert grads[0] and grads[0].keys() == grads[1].keys()
+        for k in grads[0]:
+            np.testing.assert_array_equal(grads[0][k], grads[1][k])
+
+
+def test_a_released_node_prints_as_released():
+    h = ad.exp(Tensor(np.ones(2), requires_grad=True))
+    ad.release(ad.sum_all(h))
+    assert h.data is None and repr(h) == "Tensor(released, requires_grad=True)"
 
 
 def test_a_graph_sharing_a_used_node_refuses_backward():
