@@ -146,7 +146,12 @@ class Tensor:
         deliberate: dropping the links too (or the caller dropping its root
         before the next forward), or releasing the values that backward
         reads, empties the heap between training steps, the allocator hands
-        the pages back, and every step faults them in again. On a 2-core
+        the pages back, and every step faults them in again. So the trainer
+        holds the root of the step's last recorded pass until the next
+        step's forward has run: ``objective.xopd_loss`` returns the root of
+        its last modality's share, whose backward it has already run, and
+        keeps the first share's graph until the second has been
+        backpropagated. On a 2-core
         machine, dropping the links made a pretraining step take about
         3,100 minor page faults against under 200, an X-OPD step about
         9,400 against 1,100, and pretraining steps ran 18-37% slower in
@@ -199,7 +204,11 @@ def release(root: Tensor) -> None:
 
     The mark is what keeps the heap warm: a marked node's value is the
     array its consumer's closure holds, and it stays on the node after
-    backward has dropped the closure, until the caller drops the root.
+    backward has dropped the closure, until the caller drops the root (the
+    trainer holds the last recorded pass's root until the next step's
+    forward; see ``Tensor.backward``). A product marks an operand only if
+    the other operand takes a gradient, so a product with a frozen weight
+    keeps no input.
     Releasing every interior value instead (closures own what they read)
     lets backward empty the heap, and every step faults its pages in
     again: on a 2-core machine a pretraining step then took about 1,900
@@ -260,17 +269,27 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return add(a, neg(b))
 
 
+def _operands(a: Tensor, b: Tensor):
+    """A product's operand values that its backward reads, and the operands
+    to mark: ``a``'s value only if ``b`` takes a gradient, ``b``'s only if
+    ``a`` does. A product with a frozen weight keeps no input."""
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+    return ad, bd, (() if ad is None else (a,)) + (() if bd is None else (b,))
+
+
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    data = ad * bd
+    data = a.data * b.data
+    sa, sb = a.shape, b.shape
+    ad, bd, reads = _operands(a, b)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * bd, ad.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * ad, bd.shape))
+        if bd is not None:
+            a.accumulate_grad(_unbroadcast(g * bd, sa))
+        if ad is not None:
+            b.accumulate_grad(_unbroadcast(g * ad, sb))
 
-    return _make(data, (a, b), backward, reads=(a, b))
+    return _make(data, (a, b), backward, reads=reads)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -305,31 +324,45 @@ def matmul(a: Tensor, b: Tensor, rows: "RowIndex | None" = None, bias: Tensor | 
     padding, because the transposed products and the sums over rows and then
     sequences round with the shape they are given.
     """
-    ad, bd = a.data, b.data
-    if ad.ndim < 1 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
+    sa, sb = a.shape, b.shape
+    if len(sa) < 1 or len(sb) < 2 or sa[-1] != sb[-2]:
+        raise ValueError(f"matmul shape mismatch: {sa} x {sb}")
     if rows is None:
         layout = lambda x: x
-        data = np.matmul(ad, bd)
+        data = np.matmul(a.data, b.data)
     else:
         layout = rows.padded
-        data = np.matmul(ad[:, None], bd)[:, 0] if rows.one_row else ad @ bd
+        data = np.matmul(a.data[:, None], b.data)[:, 0] if rows.one_row else a.data @ b.data
     sbias = None if bias is None else bias.shape
     if bias is not None:
         data = data + bias.data
+    ad, bd, reads = _operands(a, b)
 
     def backward(g):
         g = layout(g)
-        if a.requires_grad:
+        if bd is not None:
             ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, ad.shape) if rows is None else rows.packed(ga))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(layout(ad), -1, -2), g)
-            b.accumulate_grad(_unbroadcast(gb, bd.shape))
+            a.accumulate_grad(_unbroadcast(ga, sa) if rows is None else rows.packed(ga))
+        if ad is not None:
+            b.accumulate_grad(_weight_grad(layout(ad), g, sb))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_unbroadcast(g, sbias))
 
-    return _make(data, (a, b) if bias is None else (a, b, bias), backward, reads=(a, b))
+    return _make(data, (a, b) if bias is None else (a, b, bias), backward, reads=reads)
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``_unbroadcast(x^T @ g, shape)``, bit for bit. Over a (B, L, d) layout
+    and a (d, k) weight it sums the batch's products into one (d, k) buffer,
+    ``x[0].T @ g[0]`` and then ``+= x[i].T @ g[i]``, rather than stacking
+    them (B, d, k) first: ``sum(axis=0)`` over a C-ordered stack adds its
+    slices one after another, and each slice is the same BLAS call."""
+    if x.ndim != 3 or len(shape) != 2:
+        return _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), shape)
+    out = x[0].T @ g[0]
+    for i in range(1, x.shape[0]):
+        out += x[i].T @ g[i]
+    return out
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

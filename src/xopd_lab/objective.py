@@ -15,6 +15,15 @@ carries gradient. Losses average 1/|y| per trajectory, then 1/n per
 example, then over examples; the blended objective
 lambda * L_im + (1 - lambda) * L_cm is MAXIMIZED (its negated mean advantage
 is an unbiased per-token estimate of reverse KL to the teacher).
+
+The two terms share only parameters, so ``xopd_loss`` backpropagates each
+modality's share of the minimized loss, -w_m * L_m, as soon as L_m is
+built, before the next modality's student pass is recorded (micro-batch
+gradient accumulation, as in GPipe, Huang et al. 2019, arXiv:1811.06965,
+over the two modalities). One recorded pass at a time lowers an X-OPD
+step's peak memory; the gradients are bit for bit those of one backward
+through the blended loss (see ``xopd_loss``). Callers zero the gradients
+first.
 """
 
 from __future__ import annotations
@@ -52,10 +61,24 @@ class XopdLossReport:
 def xopd_loss(
     pairs: list[tuple[PairedExample, Trajectory]], teacher, student, lam: float
 ) -> tuple[XopdLossReport, Tensor]:
-    """Blended objective over (example, trajectory) pairs; the returned
-    scalar is maximized. Each modality's pairs get one batched teacher pass
-    (constants) and one batched student pass, which carries the gradient and
-    doubles as the student side of the advantage (``report.advantages``)."""
+    """Blended objective over (example, trajectory) pairs, with its gradient.
+
+    Each modality's pairs get one batched teacher pass (constants) and one
+    batched student pass, which carries the gradient and doubles as the
+    student side of the advantage (``report.advantages``). As soon as a
+    modality's term L_m is built, the backward of its share of the loss the
+    trainer minimizes, ``-w_m * L_m``, runs into the student's ``.grad``,
+    before the next modality's passes are recorded, so only one recorded
+    student pass is alive at a time. The gradients are bit for bit those of
+    one backward through ``-(lam * L_im + (1 - lam) * L_cm)``: that walk
+    also runs the in-modal pass's backward whole before the cross-modal
+    one's, and each term gets the same seed, ``-w_m``. Gradients accumulate,
+    so callers zero them first.
+
+    Returns the report (``loss_total`` is the blended objective, which is
+    maximized) and the last share's root, whose backward has run: holding it
+    until the next forward keeps the heap warm (``Tensor.backward``).
+    """
     if not 0.0 <= lam <= 1.0:
         raise ConfigurationError(f"lambda must be in [0,1], got {lam}")
     weights = {TEXT: lam, SPEECH: 1.0 - lam}
@@ -85,18 +108,21 @@ def xopd_loss(
         w = np.concatenate([
             np.full(len(t.tokens), 1.0 / (len(t.tokens) * n[ex.example_id])) for ex, t in mod_pairs
         ]) / len(n)
+        # ``losses`` keeps each used graph until the function returns: dropping
+        # the in-modal one before the cross-modal pass is recorded empties
+        # the heap, and that pass faults its pages in again.
         losses[modality] = ad.sum_all(ad.mul(ad.mul(r, Tensor(adv)), Tensor(w)))
+        root = ad.neg(ad.scale(losses[modality], weights[modality]))
+        root.backward()
         ratios.append(r.data)
         advantages[modality] = adv
 
-    zero = Tensor(np.asarray(0.0))
-    loss_im, loss_cm = losses.get(TEXT, zero), losses.get(SPEECH, zero)
-    total = ad.add(ad.scale(loss_im, lam), ad.scale(loss_cm, 1.0 - lam))
+    loss_im, loss_cm = (losses[m].data if m in losses else 0.0 for m in (TEXT, SPEECH))
     adv_all = np.concatenate(list(advantages.values()))
     report = XopdLossReport(
-        loss_im=float(loss_im.data),
-        loss_cm=float(loss_cm.data),
-        loss_total=float(total.data),
+        loss_im=float(loss_im),
+        loss_cm=float(loss_cm),
+        loss_total=float(loss_im * lam + loss_cm * (1.0 - lam)),
         mean_ratio=float(np.mean(np.concatenate(ratios))),
         mean_abs_advantage=float(np.mean(np.abs(adv_all))),
         mean_reverse_kl_estimate=float(np.mean(-adv_all)),
@@ -105,4 +131,4 @@ def xopd_loss(
         n_speech_trajectories=counts[SPEECH],
         advantages=advantages,
     )
-    return report, total
+    return report, root

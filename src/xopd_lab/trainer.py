@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
+from . import objective
 from .autodiff import Tensor
 from .baselines import gkd_batch_loss, offline_kd_build, sft_batch_loss
 from .checkpoint import params_hash
@@ -33,7 +33,6 @@ from .model import (
     init_student_from_teacher,
     save_model,
 )
-from .objective import xopd_loss
 from .optim import Adam
 from .rollout import collect_rollouts, rollout_pairs
 
@@ -163,14 +162,13 @@ def _optimizer(model: TeacherModel, trained: dict[str, Tensor], lr: float) -> Ad
     return Adam(trained, lr=lr)
 
 
-def _apply(opt: Adam, loss: Tensor, step: int, last_good: str | None = None) -> None:
-    """One update: finite-loss check, zero, backward, finite-gradient check,
-    Adam step. A failure names the step and carries ``last_good``, the
-    last checkpoint written before it."""
-    if not math.isfinite(float(loss.data)):
+def _apply(opt: Adam, loss: float, step: int, last_good: str | None = None) -> None:
+    """One update once the step's backward has run into ``opt``'s zeroed
+    parameters: finite-loss check on the step's loss value, finite-gradient
+    check, Adam step. A failure takes no update; it names the step and
+    carries ``last_good``, the last checkpoint written before it."""
+    if not math.isfinite(loss):
         raise TrainingFailure(f"non-finite loss at step {step}", last_good_checkpoint=last_good)
-    opt.zero_grad()
-    loss.backward()
     if not all(p.grad is None or np.all(np.isfinite(p.grad)) for p in opt.params.values()):
         raise TrainingFailure(f"non-finite gradient at step {step}", last_good_checkpoint=last_good)
     opt.step()
@@ -197,8 +195,10 @@ def pretrain_teacher(
             1.0 + math.cos(math.pi * frac)
         )
         batch = pretraining_batch(seed, step, cfg.batch_size)
+        opt.zero_grad()
         loss = sft_batch_loss(teacher, batch)
-        _apply(opt, loss, step)
+        loss.backward()
+        _apply(opt, float(loss.data), step)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             acc = score_model(teacher, val, TEXT)
             history.append({"step": step, "loss": float(loss.data), "val_accuracy": acc})
@@ -260,7 +260,10 @@ def build_gapped_student(
             speech_subset[i]
             for i in rng.choice(len(speech_subset), size=cfg.batch_size - half, replace=False)
         ]
-        _apply(opt, sft_batch_loss(student, batch), step)
+        opt.zero_grad()
+        loss = sft_batch_loss(student, batch)
+        loss.backward()
+        _apply(opt, float(loss.data), step)
         steps_used = step
         if step % cfg.check_every == 0 or step == cfg.max_steps:
             acoustic_acc = score_model(student, val_acoustic, SPEECH)
@@ -306,11 +309,15 @@ def _batches(cfg: TrainConfig, n: int):
 
 def _step_loss(
     cfg: TrainConfig, step: int, batch: list[PairedExample], student: StudentModel, teacher: TeacherModel
-) -> tuple[Tensor, dict]:
-    """The method's loss on one batch, and the metrics row the step logs."""
+) -> tuple[Tensor, float, dict]:
+    """The method's loss on one batch, with its backward run into the
+    student's zeroed gradients: the root of the last recorded pass (its
+    backward has run; the caller holds it until the next step's forward),
+    the loss value, and the metrics row the step logs."""
     if cfg.method in ("sft", "offline_kd"):
         loss = sft_batch_loss(student, batch)
-        return loss, {"step": step, "loss": float(loss.data)}
+        loss.backward()
+        return loss, float(loss.data), {"step": step, "loss": float(loss.data)}
     # X-OPD and GKD sample only the modalities their loss weighs above zero.
     xopd = cfg.method == "xopd"
     weights = ((TEXT, cfg.lam), (SPEECH, 1.0 - cfg.lam)) if xopd else ((SPEECH, 1.0),)
@@ -320,10 +327,12 @@ def _step_loss(
     )
     pairs = rollout_pairs(rollouts, batch)
     if xopd:
-        report, objective = xopd_loss(pairs, teacher, student, cfg.lam)
-        return ad.neg(objective), {"step": step, **report.to_dict()}
+        # xopd_loss runs each modality's backward as soon as it is recorded.
+        report, root = objective.xopd_loss(pairs, teacher, student, cfg.lam)
+        return root, -report.loss_total, {"step": step, **report.to_dict()}
     loss = gkd_batch_loss(teacher, student, pairs)
-    return loss, {"step": step, "loss": float(loss.data)}
+    loss.backward()
+    return loss, float(loss.data), {"step": step, "loss": float(loss.data)}
 
 
 def run_method(
@@ -336,10 +345,11 @@ def run_method(
     """Train the student in place with the configured method, writing the
     run directory ``out_dir`` (see the module docstring).
 
-    Per step: batch -> rollouts (policy methods) -> loss -> finite-loss
-    check -> backward -> Adam update on the backbone. The speech pathway
-    (tower and adapter) is frozen, as in the paper, and asserted
-    byte-for-byte after every step.
+    Per step: zero gradients -> batch -> rollouts (policy methods) -> loss
+    and its backward (X-OPD: one per modality, as each is recorded) ->
+    finite-loss and finite-gradient checks -> Adam update on the backbone.
+    The speech pathway (tower and adapter) is frozen, as in the paper, and
+    asserted byte-for-byte after every step.
     """
     check_text_vocab(cfg, teacher.cfg, student.cfg)
     train_data = dataset.alignment_set("train")
@@ -366,7 +376,10 @@ def run_method(
     with open(run_dir / "metrics.jsonl", "w") as metrics_f, open(run_dir / "timings.jsonl", "w") as timings_f:
         for step, idx in enumerate(_batches(cfg, len(train_data)), 1):
             t0 = time.perf_counter()
-            loss, row = _step_loss(cfg, step, [train_data[i] for i in idx], student, teacher)
+            opt.zero_grad()
+            # ``root`` holds the step's last recorded pass until the next
+            # step's forward has run (see ``Tensor.backward``).
+            root, loss, row = _step_loss(cfg, step, [train_data[i] for i in idx], student, teacher)
             _apply(opt, loss, step, last_good)
             for k in student.BACKBONE_EXTRA:
                 if student.params[k].data.tobytes() != tower_bytes[k]:

@@ -154,8 +154,8 @@ def test_criterion_2c_loss_affine_in_lambda_with_endpoint_equality():
     totals = {}
     reports = {}
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        report, total = xopd_loss(rollout_pairs(rollouts, [ex]), teacher, student, lam)
-        totals[lam] = float(total.data)
+        report, _ = xopd_loss(rollout_pairs(rollouts, [ex]), teacher, student, lam)
+        totals[lam] = report.loss_total
         reports[lam] = report
     for lam in (0.25, 0.5, 0.75):
         blended = lam * totals[1.0] + (1.0 - lam) * totals[0.0]
@@ -184,13 +184,13 @@ def test_criterion_2d_expected_gradient_matches_exact_reverse_kl_gradient():
         p_y = float(np.exp(lp_old.sum()))
 
         traj = Trajectory(TEXT, y, list(lp_old))
-        _, total = xopd_loss([(ex, traj)], teacher, student, 1.0)
         for p in student.params.values():
             p.zero_grad()
-        total.backward()
+        # xopd_loss leaves the gradient of -L_im in .grad (exactly negated).
+        xopd_loss([(ex, traj)], teacher, student, 1.0)
         for k, p in student.params.items():
             if p.grad is not None:
-                expected[k] += p_y * p.grad
+                expected[k] -= p_y * p.grad
 
         # One row per completion token on both sides, so the rows align.
         s_logp = completion_log_probs(student, [(prompt, y)])
@@ -235,11 +235,10 @@ def test_criterion_3_single_step_reduces_exhaustive_reverse_kl(seed):
     before = _exhaustive_reverse_kl(student, teacher, prompt, 3)
 
     rollouts = collect_rollouts(student, [ex], n=64, seed=seed, max_new=3, modalities=(TEXT,))
-    _, total = xopd_loss(rollout_pairs(rollouts, [ex]), teacher, student, 1.0)
-    loss = ad.neg(total)
     for p in student.params.values():
         p.zero_grad()
-    loss.backward()
+    # xopd_loss runs the backward of the minimized loss, -L_im.
+    xopd_loss(rollout_pairs(rollouts, [ex]), teacher, student, 1.0)
     Adam(student.backbone_params(), lr=1e-4).step()
 
     after = _exhaustive_reverse_kl(student, teacher, prompt, 3)

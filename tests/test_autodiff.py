@@ -10,6 +10,7 @@ from xopd_lab.autodiff import Tensor
 from xopd_lab.baselines import sft_batch_loss
 from xopd_lab.objective import xopd_loss
 from xopd_lab.rollout import collect_rollouts, rollout_pairs
+from xopd_lab.trainer import clone_student
 
 from gradcheck import check_op, one_batch, op_cases
 from oracles import naive_causal_attention, naive_softmax, rel_error
@@ -220,14 +221,17 @@ def test_release_moves_no_bit(tiny_teacher, tiny_student, small_dataset, monkeyp
     batch = small_dataset.alignment_set("train")[:3]
     pairs = rollout_pairs(collect_rollouts(tiny_student, batch, n=2, seed=5, max_new=5), batch)
     runs = (
-        (tiny_teacher, lambda: sft_batch_loss(tiny_teacher, batch)),
-        (tiny_student, lambda: xopd_loss(pairs, tiny_teacher, tiny_student, 0.5)[1]),
+        (tiny_teacher, lambda: sft_batch_loss(tiny_teacher, batch).backward()),
+        # xopd_loss runs its own backward, one modality at a time.
+        (tiny_student, lambda: xopd_loss(pairs, tiny_teacher, tiny_student, 0.5)),
     )
-    for model, loss_fn in runs:
+    for model, run in runs:
+        for p in model.params.values():
+            p.zero_grad()
         grads = []
         for release in (lambda root: None, ad.release):
             monkeypatch.setattr(ad, "release", release)
-            loss_fn().backward()
+            run()
             monkeypatch.undo()
             grads.append({k: p.grad for k, p in model.params.items() if p.grad is not None})
             for p in model.params.values():
@@ -235,6 +239,40 @@ def test_release_moves_no_bit(tiny_teacher, tiny_student, small_dataset, monkeyp
         assert grads[0] and grads[0].keys() == grads[1].keys()
         for k in grads[0]:
             np.testing.assert_array_equal(grads[0][k], grads[1][k])
+
+
+def test_a_product_with_a_frozen_weight_keeps_no_input(tiny_student, small_dataset, monkeypatch):
+    # Gap construction's case: the backbone is frozen, the tower and adapter train.
+    student = clone_student(tiny_student)
+    for name, p in student.params.items():
+        p.requires_grad = name in student.BACKBONE_EXTRA
+    batch = small_dataset.split_family("train", "ACOUSTIC")[:2] + small_dataset.alignment_set("train")[:2]
+    products, grads = [], []
+
+    def spy(real):
+        def op(a, b, *rest):
+            out = real(a, b, *rest)
+            products.append((a, b, out))
+            return out
+        return op
+
+    for release in (lambda root: None, ad.release):
+        products.clear()
+        monkeypatch.setattr(ad, "matmul", spy(ad.matmul))
+        monkeypatch.setattr(ad, "mul", spy(ad.mul))
+        monkeypatch.setattr(ad, "release", release)
+        loss = sft_batch_loss(student, batch)
+        monkeypatch.undo()
+        weights = {id(p) for p in student.params.values() if not p.requires_grad}
+        inputs = [a for a, b, out in products if out._parents and a._parents and id(b) in weights]
+        if release is ad.release:
+            assert len(inputs) > 10 and all(a.data is None for a in inputs)
+        loss.backward()
+        grads.append({k: p.grad for k, p in student.params.items()})
+    assert [k for k, g in grads[0].items() if g is not None] == list(student.BACKBONE_EXTRA)
+    for k in student.BACKBONE_EXTRA:
+        np.testing.assert_array_equal(grads[0][k], grads[1][k])
+        student.params[k].zero_grad()
 
 
 def test_a_released_node_prints_as_released():
@@ -374,6 +412,31 @@ def test_packed_matmul_equals_the_padded_batch_bit_for_bit(lengths):
     np.testing.assert_array_equal(gx, gxp)
     np.testing.assert_array_equal(gw, gwp)
     np.testing.assert_array_equal(gb, gbp)
+
+
+@pytest.mark.parametrize("k", [64, 256])
+@pytest.mark.parametrize("L", [1, 18])
+@pytest.mark.parametrize("B", [1, 3, 128])
+@pytest.mark.parametrize("layout", ["plain", "padded"])
+def test_matmul_weight_gradient_equals_the_summed_stack(layout, B, L, k):
+    # The backward sums the batch's x[i].T @ g[i] into one (d, k) buffer;
+    # the bits are those of summing the stacked (B, d, k) products.
+    rng = np.random.default_rng([B, L, k])
+    d = 64
+    if layout == "padded":
+        lengths = rng.integers(1, L + 1, B)
+        lengths[0] = L
+        rows = one_batch(lengths)
+        x, g = (rng.normal(0, 1, (lengths.sum(), n)) for n in (d, k))
+        xl, gl = rows.padded(x), rows.padded(g)
+    else:
+        rows = None
+        x, g = (rng.normal(0, 1, (B, L, n)) for n in (d, k))
+        xl, gl = x, g
+    w = Tensor(rng.normal(0, 1, (d, k)), requires_grad=True)
+    ad.sum_all(ad.mul(ad.matmul(Tensor(x), w, rows), Tensor(g))).backward()
+    want = ad._unbroadcast(np.matmul(np.swapaxes(xl, -1, -2), gl), (d, k))
+    np.testing.assert_array_equal(w.grad, want)
 
 
 def test_gather_forward_values():
